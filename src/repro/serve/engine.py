@@ -13,10 +13,12 @@ one call:
   and then raises :class:`Backpressure` — load is shed at the front
   door, not by unbounded queueing.
 
-The pre-gateway entry points — ``submit(query_words)``,
-``submit_features``, ``predict``, ``predict_features`` — survive as
-thin shims that emit :class:`DeprecationWarning` and delegate to the
-:class:`ServeRequest` path, bit-identical by construction.
+The future is the request's only handle.  The engine tracks a request
+only while it is unresolved and forgets it the moment it resolves, so
+per-request bookkeeping is constant-time and nothing accumulates however
+many requests a long-lived engine serves.  ``predict`` and
+``predict_features`` survive as :class:`DeprecationWarning` shims that
+submit :class:`ServeRequest`\\ s and gather their futures.
 
 Requests are *frame-batched*: submits accumulate into one queue message
 (default 8 requests) so the per-message IPC cost — the dominant per-item
@@ -266,23 +268,38 @@ class ServeRequest:
 
 
 class ServeFuture:
-    """Handle to one in-flight :class:`ServeRequest`.
+    """The one handle to a submitted :class:`ServeRequest`, and its state.
 
-    ``result()`` blocks for the terminal :class:`ServeResult` (and is
-    repeatable — the first call caches).  ``add_done_callback``
-    registers a ``fn(result)`` invoked exactly once when the request
-    resolves — possibly immediately, possibly from an engine collector
-    thread, so callbacks must be quick and non-blocking (the gateway
-    uses ``loop.call_soon_threadsafe``).
+    The future carries the request's state: its ring slot, result, wait
+    event and done callbacks.  Ownership rule: the engine references a
+    request only until it resolves — resolution frees the slot and drops
+    the engine's entry — so from then on the future is the only handle;
+    drop it and the request is gone.  Nothing looks a request up by
+    ``request_id``, which stays only as a correlation id (worker flight
+    events, :class:`ServeResult`).
+
+    ``result()`` blocks for the terminal :class:`ServeResult` and is
+    repeatable.  ``add_done_callback`` registers a ``fn(result)``
+    invoked exactly once: immediately if the request has already
+    resolved, otherwise from an engine collector thread, so callbacks
+    must be quick and non-blocking (the gateway uses
+    ``loop.call_soon_threadsafe``).
+
+    The wait event is allocated lazily, only when a caller blocks before
+    the request resolves: the common windowed-client pattern finds
+    results already in, and a ``threading.Event`` per submit is a
+    measurable share of the per-request cost.  ``_callbacks`` likewise
+    starts None.  The engine mutates this state under its lock.
     """
 
-    __slots__ = ("_engine", "_result", "client_trace_id", "request_id",
-                 "tenant")
+    __slots__ = ("_callbacks", "_engine", "_event", "_result", "_slot",
+                 "client_trace_id", "request_id", "tenant")
 
     def __init__(
         self,
         engine: "ServingEngine",
         request_id: int,
+        slot: int,
         *,
         tenant: str,
         client_trace_id: int | None = None,
@@ -291,23 +308,59 @@ class ServeFuture:
         self.request_id = request_id
         self.tenant = tenant
         self.client_trace_id = client_trace_id
+        self._slot = slot
         self._result: ServeResult | None = None
+        self._event: threading.Event | None = None
+        self._callbacks: list | None = None
 
     def done(self) -> bool:
-        if self._result is not None:
-            return True
-        pending = self._engine._pending.get(self.request_id)
-        return pending is not None and pending.result is not None
+        return self._result is not None
 
     def result(self, timeout: float | None = 30.0) -> "ServeResult":
+        engine = self._engine
         if self._result is None:
-            self._result = self._engine.result(
-                self.request_id, timeout=timeout
-            )
-        return self._result
+            # The engine resolves under its lock, so after this block
+            # either the result is in or an event exists for it to set.
+            with engine._lock:
+                if self._result is None and self._event is None:
+                    self._event = threading.Event()
+            if self._result is None and not self._event.wait(timeout):
+                raise TimeoutError(
+                    f"request {self.request_id} unresolved after {timeout}s"
+                    + (
+                        f" (worker errors: {engine._worker_errors})"
+                        if engine._worker_errors
+                        else ""
+                    )
+                )
+        # A collector resolves a whole worker batch in one lock hold and
+        # records the batch's trace event at the end of it; returning
+        # through the lock means a caller always finds the batch that
+        # served it in ``engine.trace``.
+        with engine._lock:
+            return self._result
 
     def add_done_callback(self, fn) -> None:
-        self._engine._add_done_callback(self.request_id, fn)
+        with self._engine._lock:
+            if self._result is None:
+                if self._callbacks is None:
+                    self._callbacks = []
+                self._callbacks.append(fn)
+                return
+        fn(self._result)
+
+    def _set_result(self, result: "ServeResult") -> None:
+        """Settle the future (the engine holds its lock)."""
+        self._result = result
+        if self._event is not None:
+            self._event.set()
+        if self._callbacks:
+            callbacks, self._callbacks = self._callbacks, None
+            for fn in callbacks:
+                try:
+                    fn(result)
+                except Exception:  # pragma: no cover - callback hygiene
+                    pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         state = "done" if self.done() else "pending"
@@ -328,26 +381,6 @@ class ServeResult:
     @property
     def ok(self) -> bool:
         return self.predictions is not None
-
-
-class _Pending:
-    """Client-side bookkeeping for one in-flight request.
-
-    The wait event is allocated lazily, only when a caller blocks in
-    :meth:`ServingEngine.result` before the request resolves: the common
-    windowed-client pattern finds results already resolved, and a
-    ``threading.Event`` per submit is a measurable share of the
-    per-request cost.  ``callbacks`` likewise starts None and is only
-    grown by :meth:`ServeFuture.add_done_callback`.
-    """
-
-    __slots__ = ("callbacks", "event", "result", "slot")
-
-    def __init__(self, slot: int) -> None:
-        self.event: threading.Event | None = None
-        self.result: ServeResult | None = None
-        self.callbacks: list | None = None
-        self.slot = slot
 
 
 class ServingEngine:
@@ -574,7 +607,9 @@ class ServingEngine:
         self._slot_sem = threading.Semaphore(ring_slots)
         self._lock = threading.Lock()
         self._next_request_id = 0
-        self._pending: dict[int, _Pending] = {}
+        # Unresolved requests only: resolution pops the entry, leaving
+        # the future as the request's sole owner.
+        self._pending: dict[int, ServeFuture] = {}
         self._dispatched: dict[int, tuple[int, tuple]] = {}
         self._dead: set[int] = set()
         self._retiring: set[int] = set()
@@ -666,58 +701,28 @@ class ServingEngine:
 
     def submit(
         self,
-        request: "ServeRequest | np.ndarray",
+        request: ServeRequest,
         *,
         deadline: float | None = None,
         flush: bool = True,
-    ):
-        """Enqueue one :class:`ServeRequest`; returns a :class:`ServeFuture`.
+    ) -> ServeFuture:
+        """Enqueue one :class:`ServeRequest`; returns its :class:`ServeFuture`.
 
         ``flush=False`` leaves the request in the current frame so
         callers issuing many submits amortise the queue hand-off (the
         frame auto-flushes every ``frame_requests`` submits; call
         :meth:`flush` after the last one).
-
-        Passing a raw ``(n, words)`` array instead of a
-        :class:`ServeRequest` is deprecated and returns the request id
-        (the pre-:class:`ServeRequest` contract).
         """
-        if isinstance(request, ServeRequest):
-            if deadline is not None:
-                raise TypeError(
-                    "deadline belongs on the ServeRequest, not submit()"
-                )
-            return self._submit_request(request, flush=flush)
-        warnings.warn(
-            "submit(query_words) is deprecated; use "
-            "submit(ServeRequest(payload)) which returns a ServeFuture",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        future = self._submit_request(
-            ServeRequest(request, deadline=deadline), flush=flush
-        )
-        return future.request_id
-
-    def submit_features(
-        self,
-        features: np.ndarray,
-        *,
-        deadline: float | None = None,
-        flush: bool = True,
-    ) -> int:
-        """Deprecated shim: raw-feature submit for the first tenant."""
-        warnings.warn(
-            "submit_features() is deprecated; use "
-            "submit(ServeRequest(features_array, features=True))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        future = self._submit_request(
-            ServeRequest(features, features=True, deadline=deadline),
-            flush=flush,
-        )
-        return future.request_id
+        if not isinstance(request, ServeRequest):
+            raise TypeError(
+                "submit() takes a ServeRequest; wrap query words as "
+                f"ServeRequest(words), got {type(request).__name__}"
+            )
+        if deadline is not None:
+            raise TypeError(
+                "deadline belongs on the ServeRequest, not submit()"
+            )
+        return self._enqueue([request], flush=flush)[0]
 
     def submit_many(self, requests) -> list[ServeFuture]:
         """Bulk submit: many :class:`ServeRequest`\\ s, one dispatch frame.
@@ -741,6 +746,19 @@ class ServingEngine:
                 f"batch of {len(requests)} exceeds ring capacity "
                 f"{self.config.ring_slots}; split it"
             )
+        return self._enqueue(requests, flush=True)
+
+    def _enqueue(self, requests, *, flush: bool) -> list[ServeFuture]:
+        """The one allocation path behind every submit.
+
+        Validates each payload, takes one ring slot per request (all or
+        none, each wait bounded by ``backpressure_timeout``), then under
+        one lock acquisition gives each request its ids, writes its
+        payload into the ring, creates its future and appends its frame
+        entry to the outbox.  The outbox (including anything
+        frame-batched earlier) is dispatched when ``flush`` is set or it
+        has reached ``frame_requests`` entries.
+        """
         if self._stopped:
             raise RuntimeError("engine is stopped")
         prepared = []  # (payload_words, kind, deadline_ns, tenant_idx, ...)
@@ -756,50 +774,49 @@ class ServingEngine:
                 (payload_words, kind, deadline_ns, tenant_idx,
                  request.trace_id)
             )
-        acquired = 0
-        try:
-            for _ in prepared:
-                if not self._slot_sem.acquire(
-                    timeout=self.backpressure_timeout
-                ):
-                    raise Backpressure(
-                        f"no free request slot within "
-                        f"{self.backpressure_timeout}s "
-                        f"({self.config.ring_slots} in flight)"
-                    )
-                acquired += 1
-        except Backpressure:
-            for _ in range(acquired):
-                self._slot_sem.release()
-            metrics = _metrics()
-            if metrics.enabled:
-                metrics.inc("serve.backpressure_rejections")
-            raise
+        for acquired in range(len(prepared)):
+            if not self._slot_sem.acquire(timeout=self.backpressure_timeout):
+                for _ in range(acquired):
+                    self._slot_sem.release()
+                metrics = _metrics()
+                if metrics.enabled:
+                    metrics.inc("serve.backpressure_rejections")
+                raise Backpressure(
+                    f"no free request slot within "
+                    f"{self.backpressure_timeout}s "
+                    f"({self.config.ring_slots} in flight)"
+                )
         futures: list[ServeFuture] = []
         n_queries_total = 0
         with self._lock:
-            frame = self._take_outbox()  # anything frame-batched earlier
             for (payload_words, kind, deadline_ns, tenant_idx,
                  client_trace_id) in prepared:
                 slot = self._free_slots.pop()
                 request_id = self._next_request_id
                 self._next_request_id += 1
+                # Monotonic trace id, stamped on the request frame and
+                # carried through worker batches into ServeBatchEvent —
+                # the join key for recovery-vs-traffic correlation.
                 trace_id = self._next_trace_id
                 self._next_trace_id += 1
                 flat = payload_words.reshape(-1)
                 self._ring.array[slot, : flat.shape[0]] = flat
-                self._pending[request_id] = _Pending(slot)
-                frame.append(
+                future = ServeFuture(
+                    self, request_id, slot,
+                    tenant=self.tenants[tenant_idx],
+                    client_trace_id=client_trace_id,
+                )
+                self._pending[request_id] = future
+                self._outbox.append(
                     (request_id, slot, payload_words.shape[0], deadline_ns,
                      kind, trace_id, tenant_idx)
                 )
                 n_queries_total += payload_words.shape[0]
-                futures.append(ServeFuture(
-                    self, request_id,
-                    tenant=self.config.tenants[tenant_idx].tenant_id,
-                    client_trace_id=client_trace_id,
-                ))
-        self._dispatch(frame)
+                futures.append(future)
+            should_flush = flush or len(self._outbox) >= self._frame_requests
+            frame = self._take_outbox() if should_flush else None
+        if frame:
+            self._dispatch(frame)
         metrics = _metrics()
         if metrics.enabled:
             metrics.inc("serve.requests", len(prepared))
@@ -850,73 +867,6 @@ class ServingEngine:
             )
         return payload_words, kind
 
-    def _submit_request(
-        self, request: ServeRequest, *, flush: bool = True
-    ) -> ServeFuture:
-        tenant_idx = self._require_tenant(request.tenant)
-        payload_words, kind = self._check_payload(request, tenant_idx)
-        request_id = self._submit(
-            payload_words, kind, request.deadline, flush, tenant_idx
-        )
-        return ServeFuture(
-            self, request_id,
-            tenant=self.config.tenants[tenant_idx].tenant_id,
-            client_trace_id=request.trace_id,
-        )
-
-    def _submit(
-        self,
-        payload_words: np.ndarray,
-        kind: int,
-        deadline: float | None,
-        flush: bool,
-        tenant_idx: int,
-    ) -> int:
-        if self._stopped:
-            raise RuntimeError("engine is stopped")
-        n_queries = payload_words.shape[0]
-        if n_queries < 1 or n_queries > self.max_queries_per_request:
-            raise ValueError(
-                f"request must carry 1..{self.max_queries_per_request} "
-                f"queries, got {n_queries}"
-            )
-        if not self._slot_sem.acquire(timeout=self.backpressure_timeout):
-            metrics = _metrics()
-            if metrics.enabled:
-                metrics.inc("serve.backpressure_rejections")
-            raise Backpressure(
-                f"no free request slot within {self.backpressure_timeout}s "
-                f"({self.config.ring_slots} in flight)"
-            )
-        flat = payload_words.reshape(-1)
-        deadline_ns = (
-            time.monotonic_ns() + int(deadline * 1e9) if deadline else 0
-        )
-        with self._lock:
-            slot = self._free_slots.pop()
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            # Monotonic trace id, stamped on the request frame and
-            # carried through worker batches into ServeBatchEvent — the
-            # join key for recovery-vs-traffic correlation.
-            trace_id = self._next_trace_id
-            self._next_trace_id += 1
-            self._ring.array[slot, : flat.shape[0]] = flat
-            self._pending[request_id] = _Pending(slot)
-            self._outbox.append(
-                (request_id, slot, n_queries, deadline_ns, kind, trace_id,
-                 tenant_idx)
-            )
-            should_flush = flush or len(self._outbox) >= self._frame_requests
-            frame = self._take_outbox() if should_flush else None
-        if frame:
-            self._dispatch(frame)
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.inc("serve.requests")
-            metrics.inc("serve.queries", n_queries)
-        return request_id
-
     def _take_outbox(self) -> list[tuple]:
         frame, self._outbox = self._outbox, []
         return frame
@@ -931,10 +881,7 @@ class ServingEngine:
     @property
     def in_flight(self) -> int:
         """Requests submitted but not yet resolved (gateway queue depth)."""
-        with self._lock:
-            return sum(
-                1 for p in self._pending.values() if p.result is None
-            )
+        return len(self._pending)
 
     def _dispatch(self, frame: list[tuple]) -> None:
         """Route one frame to its worker(s), recording the assignment.
@@ -1004,94 +951,41 @@ class ServingEngine:
     def _resolve_locked(
         self,
         request_id: int,
-        pending: _Pending,
         *,
         predictions: np.ndarray | None,
         expired: bool,
         release_slot: bool = True,
     ) -> bool:
-        """Resolve one pending request (caller holds the lock).
+        """Resolve one live request and forget it (caller holds the lock).
 
-        Releases the ring slot, wakes blocked waiters and fires done
-        callbacks (which must be non-blocking — the gateway only hops
-        onto its event loop).  Returns False if already resolved.
+        Pops the request from ``_pending`` — from here on its future is
+        the only handle — releases its ring slot, then settles the
+        future: wakes blocked waiters and fires done callbacks (which
+        must be non-blocking — the gateway only hops onto its event
+        loop).  Returns False when the request is not live: already
+        resolved (e.g. served twice because a crashed worker's batch was
+        re-routed and the original result arrived late anyway) or
+        unknown.
         """
-        if pending.result is not None:
+        future = self._pending.pop(request_id, None)
+        if future is None:
             return False
-        pending.result = ServeResult(
-            request_id=request_id, predictions=predictions, expired=expired
-        )
         if release_slot:
-            self._free_slots.append(pending.slot)
+            self._free_slots.append(future._slot)
             self._slot_sem.release()
-        if pending.event is not None:
-            pending.event.set()
-        if pending.callbacks:
-            callbacks, pending.callbacks = pending.callbacks, None
-            for fn in callbacks:
-                try:
-                    fn(pending.result)
-                except Exception:  # pragma: no cover - callback hygiene
-                    pass
+        future._set_result(ServeResult(
+            request_id=request_id, predictions=predictions, expired=expired
+        ))
         return True
 
     def _fail_requests(self, request_ids) -> None:
         """Resolve requests as expired (caller holds the lock)."""
         for request_id in request_ids:
-            pending = self._pending.get(request_id)
-            if pending is None:
-                continue
-            self._resolve_locked(
-                request_id, pending, predictions=None, expired=True
-            )
-
-    def _add_done_callback(self, request_id: int, fn) -> None:
-        """Register ``fn(result)`` on a request; fire now if resolved."""
-        result = None
-        with self._lock:
-            pending = self._pending.get(request_id)
-            if pending is None:
-                raise KeyError(
-                    f"unknown or already-collected request {request_id}"
-                )
-            if pending.result is not None:
-                result = pending.result
-            else:
-                if pending.callbacks is None:
-                    pending.callbacks = []
-                pending.callbacks.append(fn)
-        if result is not None:
-            fn(result)
+            self._resolve_locked(request_id, predictions=None, expired=True)
 
     # ------------------------------------------------------------------
-    # Results
+    # Bulk predict (deprecated)
     # ------------------------------------------------------------------
-
-    def result(self, request_id: int, timeout: float | None = 30.0) -> ServeResult:
-        """Wait for one request's terminal result."""
-        pending = self._pending.get(request_id)
-        if pending is None:
-            raise KeyError(f"unknown or already-collected request {request_id}")
-        if pending.result is None:
-            # Resolvers set ``result`` under the lock, so after this
-            # block either the result is in or an event exists for the
-            # resolver to signal.
-            with self._lock:
-                if pending.result is None and pending.event is None:
-                    pending.event = threading.Event()
-            if pending.result is None and not pending.event.wait(timeout):
-                raise TimeoutError(
-                    f"request {request_id} unresolved after {timeout}s"
-                    + (
-                        f" (worker errors: {self._worker_errors})"
-                        if self._worker_errors
-                        else ""
-                    )
-                )
-        with self._lock:
-            self._pending.pop(request_id, None)
-        assert pending.result is not None
-        return pending.result
 
     def predict(
         self, query_words: np.ndarray, *, timeout: float | None = 60.0
@@ -1134,7 +1028,7 @@ class ServingEngine:
         start = 0
         while start < matrix.shape[0]:
             chunk = matrix[start : start + step]
-            futures.append(self._submit_request(
+            futures.append(self.submit(
                 ServeRequest(chunk, features=features), flush=False
             ))
             start += step
@@ -1193,36 +1087,40 @@ class ServingEngine:
             with self._lock:
                 self._depth[worker_id] -= len(outputs)
                 for request_id, predictions, expired in outputs:
-                    pending = self._pending.get(request_id)
-                    if pending is None or pending.result is not None:
-                        # Unknown, or already resolved (e.g. served twice
-                        # because a crashed worker's batch was re-routed
-                        # and the original result arrived late anyway).
-                        continue
-                    self._dispatched.pop(request_id, None)
                     if self._resolve_locked(
-                        request_id, pending,
+                        request_id,
                         predictions=predictions, expired=bool(expired),
                     ):
+                        self._dispatched.pop(request_id, None)
                         expired_count += int(expired)
-                event_dict = dict(event_dict)
-                event_dict["queue_depth"] = sum(
-                    1 for p in self._pending.values() if p.result is None
-                )
-                event = ServeBatchEvent.from_dict(event_dict)
-                self.trace.record(event)
-            if metrics.enabled:
-                metrics.inc("serve.batches")
-                metrics.inc("serve.deadline_expired", expired_count)
-                metrics.gauge("serve.queue_depth", event.queue_depth)
-                metrics.gauge("serve.staleness_s", event.staleness_s)
-                if event.adopted:
-                    metrics.inc("serve.adoptions")
-                    metrics.observe(
-                        "serve.adoption_lag_s", event.adoption_lag_s
-                    )
-                if event.degraded:
-                    metrics.inc("serve.degraded_batches")
+                self._record_batch_locked(event_dict, metrics, expired_count)
+
+    def _record_batch_locked(
+        self, event_dict: dict, metrics, expired: int = 0
+    ) -> None:
+        """Trace and meter one worker batch (caller holds the lock).
+
+        The batch-event path of both collectors, run after the batch's
+        requests have resolved: ``queue_depth`` is the count of requests
+        still live.  ``expired`` counts this batch's deadline expiries
+        (sharded frames count theirs when they combine).
+        """
+        event = ServeBatchEvent.from_dict(
+            {**event_dict, "queue_depth": len(self._pending)}
+        )
+        self.trace.record(event)
+        if not metrics.enabled:
+            return
+        metrics.inc("serve.batches")
+        if expired:
+            metrics.inc("serve.deadline_expired", expired)
+        metrics.gauge("serve.queue_depth", event.queue_depth)
+        metrics.gauge("serve.staleness_s", event.staleness_s)
+        if event.adopted:
+            metrics.inc("serve.adoptions")
+            metrics.observe("serve.adoption_lag_s", event.adoption_lag_s)
+        if event.degraded:
+            metrics.inc("serve.degraded_batches")
 
     def _collect_partials(self, message, metrics) -> None:
         """Fold one shard's partial table into its frame; combine when full.
@@ -1245,23 +1143,9 @@ class ServingEngine:
                                             table)
                 if len(frame["partials"]) == len(self._replicas):
                     refire = self._combine_frame(frame_seq, frame, metrics)
-            event_dict = dict(event_dict)
-            event_dict["queue_depth"] = sum(
-                1 for p in self._pending.values() if p.result is None
-            )
-            event = ServeBatchEvent.from_dict(event_dict)
-            self.trace.record(event)
+            self._record_batch_locked(event_dict, metrics)
         for frame_seq, entries, worker in refire:
             self._queues[worker].put((frame_seq, entries))
-        if metrics.enabled:
-            metrics.inc("serve.batches")
-            metrics.gauge("serve.queue_depth", event.queue_depth)
-            metrics.gauge("serve.staleness_s", event.staleness_s)
-            if event.adopted:
-                metrics.inc("serve.adoptions")
-                metrics.observe("serve.adoption_lag_s", event.adoption_lag_s)
-            if event.degraded:
-                metrics.inc("serve.degraded_batches")
 
     def _combine_frame(self, frame_seq, frame, metrics) -> list:
         """Resolve a frame with a full partial set (caller holds the lock).
@@ -1329,13 +1213,11 @@ class ServingEngine:
             predictions = np.argmin(full, axis=1).astype(np.int64)
             offset = 0
             for req_id, n in served:
-                pending = self._pending.get(req_id)
-                if pending is not None:
-                    self._resolve_locked(
-                        req_id, pending,
-                        predictions=predictions[offset:offset + n],
-                        expired=False,
-                    )
+                self._resolve_locked(
+                    req_id,
+                    predictions=predictions[offset:offset + n],
+                    expired=False,
+                )
                 offset += n
         served_ids = {req_id for req_id, _ in served}
         expired = [e[0] for e in frame["entries"]
@@ -1522,14 +1404,13 @@ class ServingEngine:
             )
             for request_id, entry in stale:
                 self._dispatched.pop(request_id, None)
-                pending = self._pending.get(request_id)
-                if pending is None or pending.result is not None:
+                if request_id not in self._pending:
                     continue
                 if any_alive:
                     frame.append(entry)
                 else:
                     self._resolve_locked(
-                        request_id, pending, predictions=None, expired=True
+                        request_id, predictions=None, expired=True
                     )
         if frame:
             self._dispatch(frame)
@@ -1619,9 +1500,9 @@ class ServingEngine:
             # can't block forever on a request that will never be
             # answered.
             with self._lock:
-                for request_id, pending in self._pending.items():
+                for request_id in list(self._pending):
                     self._resolve_locked(
-                        request_id, pending,
+                        request_id,
                         predictions=None, expired=True, release_slot=False,
                     )
             for q in (*self._queues, *self._result_qs):

@@ -9,6 +9,8 @@ engine (segment creators unlink; attachers never do).
 import glob
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier
 from repro.datasets.synthetic import make_prototype_classification
-from repro.serve import Backpressure, ServingEngine
+from repro.serve import Backpressure, ServeRequest, ServingEngine
 
 
 def shm_entries(prefix: str) -> list[str]:
@@ -59,8 +61,7 @@ class TestServing:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:5]).words
         with ServingEngine(clf, num_workers=1) as engine:
-            request_id = engine.submit(words)
-            result = engine.result(request_id)
+            result = engine.submit(ServeRequest(words)).result()
         assert result.ok and not result.expired
         assert (result.predictions == clf.predict(task.test_x[:5])).all()
 
@@ -92,7 +93,7 @@ class TestServing:
         task, clf = fitted
         with ServingEngine(clf.model, num_workers=1) as engine:
             with pytest.raises(ValueError, match="encoder"):
-                engine.submit_features(task.test_x[:2])
+                engine.submit(ServeRequest(task.test_x[:2], features=True))
 
 
 class TestDeadlinesAndBackpressure:
@@ -102,9 +103,10 @@ class TestDeadlinesAndBackpressure:
         with ServingEngine(clf, num_workers=1) as engine:
             # Warm the worker up so the expired request is not stuck
             # behind fork latency in a way that masks the deadline path.
-            engine.result(engine.submit(words))
-            request_id = engine.submit(words, deadline=1e-9)
-            result = engine.result(request_id)
+            engine.submit(ServeRequest(words)).result()
+            result = engine.submit(
+                ServeRequest(words, deadline=1e-9)
+            ).result()
         assert result.expired
         assert result.predictions is None
         assert not result.ok
@@ -118,10 +120,10 @@ class TestDeadlinesAndBackpressure:
         try:
             # Fill both slots without dispatching (flush=False): the ring
             # is now saturated and the next submit must shed load.
-            engine.submit(words, flush=False)
-            engine.submit(words, flush=False)
+            engine.submit(ServeRequest(words), flush=False)
+            engine.submit(ServeRequest(words), flush=False)
             with pytest.raises(Backpressure, match="in flight"):
-                engine.submit(words, flush=False)
+                engine.submit(ServeRequest(words), flush=False)
         finally:
             engine.stop()
 
@@ -131,7 +133,7 @@ class TestDeadlinesAndBackpressure:
         engine = ServingEngine(clf, num_workers=1)
         engine.stop()
         with pytest.raises(RuntimeError, match="stopped"):
-            engine.submit(words)
+            engine.submit(ServeRequest(words))
 
 
 class TestLifecycle:
@@ -156,7 +158,10 @@ class TestLifecycle:
             # Put real work in flight (below the frame-batch auto-flush
             # threshold, so nothing is served before the kill), then kill
             # both workers mid-batch.
-            ids = [engine.submit(words, flush=False) for _ in range(6)]
+            futures = [
+                engine.submit(ServeRequest(words), flush=False)
+                for _ in range(6)
+            ]
             for worker in engine.workers:
                 os.kill(worker.pid, signal.SIGKILL)
             engine.flush()
@@ -165,8 +170,84 @@ class TestLifecycle:
             engine.stop()
         assert shm_entries(prefix) == []
         # Unserved requests were resolved as failures, not left pending.
-        for request_id in ids:
-            assert not engine.result(request_id, timeout=1.0).ok
+        for future in futures:
+            assert not future.result(timeout=1.0).ok
+
+    def test_engine_forgets_requests_consumed_by_callbacks(self, fitted):
+        """The gateway's pattern: results consumed only through done
+        callbacks, never ``result()``.  Once every request has resolved,
+        the engine holds no per-request state at all."""
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x[:2]).words
+        expected = clf.predict(task.test_x[:2])
+        total = 256
+        got = []
+        all_done = threading.Event()
+
+        def on_done(result):
+            got.append(result)
+            if len(got) == total:
+                all_done.set()
+
+        with ServingEngine(clf, num_workers=2, ring_slots=64) as engine:
+            for _ in range(total):
+                engine.submit(
+                    ServeRequest(words), flush=False
+                ).add_done_callback(on_done)
+            engine.flush()
+            assert all_done.wait(30.0)
+            assert engine.in_flight == 0
+            with engine._lock:
+                assert engine._pending == {}
+                assert engine._dispatched == {}
+                assert len(engine._free_slots) == engine.config.ring_slots
+        assert len(got) == total
+        for result in got:
+            np.testing.assert_array_equal(result.predictions, expected)
+
+    def test_callbacks_racing_resolution_fire_exactly_once(self, fitted):
+        """Client threads register callbacks while collectors resolve the
+        same futures (more workers than cores, tiny switch interval).
+        Every callback fires exactly once with the future's one result,
+        whether registered before or after resolution."""
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x[:1]).words
+        per_thread = 100
+        seen: dict = {}
+        errors = []
+
+        def client(engine):
+            try:
+                for _ in range(per_thread):
+                    future = engine.submit(ServeRequest(words))
+                    hits = seen[future] = []
+                    future.add_done_callback(hits.append)  # races
+                    future.result(timeout=30.0)
+                    future.add_done_callback(hits.append)  # resolved
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingEngine(clf, num_workers=3, ring_slots=16) as engine:
+                threads = [
+                    threading.Thread(target=client, args=(engine,))
+                    for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert engine.in_flight == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(seen) == 4 * per_thread
+        for future, hits in seen.items():
+            assert len(hits) == 2
+            assert all(hit is future.result() for hit in hits)
 
     def test_worker_exit_keeps_segments_usable_by_survivors(self, fitted):
         task, clf = fitted

@@ -27,7 +27,7 @@ from repro.datasets.synthetic import make_prototype_classification
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.telemetry import correlate, render_contention_table
-from repro.serve import ServingEngine
+from repro.serve import ServeRequest, ServingEngine
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +187,9 @@ class TestFlightRecorderIntegration:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:4]).words
         with ServingEngine(clf, num_workers=1) as engine:
-            engine.result(engine.submit(words))  # warm up
-            request_id = engine.submit(words, deadline=1e-9)
-            assert engine.result(request_id).expired
+            engine.submit(ServeRequest(words)).result()  # warm up
+            future = engine.submit(ServeRequest(words, deadline=1e-9))
+            assert future.result().expired
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 misses = [
@@ -200,7 +200,7 @@ class TestFlightRecorderIntegration:
                     break
                 time.sleep(0.01)
         assert misses
-        assert misses[0].args[0] == request_id
+        assert misses[0].args[0] == future.request_id
 
     def test_all_events_merges_workers(self, fitted):
         task, clf = fitted

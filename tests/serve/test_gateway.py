@@ -338,6 +338,42 @@ class TestCrashUnderGateway:
 
 
 class TestGatewayLifecycle:
+    def test_engine_holds_nothing_after_gateway_traffic(self):
+        """Gateway replies ride done callbacks; once a few hundred TCP
+        requests are answered the engine keeps no state for any of
+        them."""
+        task, clf = _fitted(62)
+        engine = ServingEngine(clf, num_workers=1, ring_slots=64)
+        server = GatewayServer(engine).start()
+        words = clf.encoder.encode_packed(task.test_x[:4]).words
+        expected = clf.predict(task.test_x[:4])
+
+        async def drive():
+            client = await AsyncGatewayClient.connect(
+                "127.0.0.1", server.port
+            )
+            results = []
+            for _ in range(5):
+                results.extend(await asyncio.gather(
+                    *[client.predict(words) for _ in range(60)]
+                ))
+            await client.close()
+            return results
+
+        try:
+            results = asyncio.run(drive())
+            assert len(results) == 300
+            for got in results:
+                np.testing.assert_array_equal(got, expected)
+            assert server.admission.inflight == 0
+            assert engine.in_flight == 0
+            with engine._lock:
+                assert engine._pending == {}
+                assert engine._dispatched == {}
+        finally:
+            server.stop()
+            engine.stop()
+
     def test_stop_is_idempotent(self):
         task, clf = _fitted(61)
         engine = ServingEngine(clf, num_workers=1)

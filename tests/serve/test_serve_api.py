@@ -1,12 +1,14 @@
 """Unified submit API tests: ServeRequest/ServeFuture, shims, config.
 
-Pins the api_redesign satellites: the deprecated
-``submit(words)``/``submit_features``/``predict``/``predict_features``
-shims emit DeprecationWarning and stay bit-identical to the
-``ServeRequest`` path; ``ServeConfig`` is keyword-only and its
-validation errors name the offending field; ``repro.serve.__all__`` is
-the stable seven-name surface; and ``stop()`` is idempotent and safe
-under concurrent/atexit-style invocation.
+Pins the API contract: ``submit`` takes a ``ServeRequest`` and returns a
+``ServeFuture`` that owns the request's state (its result, done
+callbacks and repeatable ``result()`` survive the engine forgetting the
+request); the deprecated ``predict``/``predict_features`` shims emit
+DeprecationWarning and stay bit-identical to the ``ServeRequest`` path;
+``ServeConfig`` is keyword-only and its validation errors name the
+offending field; ``repro.serve.__all__`` is the stable seven-name
+surface; and ``stop()`` is idempotent and safe under
+concurrent/atexit-style invocation.
 """
 
 import threading
@@ -83,6 +85,31 @@ class TestUnifiedSubmit:
         future.add_done_callback(late.append)
         assert late == got
 
+    def test_callback_added_after_result_fires_once(self, fitted, engine):
+        """result() does not end the future: the engine has forgotten the
+        request, but a later callback still fires, exactly once and
+        immediately, and done()/result() stay repeatable."""
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x[:3]).words
+        future = engine.submit(ServeRequest(words))
+        first = future.result()
+        assert first.ok
+        got = []
+        future.add_done_callback(got.append)
+        assert got == [first]
+        assert future.done()
+        assert future.result() is first
+        assert future.done()
+        assert got == [first]
+
+    def test_submit_takes_only_serve_requests(self, fitted, engine):
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x[:2]).words
+        with pytest.raises(TypeError, match="ServeRequest"):
+            engine.submit(words)
+        assert not hasattr(engine, "submit_features")
+        assert not hasattr(engine, "result")
+
     def test_client_trace_id_echoed(self, fitted, engine):
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:2]).words
@@ -105,28 +132,7 @@ class TestUnifiedSubmit:
 
 
 class TestDeprecatedShims:
-    """Old entry points warn and match the ServeRequest path exactly."""
-
-    def test_submit_words_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        words = clf.encoder.encode_packed(task.test_x[:6]).words
-        new = engine.submit(ServeRequest(words)).result().predictions
-        with pytest.warns(DeprecationWarning, match="submit"):
-            request_id = engine.submit(words)
-        assert isinstance(request_id, int)
-        old = engine.result(request_id).predictions
-        np.testing.assert_array_equal(old, new)
-
-    def test_submit_features_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        new = engine.submit(
-            ServeRequest(task.test_x[:6], features=True)
-        ).result().predictions
-        with pytest.warns(DeprecationWarning, match="submit_features"):
-            request_id = engine.submit_features(task.test_x[:6])
-        np.testing.assert_array_equal(
-            engine.result(request_id).predictions, new
-        )
+    """The bulk predict shims warn and match the ServeRequest path."""
 
     def test_predict_warns_and_matches(self, fitted, engine):
         task, clf = fitted

@@ -25,6 +25,7 @@ from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.datasets.synthetic import make_prototype_classification
 from repro.serve import (
+    ServeRequest,
     ServingEngine,
     ShardPlan,
     combine_class_tables,
@@ -210,8 +211,11 @@ class TestShardedServing:
         words = clf.encoder.encode_packed(task.test_x[:4]).words
         plan = ShardPlan.by_class(clf.model.num_classes, 2)
         with ServingEngine(clf, num_workers=2, shard_plan=plan) as engine:
-            engine.result(engine.submit(words))  # warm both workers
-            result = engine.result(engine.submit(words, deadline=1e-9))
+            # Warm both workers up first.
+            engine.submit(ServeRequest(words)).result()
+            result = engine.submit(
+                ServeRequest(words, deadline=1e-9)
+            ).result()
         assert result.expired and result.predictions is None
 
     def test_sharded_trace_records_shard_and_wait(self, fitted):
@@ -257,10 +261,10 @@ class TestShardedCrashRecovery:
         engine = ServingEngine(clf, num_workers=2, shard_plan=plan,
                                ring_slots=16)
         try:
-            engine.result(engine.submit(words))  # warm-up round-trip
+            engine.submit(ServeRequest(words)).result()  # warm-up trip
             os.kill(engine.workers[1].pid, signal.SIGKILL)
             time.sleep(0.05)
-            result = engine.result(engine.submit(words), timeout=10.0)
+            result = engine.submit(ServeRequest(words)).result(timeout=10.0)
             assert result.expired and not result.ok
         finally:
             engine.stop()
