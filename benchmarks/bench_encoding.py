@@ -5,10 +5,16 @@ paper's deployment shape (n = 64 features, D = 10,000, L = 32 levels —
 the HAR-sized workload):
 
 * **encode** — ``Encoder.encode_batch`` via the precomputed packed bound
-  codebook + carry-save-adder majority, vs the seed's ``(block, n, D)``
-  uint8 bound-tensor sum (kept as ``encode_batch_reference``), plus
-  ``encode_packed`` emitting packed words directly (what the serving
-  stack actually ingests — no unpack at all);
+  codebook + carry-save-adder majority on the active kernel backend,
+  vs the seed's ``(block, n, D)`` uint8 bound-tensor sum (kept as
+  ``encode_batch_reference``), plus ``encode_packed`` emitting packed
+  words directly (what the serving stack actually ingests — no unpack
+  at all);
+* **encode_backends** — ``encode_packed`` on every available CPU kernel
+  backend (``numpy``, ``native``) at the shapes the serving benchmark
+  encodes: the n = 64 shape above, a coalesced batch of the batched
+  feature workload (n = 32, b = 256), one ucihar read (n = 561, b = 1)
+  and the ucihar model fit (n = 561, b = 2,000);
 * **fit** — ``HDCClassifier.fit_encoded``'s blocked GEMM + patch-forward
   perceptron vs the seed's ``np.add.at`` bundling and per-sample Python
   loop, with per-epoch and whole-fit timings;
@@ -16,7 +22,8 @@ the HAR-sized workload):
 
 Every timed pair is asserted bit-identical before timing (the same
 equivalences are property-tested in ``tests/core``); results are written
-as JSON so future PRs have a perf trajectory to regress against.
+as JSON, with the host's CPU count and the active kernel backend, so
+future changes have a perf trajectory to regress against.
 
 Usage::
 
@@ -32,12 +39,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.encoder import Encoder, clear_codebook_cache
 from repro.core.hypervector import class_bundle_counts
 from repro.core.model import (
@@ -98,6 +107,43 @@ def bench_encode(num_features: int, dim: int, levels: int, batch: int,
     }
 
 
+def bench_encode_backends(dim: int, levels: int,
+                          shapes: list[tuple[int, int]],
+                          repeats: int) -> list[dict]:
+    """``encode_packed`` µs/row on each available CPU kernel backend.
+
+    ``shapes`` are ``(num_features, batch)`` pairs.  Every backend's
+    words are asserted bit-identical before any is timed.
+    """
+    names = [name for name in ("numpy", "native")
+             if kernels.available_backends()[name]]
+    records = []
+    for num_features, batch in shapes:
+        clear_codebook_cache()
+        enc = Encoder(num_features=num_features, dim=dim, levels=levels,
+                      seed=0)
+        features = np.random.default_rng(0).random((batch, num_features))
+        enc.packed_codebook()
+        words = {}
+        for name in names:
+            with kernels.use_kernel_backend(name):
+                words[name] = enc.encode_packed(features).words
+        first = words[names[0]]
+        assert all((w == first).all() for w in words.values()), \
+            f"kernel backends diverged at n={num_features}, b={batch}"
+        us_per_row = {}
+        for name in names:
+            with kernels.use_kernel_backend(name):
+                seconds = _time(lambda: enc.encode_packed(features), repeats)
+            us_per_row[name] = seconds * 1e6 / batch
+        record = {"num_features": num_features, "batch": batch,
+                  "us_per_row": us_per_row}
+        if len(names) == 2:
+            record["native_speedup"] = us_per_row["numpy"] / us_per_row["native"]
+        records.append(record)
+    return records
+
+
 def _fit_reference(encoded: np.ndarray, labels: np.ndarray, num_classes: int,
                    epochs: int, seed: int) -> tuple[np.ndarray, float, float]:
     """The seed's fit_encoded: scatter-add bundling + per-sample loop.
@@ -138,12 +184,17 @@ def bench_fit(num_features: int, dim: int, levels: int, num_classes: int,
     )
     t_fit_ref = t_bundle_ref + epochs * t_epoch_ref
 
-    clf = HDCClassifier(enc, num_classes=num_classes, epochs=epochs, seed=0)
-    start = time.perf_counter()
-    clf.fit_encoded(encoded, labels)
-    t_fit_vec = time.perf_counter() - start
-    assert (clf._acc == ref_acc).all(), \
+    def fit_vectorised() -> HDCClassifier:
+        clf = HDCClassifier(enc, num_classes=num_classes, epochs=epochs,
+                            seed=0)
+        clf.fit_encoded(encoded, labels)
+        return clf
+
+    # The first fit in a process varied 0.3-1.5 s on a 2-CPU host, so
+    # one untimed fit (which is also the equivalence check) goes first.
+    assert (fit_vectorised()._acc == ref_acc).all(), \
         "vectorised fit diverged from the per-sample reference"
+    t_fit_vec = _time(fit_vectorised, 2)
 
     # Epoch-only comparison from the same starting accumulators.
     acc0 = class_bundle_counts(encoded, labels, num_classes)
@@ -182,21 +233,29 @@ def run(smoke: bool) -> dict:
     if smoke:
         encode_kw = dict(num_features=16, dim=520, levels=8, batch=128,
                          repeats=2)
+        backends_kw = dict(dim=520, levels=8, repeats=2,
+                           shapes=[(16, 128), (9, 32), (33, 1)])
         fit_kw = dict(num_features=16, dim=512, levels=8, num_classes=4,
                       num_train=200, epochs=2, separation=1.2)
     else:
         encode_kw = dict(num_features=64, dim=10_000, levels=32, batch=1_024,
                          repeats=3)
+        backends_kw = dict(dim=10_000, levels=32, repeats=3,
+                           shapes=[(64, 1_024), (32, 256), (561, 1),
+                                   (561, 2_000)])
         fit_kw = dict(num_features=64, dim=10_000, levels=32, num_classes=12,
                       num_train=3_000, epochs=3, separation=1.2)
     return {
-        "schema": 1,
+        "schema": 2,
         "generated_by": "benchmarks/bench_encoding.py"
         + (" --smoke" if smoke else ""),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "cpus": len(os.sched_getaffinity(0)),
+        "kernel_backend": kernels.active_backend().name,
         "hardware_popcount": hasattr(np, "bitwise_count"),
         "encode": bench_encode(**encode_kw),
+        "encode_backends": bench_encode_backends(**backends_kw),
         "fit": bench_fit(**fit_kw),
     }
 

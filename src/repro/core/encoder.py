@@ -27,10 +27,12 @@ Two bit-identical implementations serve :meth:`Encoder.encode_batch`:
 * the **packed** path precomputes the bound codebook
   ``bound[k, l] = base[k] ⊕ level[l]`` once per encoder — stored packed,
   ``(n, L, D/64)`` uint64, lazily built and version-stamped like
-  :class:`~repro.core.packed.PackedModel` — and reduces the gathered
-  per-feature words with a carry-save adder tree plus a bitwise majority
-  compare (:func:`~repro.core.packed.bit_plane_sum` /
-  :func:`~repro.core.packed.bit_plane_ge`), so a sample is encoded
+  :class:`~repro.core.packed.PackedModel` — and majority-bundles the
+  gathered per-feature words through the active
+  :mod:`repro.core.kernels` backend's ``encode_words``: a bit-sliced
+  carry-save C kernel where it compiled, else the NumPy adder tree
+  (:func:`~repro.core.packed.bit_plane_sum` /
+  :func:`~repro.core.packed.bit_plane_ge`).  A sample is encoded
   without ever re-XORing the codebooks or leaving the packed domain.
 
 :meth:`Encoder.encode_packed` exposes the packed result directly as
@@ -53,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.hypervector import (
     bind,
     level_hypervectors,
@@ -61,8 +64,6 @@ from repro.core.hypervector import (
 from repro.core.packed import (
     PackedHypervectors,
     _pack_bits,
-    bit_plane_ge,
-    bit_plane_sum,
     packed_backend_enabled,
     unpack,
 )
@@ -170,11 +171,19 @@ def encode_words_from_codebook(
     ``codebook_words`` is the ``(n, L, W)`` uint64 bound table
     (``bound[k, l] = base[k] ⊕ level[l]``, the
     :class:`PackedCodebook` word matrix) and ``idx`` the ``(b, n)``
-    quantised level indices.  Per block: gather each feature's bound word
-    row, reduce the ``n`` gathered word arrays with a carry-save adder
-    tree into per-dimension count planes, and majority-compare the planes
-    against ``n/2`` — all word-wide bitwise ops, no per-sample XOR and no
-    unpacked intermediate.
+    quantised level indices.  Each output row is the per-bit strict
+    majority of the ``n`` bound rows its indices select, computed by
+    the active :mod:`repro.core.kernels` backend's ``encode_words``
+    (the native carry-save kernel where it compiled, else the NumPy
+    adder tree) — all word-wide bitwise ops, no per-sample XOR and no
+    unpacked intermediate.  Rows are encoded ``rows_per_block`` at a
+    time to bound the NumPy tree's gathered working set.
+
+    The codebook must be 3-D ``uint64`` with a unit-stride word axis
+    (a word-column slice ``codebook_words[:, :, lo:hi]`` is read in
+    place) and ``idx`` an integer ``(b, n)`` array with every entry in
+    ``[0, L)``; anything else raises ``ValueError`` naming the first
+    bad position.
 
     Module-level (rather than an :class:`Encoder` method) so processes
     that hold only the codebook *words* — e.g. serving workers attached
@@ -182,26 +191,18 @@ def encode_words_from_codebook(
     encoder, which would regenerate the base/level tables from scratch.
     Bit-identical to :meth:`Encoder.encode_packed` on the same codebook.
     """
+    backend = kernels.active_backend()
     idx = np.asarray(idx)
-    n = codebook_words.shape[0]
-    if idx.ndim != 2 or idx.shape[1] != n:
-        raise ValueError(
-            f"expected (b, {n}) level indices, got {idx.shape}"
-        )
-    words = codebook_words.shape[2]
-    out = np.empty((idx.shape[0], words), dtype=np.uint64)
-    threshold = n // 2 + 1  # strict majority: 2*count > n
     rows = max(1, int(rows_per_block))
-    for start in range(0, idx.shape[0], rows):
-        block_idx = idx[start : start + rows]
-        operands = [
-            codebook_words[k, block_idx[:, k]] for k in range(n)
-        ]  # n x (b, W)
-        planes = bit_plane_sum(operands)
-        out[start : start + block_idx.shape[0]] = bit_plane_ge(
-            planes, threshold
-        )
-    return out
+    if idx.ndim != 2 or idx.shape[0] <= rows:
+        return backend.encode_words(codebook_words, idx)
+    # Check the whole batch first so an error names its position in
+    # ``idx``, not in a block; the backend re-checks each block.
+    idx = kernels.check_encode_operands(codebook_words, idx)
+    return np.concatenate([
+        backend.encode_words(codebook_words, idx[start : start + rows])
+        for start in range(0, idx.shape[0], rows)
+    ])
 
 
 @dataclass(frozen=True)

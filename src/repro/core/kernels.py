@@ -1,44 +1,53 @@
-"""Pluggable Hamming-kernel backends for the packed serving engine.
+"""Pluggable packed-kernel backends for encoding and serving.
 
-Every 1-bit hot path in this repo bottoms out in the same primitive: a
-Hamming *distance table* ``(b, k)`` between packed query words ``(b, W)``
-and packed model words ``(k, W)`` — XOR then popcount, summed over the
-word axis.  This module puts that primitive behind a
-:class:`KernelBackend` contract so the computation can move between
-substrates without the callers changing:
+Every 1-bit hot path in this repo bottoms out in one of two primitives
+over packed uint64 words (64 dimensions per word):
 
-* :class:`NumpyPackedBackend` — the production CPU path, extracted from
-  ``repro.core.packed``: row-blocked XOR + ``np.bitwise_count`` (or the
-  16-bit LUT decomposition on NumPy 1.x / under
-  ``REPRO_FORCE_POP16_LUT=1``) with reused scratch buffers.
+* ``distance_table(queries, model)`` — the Hamming *distance table*
+  ``(b, k)`` between query words ``(b, W)`` and model words ``(k, W)``:
+  XOR then popcount, summed over the word axis.  Prediction, chunk
+  detection and every serving worker score through it.
+* ``encode_words(codebook_words, idx)`` — the encoder's bundle: row
+  ``i`` of the ``(b, W)`` result is the per-bit strict majority of the
+  ``n`` bound-codebook rows ``codebook_words[k, idx[i, k]]``.  Every
+  feature query is encoded through it before it can be predicted,
+  detected or repaired.
+
+This module puts both behind a :class:`KernelBackend` contract so the
+computation can move between substrates without the callers changing:
+
+* :class:`NumpyPackedBackend` — the vectorised CPU path: row-blocked
+  XOR + ``np.bitwise_count`` (or the 16-bit LUT decomposition on NumPy
+  1.x / under ``REPRO_FORCE_POP16_LUT=1``) with reused scratch buffers,
+  and the ``bit_plane_sum``/``bit_plane_ge`` adder tree over gathered
+  word arrays for encoding.  The only path on hosts without a C
+  compiler.
 * :class:`ReferenceBackend` — the unpacked uint8 oracle: broadcast XOR
-  on raw bits.  Slow, obviously correct, and the equivalence anchor the
-  property tests pin every other backend against.
-* :class:`CupyBackend` / :class:`TorchBackend` — optional accelerator
-  backends behind the same contract.  ``available()`` reports whether
-  the import (and, for CuPy, a device) is present; tests skip cleanly
-  when it is not and assert bit-identity against the CPU path when it
-  is.  This is the real counterpart of the analytic
-  :class:`repro.pim.gpu.GPUModel` roofline —
-  :func:`roofline_validation` compares a backend's measured throughput
-  against that prediction.
+  on raw bits, and a plain count of the unpacked bound rows.  Slow,
+  obviously correct, and the equivalence anchor the property tests pin
+  every other backend against.
+* :class:`NativeCpuBackend` — C kernels compiled on first use (cached
+  per host) and the default wherever a C compiler is present: a fused
+  XOR+popcount+accumulate distance table and a bit-sliced carry-save
+  majority encoder, each one pass with no table-sized intermediates and
+  the GIL released for the duration.
 
-* :class:`NativeCpuBackend` — a fused XOR+popcount+accumulate C kernel
-  compiled on first use (cached per host) and the default wherever a C
-  compiler is present: one pass, no table-sized intermediates, GIL
-  released for the duration.
+:func:`roofline_validation` compares a backend's measured distance
+throughput against the analytic :class:`repro.pim.gpu.GPUModel`
+roofline.
 
 Backends are *stateless* over immutable inputs, so one instance is
 shared process-wide.  The active backend is resolved in this order:
 an explicit :func:`set_kernel_backend` call, the
 ``REPRO_KERNEL_BACKEND`` environment variable, then ``"native"`` when
-the fused kernel compiled on this host (and ``REPRO_FORCE_POP16_LUT``
+the C kernels compiled on this host (and ``REPRO_FORCE_POP16_LUT``
 is unset), falling back to ``"numpy"``.
 Every distance computed through :meth:`PackedModel.distances
 <repro.core.packed.PackedModel.distances>` and
 :meth:`PackedHypervectors.hamming_to
-<repro.core.packed.PackedHypervectors.hamming_to>` dispatches through
-the active backend.
+<repro.core.packed.PackedHypervectors.hamming_to>`, and every packed
+encode through :func:`repro.core.encoder.encode_words_from_codebook`,
+dispatches through the active backend.
 
 Sharding note: the contract is defined on *word arrays*, not models, so
 a shard of a model — a class-row slice or a 64-bit word-block slice —
@@ -46,7 +55,10 @@ is served by the same ``distance_table`` call on the sliced operands.
 Word-block partials are exact partial popcounts (pad words are zero in
 both operands and contribute nothing), which is what lets the serving
 tier's reduce tree sum them back into full distances bit-identically
-(see :mod:`repro.serve.shard`).
+(see :mod:`repro.serve.shard`).  Encoding is per bit, so
+``encode_words`` on a word-column slice ``codebook_words[:, :, lo:hi]``
+is exactly that slice of the full encode; every backend reads the slice
+in place.
 """
 
 from __future__ import annotations
@@ -58,15 +70,16 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core import packed as _packed
+
 __all__ = [
     "KernelBackend",
     "NumpyPackedBackend",
     "ReferenceBackend",
     "NativeCpuBackend",
-    "CupyBackend",
-    "TorchBackend",
     "active_backend",
     "available_backends",
+    "check_encode_operands",
     "get_backend",
     "set_kernel_backend",
     "use_kernel_backend",
@@ -99,11 +112,53 @@ def _check_operands(queries: np.ndarray, model: np.ndarray) -> None:
         )
 
 
+def check_encode_operands(codebook_words: np.ndarray, idx) -> np.ndarray:
+    """Validate an encode call; returns ``idx`` as C-contiguous int64.
+
+    The codebook must be a 3-D ``(n, L, W)`` uint64 array whose word
+    axis has unit stride (a word-column slice of a larger codebook
+    qualifies) and ``idx`` a ``(b, n)`` integer array with every entry
+    in ``[0, L)``.  A C kernel reads ``codebook_words[k, idx[i, k]]``
+    unchecked, so a bad index must fail here, naming its position.
+    """
+    if (
+        not isinstance(codebook_words, np.ndarray)
+        or codebook_words.dtype != np.uint64
+        or codebook_words.ndim != 3
+        or (codebook_words.strides[2] != 8 and codebook_words.shape[2] > 1)
+        or codebook_words.strides[0] % 8
+        or codebook_words.strides[1] % 8
+    ):
+        raise ValueError(
+            "expected a 3-D uint64 (n, L, W) codebook with unit word stride"
+        )
+    n, levels = codebook_words.shape[:2]
+    if n < 1:
+        raise ValueError("codebook has no features")
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"level indices must be integers, got {idx.dtype}")
+    if idx.ndim != 2 or idx.shape[1] != n:
+        raise ValueError(f"expected (b, {n}) level indices, got {idx.shape}")
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    # Negative indices wrap to huge unsigned values, so one unsigned
+    # compare catches both ends of the range.
+    if idx.size and idx.view(np.uint64).max() >= levels:
+        bad = np.argwhere((idx < 0) | (idx >= levels))[0]
+        row, feature = int(bad[0]), int(bad[1])
+        raise ValueError(
+            f"level index {int(idx[row, feature])} at (row {row}, feature "
+            f"{feature}) is outside [0, {levels})"
+        )
+    return idx
+
+
 class KernelBackend:
-    """Contract every Hamming-kernel backend implements.
+    """Contract every packed-kernel backend implements.
 
     A backend computes exact integer Hamming distances between packed
-    uint64 word arrays.  Implementations must be bit-identical to
+    uint64 word arrays and majority-bundles bound-codebook rows into
+    packed encodings.  Implementations must be bit-identical to
     :class:`ReferenceBackend` — the serving tier treats the table as
     ground truth (argmin ties included), and the equivalence oracle in
     ``tests/core/test_kernels.py`` holds every backend to it.
@@ -130,19 +185,40 @@ class KernelBackend:
         """
         raise NotImplementedError
 
+    def encode_words(
+        self, codebook_words: np.ndarray, idx: np.ndarray
+    ) -> np.ndarray:
+        """Packed encodings ``(b, W)`` of level indices ``idx`` ``(b, n)``.
+
+        ``codebook_words`` is the ``(n, L, W)`` uint64 bound codebook
+        (``bound[k, l] = base[k] ⊕ level[l]``).  Bit ``j`` of output row
+        ``i`` is set exactly when more than half of the ``n`` rows
+        ``codebook_words[k, idx[i, k]]`` have bit ``j`` set (strict
+        majority, ties to 0).  Operands are checked by
+        :func:`check_encode_operands`; pad bits zero in the codebook
+        stay zero in the result.
+        """
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
 class NumpyPackedBackend(KernelBackend):
-    """Row-blocked XOR+popcount on the CPU — the production default.
+    """Vectorised NumPy kernels — the path on hosts without a C compiler.
 
-    Population counts use ``np.bitwise_count`` when NumPy exposes it
-    and the 16-bit lookup-table decomposition otherwise; the switch is
+    Distances are row-blocked XOR+popcount.  Population counts use
+    ``np.bitwise_count`` when NumPy exposes it and the 16-bit
+    lookup-table decomposition otherwise; the switch is
     read from :mod:`repro.core.packed` *at call time* so the LUT path
     can be forced for testing (monkeypatching
     ``repro.core.packed._HAS_BITWISE_COUNT`` or exporting
-    ``REPRO_FORCE_POP16_LUT=1`` before import).
+    ``REPRO_FORCE_POP16_LUT=1`` before import).  Encoding gathers each
+    feature's bound rows and reduces them with the word-wide carry-save
+    adder tree of :func:`~repro.core.packed.bit_plane_sum`, then
+    thresholds the count planes with
+    :func:`~repro.core.packed.bit_plane_ge` — about ``10·n`` word ops
+    per 64 dimensions, each a separate NumPy call over the batch.
     """
 
     name = "numpy"
@@ -154,8 +230,6 @@ class NumpyPackedBackend(KernelBackend):
     def distance_table(
         self, queries: np.ndarray, model: np.ndarray
     ) -> np.ndarray:
-        from repro.core import packed as _packed
-
         queries = np.ascontiguousarray(queries)
         model = np.ascontiguousarray(model)
         _check_operands(queries, model)
@@ -189,12 +263,32 @@ class NumpyPackedBackend(KernelBackend):
             out[lo : lo + n] = count_buf[:n].sum(axis=-1, dtype=acc)
         return out
 
+    def encode_words(
+        self, codebook_words: np.ndarray, idx: np.ndarray
+    ) -> np.ndarray:
+        idx = check_encode_operands(codebook_words, idx)
+        n = codebook_words.shape[0]
+        operands = [codebook_words[k, idx[:, k]] for k in range(n)]
+        planes = _packed.bit_plane_sum(operands)
+        return _packed.bit_plane_ge(planes, n // 2 + 1)
+
+
+def _unpack_bits(words: np.ndarray) -> np.ndarray:
+    """``(..., W)`` uint64 words → ``(..., 64·W)`` uint8 bits, dimension
+    ``i`` of a row at position ``i`` (word ``i // 64``, bit ``i % 64``)."""
+    if _packed._BIG_ENDIAN:  # pragma: no cover - BE hosts only
+        words = words.byteswap()
+    as_bytes = np.ascontiguousarray(words).view(np.uint8)
+    as_bytes = as_bytes.reshape(*words.shape[:-1], 8 * words.shape[-1])
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little")
+
 
 class ReferenceBackend(KernelBackend):
-    """Unpacked uint8 oracle: broadcast XOR on raw bits.
+    """Unpacked uint8 oracle: XOR and majority on raw bits.
 
-    Exact by construction and independent of every popcount trick the
-    fast paths use — the anchor all other backends are pinned against.
+    Exact by construction and independent of every popcount and adder
+    trick the fast paths use — the anchor all other backends are pinned
+    against.
     """
 
     name = "reference"
@@ -209,22 +303,40 @@ class ReferenceBackend(KernelBackend):
         queries = np.ascontiguousarray(queries)
         model = np.ascontiguousarray(model)
         _check_operands(queries, model)
-        import sys
-
         xor = np.bitwise_xor(queries[:, None, :], model[None, :, :])
-        if sys.byteorder == "big":  # pragma: no cover - BE hosts only
-            xor = xor.byteswap()
-        as_bytes = xor.view(np.uint8).reshape(*xor.shape[:2], -1)
-        bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-        return bits.sum(axis=-1, dtype=np.int64)
+        return _unpack_bits(xor).sum(axis=-1, dtype=np.int64)
+
+    def encode_words(
+        self, codebook_words: np.ndarray, idx: np.ndarray
+    ) -> np.ndarray:
+        idx = check_encode_operands(codebook_words, idx)
+        n, _, words = codebook_words.shape
+        bound = codebook_words[np.arange(n), idx]  # (b, n, W)
+        counts = _unpack_bits(bound).sum(axis=1, dtype=np.int64)
+        majority = np.packbits(2 * counts > n, axis=-1, bitorder="little")
+        out = majority.view(np.uint64).reshape(idx.shape[0], words)
+        return out.byteswap() if _packed._BIG_ENDIAN else out
 
 
-# Fused XOR+popcount+accumulate C kernel.  One pass over the operands
-# with no distance-table-sized intermediates; ``-march=native`` lets the
-# compiler vectorise the popcount (AVX512-VPOPCNTDQ where the host has
-# it).  ``restrict`` is what licenses that vectorisation.
+# The C kernels.  ``repro_distance_table`` is the fused
+# XOR+popcount+accumulate distance table: one pass over the operands
+# with no table-sized intermediates.  ``repro_encode_words`` is the
+# encoder's majority bundle, bit-sliced: per output row and per block of
+# BLK words, 64 per-dimension counters per word live in local bit planes
+# (plane p holds bit p of each counter).  Features are added 8 at a
+# time through a carry-save tree of 7 full adders into planes 0-2 (the
+# ones, twos and fours of the count); only the tree's weight-8 carry
+# ripples into the higher planes, stopping as soon as it dies out.  The
+# planes are then compared MSB-first against n / 2 + 1.  The codebook is
+# read through its feature and level strides (in words), so a
+# word-column slice of a larger codebook is encoded in place.
+# ``-march=native`` lets the compiler vectorise the popcount
+# (AVX512-VPOPCNTDQ where the host has it) and the BLK-word adder
+# loops; ``restrict`` is what licenses that vectorisation.
 _NATIVE_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 void repro_distance_table(const uint64_t *restrict queries,
                           const uint64_t *restrict model,
@@ -242,17 +354,110 @@ void repro_distance_table(const uint64_t *restrict queries,
         }
     }
 }
+
+#define BLK 8
+
+/* Full adder on whole words: (carry, sum) of a + b + c per bit. */
+#define CSA(carry, sum, a, b, c) do {                                   \
+        uint64_t u_ = (a) ^ (b);                                        \
+        (carry) = ((a) & (b)) | (u_ & (c));                             \
+        (sum) = u_ ^ (c);                                               \
+    } while (0)
+
+static const uint64_t zero_block[BLK];
+
+/* Majority of rows[k][off .. off+nw) over k < n into out[off ..). */
+static inline __attribute__((always_inline)) void
+encode_block(const uint64_t *const *rows, int64_t n, int nplanes,
+             int64_t threshold, int64_t off, int nw,
+             uint64_t *restrict out)
+{
+    uint64_t pl[64][BLK];
+    memset(pl, 0, sizeof pl[0] * nplanes);
+    for (int64_t k = 0; k < n; k += 8) {
+        const uint64_t *a[8];
+        for (int t = 0; t < 8; t++)
+            a[t] = k + t < n ? rows[k + t] + off : zero_block;
+        uint64_t carry[BLK];
+        for (int j = 0; j < nw; j++) {
+            uint64_t ones = pl[0][j], twos = pl[1][j], fours = pl[2][j];
+            uint64_t t0, t1, f0, f1;
+            CSA(t0, ones, ones, a[0][j], a[1][j]);
+            CSA(t1, ones, ones, a[2][j], a[3][j]);
+            CSA(f0, twos, twos, t0, t1);
+            CSA(t0, ones, ones, a[4][j], a[5][j]);
+            CSA(t1, ones, ones, a[6][j], a[7][j]);
+            CSA(f1, twos, twos, t0, t1);
+            CSA(carry[j], fours, fours, f0, f1);
+            pl[0][j] = ones;
+            pl[1][j] = twos;
+            pl[2][j] = fours;
+        }
+        for (int p = 3; p < nplanes; p++) {
+            uint64_t live = 0;
+            for (int j = 0; j < nw; j++) {
+                uint64_t c = pl[p][j] & carry[j];
+                pl[p][j] ^= carry[j];
+                carry[j] = c;
+                live |= c;
+            }
+            if (!live)
+                break;
+        }
+    }
+    for (int j = 0; j < nw; j++) {
+        uint64_t gt = 0, eq = ~(uint64_t)0;
+        for (int p = nplanes - 1; p >= 0; p--) {
+            uint64_t x = pl[p][j];
+            if ((threshold >> p) & 1) {
+                eq &= x;
+            } else {
+                gt |= eq & x;
+                eq &= ~x;
+            }
+        }
+        out[off + j] = gt | eq;
+    }
+}
+
+/* out[i] = majority over k < n of codebook[k, idx[i, k]], w words each;
+   feature rows start fs words apart, level rows ls words apart.
+   Returns 0, or -1 if the row table could not be allocated. */
+int repro_encode_words(const uint64_t *codebook, int64_t fs, int64_t ls,
+                       const int64_t *restrict idx, uint64_t *restrict out,
+                       int64_t b, int64_t n, int64_t w)
+{
+    const uint64_t **rows = malloc(sizeof *rows * (size_t)n);
+    if (rows == NULL)
+        return -1;
+    int nplanes = 3;  /* counts reach n: bit_length(n) planes, >= 3 */
+    while ((n >> nplanes) != 0)
+        nplanes++;
+    int64_t threshold = n / 2 + 1;  /* strict majority: 2 * count > n */
+    for (int64_t i = 0; i < b; i++) {
+        for (int64_t k = 0; k < n; k++)
+            rows[k] = codebook + k * fs + idx[i * n + k] * ls;
+        uint64_t *o = out + i * w;
+        int64_t off = 0;
+        for (; off + BLK <= w; off += BLK)
+            encode_block(rows, n, nplanes, threshold, off, BLK, o);
+        if (off < w)
+            encode_block(rows, n, nplanes, threshold, off, (int)(w - off), o);
+    }
+    free(rows);
+    return 0;
+}
 """
 
 
 def _build_native_kernel():
-    """Compile (or reuse) the fused C kernel; returns the ctypes function.
+    """Compile (or reuse) the C kernels; returns the loaded ctypes library.
 
     The shared object is cached under the user's temp directory keyed by
     a hash of the source, so the compile happens once per host, not once
     per process — forked serving workers inherit the parent's loaded
     library.  Raises on any failure; :class:`NativeCpuBackend` turns
-    that into ``available() == False``.
+    that into ``available() == False`` and keeps the error text.
     """
     import ctypes
     import hashlib
@@ -269,65 +474,91 @@ def _build_native_kernel():
     ).hexdigest()[:16]
     cache = Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}"
     cache.mkdir(mode=0o700, exist_ok=True)
-    so_path = cache / f"hamming-{tag}.so"
+    so_path = cache / f"kernels-{tag}.so"
     if not so_path.exists():
-        src = cache / f"hamming-{tag}.c"
+        src = cache / f"kernels-{tag}.c"
         src.write_text(_NATIVE_SOURCE)
-        tmp = cache / f"hamming-{tag}.{os.getpid()}.so"
+        tmp = cache / f"kernels-{tag}.{os.getpid()}.so"
         base = [compiler, "-O3", "-shared", "-fPIC",
                 "-o", str(tmp), str(src)]
         try:
             subprocess.run(base[:2] + ["-march=native"] + base[2:],
-                           check=True, capture_output=True, timeout=120)
+                           check=True, capture_output=True, text=True,
+                           timeout=120)
         except (subprocess.CalledProcessError, subprocess.TimeoutExpired):
-            subprocess.run(base, check=True, capture_output=True,
+            subprocess.run(base, check=True, capture_output=True, text=True,
                            timeout=120)
         # Atomic publish so concurrently-starting processes never load a
         # half-written library.
         os.replace(tmp, so_path)
     lib = ctypes.CDLL(str(so_path))
-    fn = lib.repro_distance_table
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                   ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
-    fn.restype = None
-    return fn
+    lib.repro_distance_table.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+    ]
+    lib.repro_distance_table.restype = None
+    lib.repro_encode_words.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+    ]
+    lib.repro_encode_words.restype = ctypes.c_int
+    return lib
 
 
 class NativeCpuBackend(KernelBackend):
-    """Fused single-pass C kernel, compiled on first use.
+    """C kernels compiled on first use: distance table and encoder.
 
-    XOR, popcount, and the word-axis accumulation happen in one loop
-    nest, so no ``(b, k, W)`` intermediate is ever materialised — on a
-    popcount-capable CPU this is several times faster than the blocked
-    NumPy path.  ``available()`` is simply "the kernel compiled here";
-    hosts without a toolchain fall back to :class:`NumpyPackedBackend`
-    through the default resolution.  ctypes releases the GIL for the
-    duration of the call.
+    The distance table fuses XOR, popcount, and the word-axis
+    accumulation in one loop nest, so no ``(b, k, W)`` intermediate is
+    ever materialised — on a popcount-capable CPU this is several times
+    faster than the blocked NumPy path.  The encoder keeps each row's
+    count planes for one 8-word block in a local array while it adds the
+    block's ``n`` bound words, instead of sweeping the whole batch once
+    per adder step as the NumPy tree does.  ``available()`` is simply
+    "the kernels compiled here"; when they did not, :meth:`build_error`
+    says why, and hosts without a toolchain fall back to
+    :class:`NumpyPackedBackend` through the default resolution.  ctypes
+    releases the GIL for the duration of each call.
     """
 
     name = "native"
-    _fn = None
-    _build_failed = False
+    _lib = None
+    _build_error: str | None = None
 
     @classmethod
     def _load(cls):
-        if cls._fn is None and not cls._build_failed:
+        if cls._lib is None and cls._build_error is None:
             try:
-                cls._fn = _build_native_kernel()
-            except Exception:
-                cls._build_failed = True
-        return cls._fn
+                cls._lib = _build_native_kernel()
+            except Exception as exc:  # any failure means "not available"
+                detail = getattr(exc, "stderr", None) or ""
+                cls._build_error = f"{type(exc).__name__}: {exc}\n{detail}"
+        return cls._lib
 
     @classmethod
     def available(cls) -> bool:
         return cls._load() is not None
 
+    @classmethod
+    def build_error(cls) -> str | None:
+        """Why the kernels did not build here (compiler output included),
+        or ``None`` when they did."""
+        cls._load()
+        return cls._build_error
+
+    def _require(self):
+        lib = self._load()
+        if lib is None:
+            raise RuntimeError(
+                f"native kernels failed to build: {self._build_error}"
+            )
+        return lib
+
     def distance_table(
         self, queries: np.ndarray, model: np.ndarray
     ) -> np.ndarray:
-        fn = self._load()
-        if fn is None:
-            raise RuntimeError("native kernel failed to build")
+        lib = self._require()
         queries = np.ascontiguousarray(queries)
         model = np.ascontiguousarray(model)
         _check_operands(queries, model)
@@ -335,125 +566,30 @@ class NativeCpuBackend(KernelBackend):
         out = np.empty((b, k), dtype=np.int64)
         if b and k:
             if queries.shape[1]:
-                fn(queries.ctypes.data, model.ctypes.data,
-                   out.ctypes.data, b, k, queries.shape[1])
+                lib.repro_distance_table(
+                    queries.ctypes.data, model.ctypes.data,
+                    out.ctypes.data, b, k, queries.shape[1],
+                )
             else:
                 out[:] = 0
         return out
 
-
-class CupyBackend(KernelBackend):
-    """CuPy XOR + ``__popcll`` on a CUDA device, row-blocked.
-
-    Only ``available()`` when CuPy imports *and* a device answers.  The
-    result is copied back as a host ``int64`` table, bit-identical to
-    the CPU path (integer ops throughout; no floating point anywhere).
-    """
-
-    name = "cupy"
-    _popc = None
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import cupy
-
-            return int(cupy.cuda.runtime.getDeviceCount()) > 0
-        except Exception:
-            return False
-
-    def _kernel(self):
-        import cupy
-
-        if CupyBackend._popc is None:
-            CupyBackend._popc = cupy.ElementwiseKernel(
-                "uint64 x", "uint64 y", "y = __popcll(x)", "repro_popc64"
-            )
-        return CupyBackend._popc
-
-    def distance_table(
-        self, queries: np.ndarray, model: np.ndarray
+    def encode_words(
+        self, codebook_words: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
-        import cupy
-
-        queries = np.ascontiguousarray(queries)
-        model = np.ascontiguousarray(model)
-        _check_operands(queries, model)
-        popc = self._kernel()
-        d_model = cupy.asarray(model)
-        b = queries.shape[0]
-        out = np.empty((b, model.shape[0]), dtype=np.int64)
-        rows = min(_ROW_BLOCK, b)
-        for lo in range(0, b, rows):
-            d_block = cupy.asarray(queries[lo : lo + rows])
-            xor = cupy.bitwise_xor(d_block[:, None, :], d_model[None, :, :])
-            table = popc(xor).sum(axis=-1, dtype=cupy.int64)
-            out[lo : lo + d_block.shape[0]] = cupy.asnumpy(table)
-        return out
-
-
-class TorchBackend(KernelBackend):
-    """Torch XOR + byte-LUT popcount, on CUDA when present else CPU.
-
-    Torch has no uint64 dtype; words are reinterpreted as int64 (XOR is
-    bit-pattern-identical) and popcounts resolved through a 256-entry
-    byte lookup table — integer ops end to end, so the table is
-    bit-identical to the CPU path on either device.
-    """
-
-    name = "torch"
-    _pop8 = {}
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import torch  # noqa: F401
-
-            return True
-        except Exception:
-            return False
-
-    def __init__(self, device: str | None = None) -> None:
-        if device is None and self.available():
-            import torch
-
-            device = "cuda" if torch.cuda.is_available() else "cpu"
-        self.device = device or "cpu"
-
-    def _lut(self):
-        import torch
-
-        lut = TorchBackend._pop8.get(self.device)
-        if lut is None:
-            lut = torch.tensor(
-                [bin(i).count("1") for i in range(256)],
-                dtype=torch.int64, device=self.device,
+        lib = self._require()
+        idx = check_encode_operands(codebook_words, idx)
+        n, _, words = codebook_words.shape
+        out = np.empty((idx.shape[0], words), dtype=np.uint64)
+        if out.size:
+            feature_stride, level_stride = (
+                stride // 8 for stride in codebook_words.strides[:2]
             )
-            TorchBackend._pop8[self.device] = lut
-        return lut
-
-    def distance_table(
-        self, queries: np.ndarray, model: np.ndarray
-    ) -> np.ndarray:
-        import torch
-
-        queries = np.ascontiguousarray(queries)
-        model = np.ascontiguousarray(model)
-        _check_operands(queries, model)
-        lut = self._lut()
-        t_model = torch.from_numpy(model.view(np.int64)).to(self.device)
-        b = queries.shape[0]
-        out = np.empty((b, model.shape[0]), dtype=np.int64)
-        rows = min(_ROW_BLOCK, b)
-        for lo in range(0, b, rows):
-            block = queries[lo : lo + rows]
-            t_block = torch.from_numpy(block.view(np.int64)).to(self.device)
-            xor = torch.bitwise_xor(
-                t_block[:, None, :], t_model[None, :, :]
-            )
-            as_bytes = xor.view(torch.uint8).reshape(*xor.shape[:2], -1)
-            table = lut[as_bytes.long()].sum(dim=-1)
-            out[lo : lo + block.shape[0]] = table.cpu().numpy()
+            if lib.repro_encode_words(
+                codebook_words.ctypes.data, feature_stride, level_stride,
+                idx.ctypes.data, out.ctypes.data, idx.shape[0], n, words,
+            ):
+                raise MemoryError("native encode: row table allocation")
         return out
 
 
@@ -461,8 +597,6 @@ _BACKEND_CLASSES: dict[str, type[KernelBackend]] = {
     NumpyPackedBackend.name: NumpyPackedBackend,
     ReferenceBackend.name: ReferenceBackend,
     NativeCpuBackend.name: NativeCpuBackend,
-    CupyBackend.name: CupyBackend,
-    TorchBackend.name: TorchBackend,
 }
 _INSTANCES: dict[str, KernelBackend] = {}
 _ACTIVE: KernelBackend | None = None
@@ -517,10 +651,11 @@ def set_kernel_backend(backend: KernelBackend | str | None) -> None:
 def _default_backend_name() -> str:
     """Default resolution when nothing is selected explicitly.
 
-    The fused native CPU kernel when it compiled on this host, else the
+    The native C kernels when they compiled on this host, else the
     NumPy path.  ``REPRO_FORCE_POP16_LUT`` pins the default to NumPy —
     the whole point of that flag is to exercise the LUT popcount, which
-    the native kernel would bypass.
+    the native kernels would bypass; it also keeps the NumPy encode
+    tree under test.
     """
     if os.environ.get("REPRO_FORCE_POP16_LUT"):
         return "numpy"
@@ -530,7 +665,8 @@ def _default_backend_name() -> str:
 
 
 def active_backend() -> KernelBackend:
-    """The backend every packed distance call dispatches through."""
+    """The backend every packed distance and encode call dispatches
+    through."""
     if _ACTIVE is not None:
         return _ACTIVE
     return get_backend(
@@ -548,22 +684,6 @@ def use_kernel_backend(backend: KernelBackend | str) -> Iterator[KernelBackend]:
         yield active_backend()
     finally:
         _ACTIVE = previous
-
-
-def best_accelerator_backend() -> KernelBackend | None:
-    """The preferred available accelerator backend, or ``None``.
-
-    CuPy outranks torch (a CUDA CuPy is always device-resident; torch
-    may be a CPU build, which still satisfies the contract but models
-    nothing the numpy backend doesn't).
-    """
-    if CupyBackend.available():
-        return get_backend("cupy")
-    if TorchBackend.available():
-        backend = get_backend("torch")
-        if getattr(backend, "device", "cpu") != "cpu":
-            return backend
-    return None
 
 
 def roofline_validation(
@@ -604,7 +724,6 @@ def roofline_validation(
     predicted_qps = gpu_model.packed_classify_qps(dim, num_classes)
     return {
         "backend": backend.name,
-        "device": getattr(backend, "device", None),
         "dim": dim,
         "num_classes": num_classes,
         "batch": batch,

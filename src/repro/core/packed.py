@@ -420,10 +420,10 @@ def _distance_table(queries: np.ndarray, model: np.ndarray) -> np.ndarray:
     """Hamming distances ``(b, k)`` of query words vs model words.
 
     Dispatches to the active :mod:`repro.core.kernels` backend (the
-    row-blocked XOR+popcount CPU kernel by default; see
-    ``kernels.set_kernel_backend`` / ``REPRO_KERNEL_BACKEND`` for the
-    accelerator paths).  The import is deferred because ``kernels``
-    imports this module at load time.
+    native C kernel where it compiled, else row-blocked NumPy; see
+    ``kernels.set_kernel_backend`` / ``REPRO_KERNEL_BACKEND``).  The
+    import is deferred because ``kernels`` imports this module at load
+    time.
     """
     from repro.core import kernels
 

@@ -1,10 +1,9 @@
 """Kernel-backend contract tests.
 
-Every registered backend must produce a distance table bit-identical to
-:class:`ReferenceBackend` — the unpacked uint8 oracle — over random
-shapes, including operands with zeroed pad bits (the word-shard case).
-Accelerator backends (CuPy / torch) skip cleanly when their runtime is
-absent and are held to the same oracle when present.
+Every registered backend must produce a distance table and encodings
+bit-identical to :class:`ReferenceBackend` — the unpacked uint8 oracle
+— over random shapes, including operands with zeroed pad bits and
+word-column slices (the word-shard cases).
 """
 
 import os
@@ -86,15 +85,153 @@ class TestEquivalence:
         monkeypatch.setattr(packed, "_HAS_BITWISE_COUNT", False)
         assert (backend.distance_table(queries, model) == expected).all()
 
-    @pytest.mark.parametrize("name", ["cupy", "torch"])
-    def test_accelerators_skip_or_match(self, name):
+
+def random_codebook(n: int, levels: int, words: int) -> np.ndarray:
+    return RNG.integers(0, np.iinfo(np.uint64).max, (n, levels, words),
+                        dtype=np.uint64, endpoint=True)
+
+
+# Feature counts cross the 8-operand carry-save group, the count-plane
+# boundaries (8, 16, 64, 256 need one more plane than one less) and
+# even-n majority ties; word counts straddle the 8-word block.
+ENCODE_FEATURES = [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 561]
+ENCODE_WORDS = [1, 7, 8, 9, 157]
+
+
+class TestEncodeEquivalence:
+    @pytest.mark.parametrize("name", CPU_BACKENDS)
+    @pytest.mark.parametrize("n", ENCODE_FEATURES)
+    def test_matches_reference_oracle(self, name, n):
         backend = get_or_skip(name)
         oracle = kernels.get_backend("reference")
-        queries, model = random_words(300, 157), random_words(26, 157)
+        codebook = random_codebook(n, 4, 9)
+        idx = RNG.integers(0, 4, (6, n))
+        got = backend.encode_words(codebook, idx)
+        assert got.dtype == np.uint64
+        assert got.shape == (6, 9)
+        assert (got == oracle.encode_words(codebook, idx)).all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS)
+    @pytest.mark.parametrize("words", ENCODE_WORDS)
+    def test_word_counts(self, name, words):
+        backend = get_or_skip(name)
+        oracle = kernels.get_backend("reference")
+        codebook = random_codebook(17, 5, words)
+        idx = RNG.integers(0, 5, (3, 17))
         assert (
-            backend.distance_table(queries, model)
-            == oracle.distance_table(queries, model)
+            backend.encode_words(codebook, idx)
+            == oracle.encode_words(codebook, idx)
         ).all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS)
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    def test_ties_resolve_to_zero(self, name, n):
+        """Half the features set every bit: each count is exactly n/2,
+        which is not a strict majority; one more set feature is."""
+        backend = get_or_skip(name)
+        ones = np.iinfo(np.uint64).max
+        codebook = np.zeros((n, 1, 10), dtype=np.uint64)
+        codebook[: n // 2] = ones
+        idx = np.zeros((2, n), dtype=np.int64)
+        assert not backend.encode_words(codebook, idx).any()
+        codebook[n // 2] = ones
+        assert (backend.encode_words(codebook, idx) == ones).all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    def test_word_slice_encodes_in_place(self, name):
+        """A word-column view (the word-sharded worker's codebook) encodes
+        to the same columns of the full encode."""
+        backend = get_or_skip(name)
+        codebook = random_codebook(33, 6, 20)
+        idx = RNG.integers(0, 6, (7, 33))
+        full = kernels.get_backend("reference").encode_words(codebook, idx)
+        for lo, hi in ((0, 8), (3, 14), (9, 10), (12, 20)):
+            view = codebook[:, :, lo:hi]
+            assert not view.flags.c_contiguous
+            assert (backend.encode_words(view, idx) == full[:, lo:hi]).all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    def test_zero_rows_and_words(self, name):
+        backend = get_or_skip(name)
+        out = backend.encode_words(random_codebook(5, 3, 4),
+                                   np.zeros((0, 5), dtype=np.int64))
+        assert out.shape == (0, 4) and out.dtype == np.uint64
+        out = backend.encode_words(np.zeros((5, 3, 0), dtype=np.uint64),
+                                   np.zeros((2, 5), dtype=np.int64))
+        assert out.shape == (2, 0)
+
+    def test_dispatches_through_active_backend(self, monkeypatch):
+        from repro.core.encoder import encode_words_from_codebook
+
+        calls = []
+        backend = kernels.ReferenceBackend()
+        monkeypatch.setattr(
+            backend, "encode_words",
+            lambda cb, idx: calls.append(idx.shape)
+            or kernels.ReferenceBackend.encode_words(backend, cb, idx),
+        )
+        codebook = random_codebook(9, 4, 3)
+        idx = RNG.integers(0, 4, (10, 9))
+        expected = encode_words_from_codebook(codebook, idx)
+        with kernels.use_kernel_backend(backend):
+            got = encode_words_from_codebook(codebook, idx, rows_per_block=4)
+        assert calls == [(4, 9), (4, 9), (2, 9)]
+        assert (got == expected).all()
+
+
+class TestEncodeValidation:
+    """Out-of-range, negative and non-integer level indices are rejected
+    before any backend reads the codebook with them."""
+
+    @pytest.fixture(params=CPU_BACKENDS + ["reference"])
+    def backend(self, request):
+        return get_or_skip(request.param)
+
+    def encode(self, backend, codebook, idx, **kw):
+        from repro.core.encoder import encode_words_from_codebook
+
+        with kernels.use_kernel_backend(backend):
+            return encode_words_from_codebook(codebook, idx, **kw)
+
+    def test_negative_index_rejected(self, backend):
+        """-1 used to wrap to level L-1 through NumPy indexing."""
+        codebook = random_codebook(4, 8, 2)
+        with pytest.raises(ValueError, match=r"-1 at \(row 0, feature 0\)"):
+            self.encode(backend, codebook, [[-1, 0, 1, 2]])
+        with pytest.raises(ValueError, match="outside"):
+            backend.encode_words(codebook, np.array([[0, 1, -1, 2]]))
+
+    def test_index_equal_to_levels_rejected(self, backend):
+        codebook = random_codebook(4, 8, 2)
+        with pytest.raises(ValueError, match=r"8 at \(row 1, feature 3\)"):
+            self.encode(backend, codebook, [[0, 1, 2, 3], [4, 5, 6, 8]])
+
+    def test_float_index_rejected(self, backend):
+        codebook = random_codebook(4, 8, 2)
+        with pytest.raises(ValueError, match="integers"):
+            self.encode(backend, codebook, [[0.0, 1.0, 2.0, 3.0]])
+
+    def test_error_names_position_across_blocks(self, backend):
+        codebook = random_codebook(3, 4, 2)
+        idx = np.zeros((9, 3), dtype=np.int64)
+        idx[7, 2] = 4
+        with pytest.raises(ValueError, match=r"\(row 7, feature 2\)"):
+            self.encode(backend, codebook, idx, rows_per_block=2)
+
+    @pytest.mark.parametrize("idx", [np.zeros((2, 5), np.int64),
+                                     np.zeros(4, np.int64)])
+    def test_index_shape_rejected(self, backend, idx):
+        with pytest.raises(ValueError, match=r"\(b, 4\)"):
+            self.encode(backend, random_codebook(4, 8, 2), idx)
+
+    @pytest.mark.parametrize("codebook", [
+        np.zeros((4, 8, 2), dtype=np.int64),
+        np.zeros((4, 16), dtype=np.uint64),
+        np.zeros((4, 8, 4), dtype=np.uint64)[:, :, ::2],
+    ], ids=["int64", "2-D", "strided-words"])
+    def test_codebook_layout_rejected(self, backend, codebook):
+        with pytest.raises(ValueError, match="unit word stride"):
+            self.encode(backend, codebook, np.zeros((1, 4), np.int64))
 
 
 class TestValidation:
@@ -123,19 +260,18 @@ class TestValidation:
 class TestRegistry:
     def test_available_backends_covers_registry(self):
         avail = kernels.available_backends()
-        assert set(avail) == {"numpy", "reference", "native", "cupy",
-                              "torch"}
+        assert set(avail) == {"numpy", "reference", "native"}
         assert avail["numpy"] and avail["reference"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.get_backend("tpu")
 
-    def test_unavailable_backend_rejected(self):
-        if kernels.CupyBackend.available():  # pragma: no cover - GPU hosts
-            pytest.skip("cupy present here")
+    def test_unavailable_backend_rejected(self, monkeypatch):
+        monkeypatch.setattr(kernels.NativeCpuBackend, "available",
+                            classmethod(lambda cls: False))
         with pytest.raises(RuntimeError, match="not available"):
-            kernels.get_backend("cupy")
+            kernels.get_backend("native")
 
     def test_instances_are_shared(self):
         assert kernels.get_backend("numpy") is kernels.get_backend("numpy")
@@ -195,10 +331,25 @@ class TestNativeBackend:
         # available() never raises; it reports the compile outcome.
         assert kernels.NativeCpuBackend.available() in (True, False)
 
-    def test_best_accelerator_excludes_cpu_backends(self):
-        best = kernels.best_accelerator_backend()
-        if best is not None:  # pragma: no cover - GPU hosts
-            assert best.name in ("cupy", "torch")
+    def test_build_error_kept_when_compile_fails(self, monkeypatch):
+        """A C error leaves the backend unavailable with the compiler's
+        text on the class, not a silent fall-back to numpy."""
+        import subprocess
+
+        def broken():
+            raise subprocess.CalledProcessError(
+                1, ["cc"], stderr="kernels.c:1: error: expected ';'"
+            )
+
+        monkeypatch.setattr(kernels, "_build_native_kernel", broken)
+        monkeypatch.setattr(kernels.NativeCpuBackend, "_lib", None)
+        monkeypatch.setattr(kernels.NativeCpuBackend, "_build_error", None)
+        assert not kernels.NativeCpuBackend.available()
+        assert "expected ';'" in kernels.NativeCpuBackend.build_error()
+        with pytest.raises(RuntimeError, match="expected ';'"):
+            kernels.NativeCpuBackend().encode_words(
+                random_codebook(2, 2, 1), np.zeros((1, 2), np.int64)
+            )
 
 
 class TestRoofline:
