@@ -60,6 +60,8 @@ from repro.obs.telemetry import (
 )
 from repro.serve import ServingEngine
 
+from bench_serve import predict_bulk
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_obs.json"
 OVERHEAD_TARGET = 0.05
@@ -193,12 +195,12 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
         engine = ServingEngine(classifier, num_workers=2,
                                telemetry=telemetry)
         try:
-            engine.predict(queries)  # warm-up: fork + first adoption
+            predict_bulk(engine, queries)  # warm-up: fork + adoption
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
                 for _ in range(rounds):
-                    preds = engine.predict(queries)
+                    preds = predict_bulk(engine, queries)
                 best = min(best, time.perf_counter() - start)
             merged = engine.telemetry.scrape() if telemetry else None
         finally:

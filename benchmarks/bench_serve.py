@@ -158,9 +158,13 @@ class _Recorder:
         pass
 
 
-def _predict_bulk(engine: ServingEngine, words: np.ndarray,
-                  tenant: str | None = None) -> np.ndarray:
-    """Ordered bulk predict over the unified ServeRequest surface."""
+def predict_bulk(engine: ServingEngine, words: np.ndarray,
+                 tenant: str | None = None) -> np.ndarray:
+    """Ordered bulk predict over the unified ServeRequest surface.
+
+    Splits ``words`` into requests of at most ``max_queries_per_request``
+    rows, frame-batches the submits, and concatenates the predictions.
+    """
     step = engine.max_queries_per_request
     futures = []
     for start in range(0, words.shape[0], step):
@@ -221,10 +225,6 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
     }
     window = min(256, max(32, requests // 8))
     for workers in worker_counts:
-        shard_plan = (
-            ShardPlan.by_class(num_classes, num_shards)
-            if num_shards > 1 else None
-        )
         engine = ServingEngine(
             classifier,
             num_workers=workers,
@@ -232,7 +232,7 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
             max_queries_per_request=queries_per_request,
             frame_requests=frame_requests,
             coalesce_requests=256,
-            shard_plan=shard_plan,
+            shard_plan=ShardPlan.by_class(num_classes, num_shards),
         )
         try:
             # Warm-up: first batches pay fork + first-adoption costs, and
@@ -397,7 +397,7 @@ def bench_live_recovery(num_classes: int, num_features: int, dim: int,
     def traffic():
         nonlocal served_rounds
         while not stop.is_set():
-            _predict_bulk(engine, eval_words)
+            predict_bulk(engine, eval_words)
             served_rounds += 1
 
     thread = threading.Thread(target=traffic, daemon=True)
@@ -412,7 +412,7 @@ def bench_live_recovery(num_classes: int, num_features: int, dim: int,
         stop.set()
         thread.join()
     recover_s = time.perf_counter() - start
-    final_predictions = _predict_bulk(engine, eval_words)
+    final_predictions = predict_bulk(engine, eval_words)
     generations = engine.publisher.generation
     trace = engine.trace
     engine.stop()

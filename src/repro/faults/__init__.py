@@ -1,10 +1,9 @@
 """Fault models: unified injector API, campaigns, memory error processes.
 
-The canonical entry points live in :mod:`repro.faults.api` —
-:func:`attack` / :func:`inject` return a ground-truth
-:class:`FaultMask` alongside (or instead of) the corrupted model.  The
-legacy per-module entry points (``attack_hdc_model``,
-``attack_hdc_informed``) are deprecated shims over the same injectors.
+The entry points live in :mod:`repro.faults.api` — :func:`attack` /
+:func:`inject` return a ground-truth :class:`FaultMask` alongside (or
+instead of) the corrupted model, for every attack mode (random,
+targeted, clustered, informed).
 """
 
 from repro.faults.api import (
@@ -29,9 +28,8 @@ from repro.faults.models import (
     TransientFlipProcess,
     dram_error_rate_for_interval,
 )
-from repro.faults.informed import attack_hdc_informed, dimension_importance
+from repro.faults.informed import dimension_importance
 from repro.faults.bitflip import (
-    attack_hdc_model,
     attack_tensor,
     attack_tensors,
     flip_hdc_bits,
@@ -53,8 +51,6 @@ __all__ = [
     "TargetedBitflipInjector",
     "TransientFlipProcess",
     "attack",
-    "attack_hdc_informed",
-    "attack_hdc_model",
     "dimension_importance",
     "dram_error_rate_for_interval",
     "inject",

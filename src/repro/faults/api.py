@@ -1,16 +1,11 @@
 """Unified fault-injection API: one protocol, one ground-truth artefact.
 
-The seed repo grew three divergent ways of corrupting a stored HDC
-model — ``attack_hdc_model(model, rate, mode, rng)`` returning a copy,
-``attack_hdc_informed(model, rate, reference_queries, rng)`` with the
-reference queries wedged between rate and rng, and
-``TransientFlipProcess.expose(model)`` mutating in place.  None of them
-told you *which bits* were flipped, which made ground-truth evaluation
-of the recovery loop (did the detector flag the chunks that were
-actually hit?) impossible without re-deriving the damage by diffing
-models.
-
-This module converges them:
+Every way of corrupting a stored HDC model — a copy attacked at some
+rate and mode, a white-box informed attack, a
+``TransientFlipProcess.expose(model)`` mutating in place — goes through
+one protocol that also says *which bits* were flipped, so ground-truth
+evaluation of the recovery loop (did the detector flag the chunks that
+were actually hit?) never has to re-derive the damage by diffing models.
 
 * :class:`FaultInjector` — the protocol every injector implements:
   ``inject(model, rate, rng) -> FaultMask``.  Injection is *pure*: it
@@ -20,11 +15,7 @@ This module converges them:
   and chunk granularity.  ``apply`` / ``applied_to`` turn the mask into
   actual damage (in place / on a copy).
 * :func:`attack` / :func:`inject` — convenience entry points keyed by
-  mode name, mirroring the old call shapes but returning the mask.
-
-The old entry points survive as thin shims that emit
-``DeprecationWarning`` and delegate here; seeded results are identical
-because the injectors draw from the RNG in exactly the old order.
+  mode name, returning the mask alongside (or instead of) the damage.
 """
 
 from __future__ import annotations
@@ -371,9 +362,7 @@ def attack(
 ) -> tuple[HDCModel, FaultMask]:
     """Corrupted copy of ``model`` plus the ground-truth mask.
 
-    The drop-in successor of ``attack_hdc_model`` — same (model, rate,
-    mode, rng) shape, same seeded flips — except it also returns *which*
-    bits were hit, which downstream observability
+    The mask says *which* bits were hit, which downstream observability
     (:func:`repro.obs.scorecard.fault_scorecard`) joins against.
     """
     mask = inject(model, rate, mode, rng, **kwargs)

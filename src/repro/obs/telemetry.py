@@ -71,7 +71,7 @@ TELEMETRY_SCHEMA = 2
 #
 #   [0]                 seqlock sequence word for the stats section
 #   [1..7]              header: schema, worker_id, pid, started_ns,
-#                       last_batch_ns, shard+1 (0 = unsharded),
+#                       last_batch_ns, shard+1 (0 = none recorded),
 #                       (1 reserved)
 #   [counters]          one word per COUNTER_FIELDS entry
 #   [histograms]        per HIST_FIELDS entry: count, sum, min, max,
@@ -91,7 +91,7 @@ _WORKER_ID = 2
 _PID = 3
 _STARTED_NS = 4
 _LAST_BATCH_NS = 5
-# Shard id biased by one so an all-zero slab decodes as "unsharded".
+# Shard id biased by one so an all-zero slab decodes as shard -1.
 _SHARD_PLUS_1 = 6
 _HEADER_WORDS = 8
 
@@ -229,7 +229,7 @@ class TelemetryWriter:
         a[base + _HIST_HEADER + bucket_index(int(v))] += _ONE
 
     def set_shard(self, shard: int) -> None:
-        """Stamp the shard this worker serves (sharded engines only)."""
+        """Stamp the shard this worker serves (0 under a one-shard plan)."""
         self._a[_SHARD_PLUS_1] = np.uint64(shard + 1)
 
     def record_batch(
@@ -527,9 +527,9 @@ class TelemetryAggregator:
             sum(1 for snap in merged["workers"].values()
                 if snap.counters["batches"]),
         )
-        # Per-shard rollups (sharded engines only): batches/queries per
-        # shard, delta-merged like the fleet counters — the load signal
-        # the engine's shard dispatcher balances on.
+        # Per-shard rollups: batches/queries per shard (shard 0 alone
+        # under a one-shard plan), delta-merged like the fleet counters —
+        # the load signal the engine's shard dispatcher balances on.
         shards: dict[int, dict[str, int]] = {}
         for snap in merged["workers"].values():
             if snap.shard < 0:

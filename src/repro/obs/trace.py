@@ -339,7 +339,8 @@ class ServeBatchEvent:
     duration_s: float
     trace_id: int = -1
     # Sharded-serving diagnostics (PR 7): which model shard the worker
-    # serves (-1 unsharded), how long it sat waiting for dispatch before
+    # serves (0 under a one-shard plan; -1 only on records made before
+    # sharding existed), how long it sat waiting for dispatch before
     # this batch, and how many model bytes the batch's queries streamed.
     shard: int = -1
     dispatch_wait_s: float = 0.0

@@ -76,11 +76,7 @@ from repro.serve.engine import (  # noqa: F401
 )
 from repro.serve.gateway import GatewayServer  # noqa: F401
 from repro.serve.registry import Tenant, TenantRegistry  # noqa: F401
-from repro.serve.shard import (  # noqa: F401
-    ShardPlan,
-    combine_class_tables,
-    reduce_partial_tables,
-)
+from repro.serve.shard import ShardPlan, reduce_partial_tables  # noqa: F401
 from repro.serve.shm import (  # noqa: F401
     ControlBlock,
     GenerationPublisher,

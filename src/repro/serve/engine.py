@@ -16,14 +16,19 @@ one call:
 The future is the request's only handle.  The engine tracks a request
 only while it is unresolved and forgets it the moment it resolves, so
 per-request bookkeeping is constant-time and nothing accumulates however
-many requests a long-lived engine serves.  ``predict`` and
-``predict_features`` survive as :class:`DeprecationWarning` shims that
-submit :class:`ServeRequest`\\ s and gather their futures.
+many requests a long-lived engine serves.
 
 Requests are *frame-batched*: submits accumulate into one queue message
 (default 8 requests) so the per-message IPC cost — the dominant per-item
 cost at micro-batch sizes — is amortised; workers then coalesce multiple
 frames into a single packed distance computation per tenant.
+
+Every engine serves through a :class:`~repro.serve.shard.ShardPlan`: an
+unsharded engine gives each tenant the one-shard plan
+``ShardPlan.by_class(num_classes, 1)``.  Each frame goes to one live
+replica of every shard, each replica posts its plan's ``reply`` rows for
+the frame, and the collector resolves the frame once every shard has
+replied on one generation, through the plan's ``combine``.
 
 **Multi-tenant serving** hangs off a
 :class:`~repro.serve.registry.TenantRegistry`: each tenant is an
@@ -65,9 +70,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
-import warnings
 import weakref
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from multiprocessing import connection
 
 import numpy as np
@@ -83,11 +87,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import ServeBatchEvent, ServeTrace
 from repro.serve.registry import DEFAULT_TENANT, TenantRegistry
-from repro.serve.shard import (
-    ShardPlan,
-    combine_class_tables,
-    reduce_partial_tables,
-)
+from repro.serve.shard import ShardPlan
 from repro.serve.shm import (
     ControlBlock,
     GenerationPublisher,
@@ -118,7 +118,9 @@ class TenantSlot:
 
     Pickled into workers as part of :class:`ServeConfig`; everything a
     worker needs to attach this tenant's control block, codebook and
-    generation segments by name.
+    generation segments by name.  ``shard_plan`` is how the tenant's
+    model splits across workers — ``ShardPlan.by_class(num_classes, 1)``
+    when it is not sharded.
     """
 
     _: KW_ONLY
@@ -128,6 +130,7 @@ class TenantSlot:
     control_name: str
     dim: int
     num_classes: int
+    shard_plan: ShardPlan
     codebook_name: str | None = None
     num_features: int = 0
     levels: int = 0
@@ -165,13 +168,6 @@ class ServeConfig:
     # writable when a prefix is set; None disables worker telemetry.
     telemetry_prefix: str | None = None
     flight_slots: int = 0
-    # Shard geometry (static for the engine's lifetime).  With
-    # num_shards > 1 worker w serves shard ``w % num_shards``, attaches
-    # only that shard's generation segments, and returns partial
-    # distance tables the engine combines.
-    shard_kind: str | None = None
-    shard_bounds: tuple = ()
-    num_shards: int = 1
     # Elastic worker-pool bounds enforced by add_worker/remove_worker
     # (and hence the autoscaler).
     min_workers: int = 1
@@ -204,15 +200,14 @@ class ServeConfig:
             raise _config_error(
                 "flight_slots", f"must be >= 0, got {self.flight_slots}"
             )
-        if self.num_shards < 1:
+        if len(self.tenants) > 1 and any(
+            slot.shard_plan != ShardPlan.by_class(slot.num_classes, 1)
+            for slot in self.tenants
+        ):
             raise _config_error(
-                "num_shards", f"must be >= 1, got {self.num_shards}"
-            )
-        if self.num_shards > 1 and len(self.tenants) > 1:
-            raise _config_error(
-                "num_shards",
+                "tenants",
                 "sharded serving supports a single tenant; got "
-                f"{self.num_shards} shards with {len(self.tenants)} tenants",
+                f"{len(self.tenants)} tenants with a sharded plan",
             )
         if self.min_workers < 1:
             raise _config_error(
@@ -225,24 +220,13 @@ class ServeConfig:
                 f"got {self.max_workers}",
             )
 
-    # -- single-tenant back-compat views -------------------------------
+    def shard_of(self, worker_id: int) -> int:
+        """The shard worker ``worker_id`` serves (its residue).
 
-    @property
-    def control_name(self) -> str:
-        """Tenant slot 0's control block (pre-multi-tenant callers)."""
-        return self.tenants[0].control_name
-
-    @property
-    def dim(self) -> int:
-        return self.tenants[0].dim
-
-    @property
-    def num_features(self) -> int:
-        return self.tenants[0].num_features
-
-    @property
-    def codebook_name(self) -> str | None:
-        return self.tenants[0].codebook_name
+        Every tenant's plan has the same shard count: only a
+        single-tenant engine is sharded.
+        """
+        return worker_id % self.tenants[0].shard_plan.num_shards
 
 
 @dataclass(frozen=True)
@@ -426,6 +410,8 @@ class ServingEngine:
     shard_plan:
         Optional :class:`~repro.serve.shard.ShardPlan` (single-tenant
         engines only).  Worker ``w`` serves shard ``w % num_shards``.
+        Without one, every tenant is served through its one-shard plan
+        ``ShardPlan.by_class(num_classes, 1)``.
     min_workers / max_workers:
         Elastic-pool bounds for :meth:`add_worker` /
         :meth:`remove_worker` (and the autoscaler).  ``max_workers``
@@ -473,26 +459,31 @@ class ServingEngine:
             )
         tenants = registry._attach()
         self.registry = registry
-        packed0 = tenants[0].model.packed()
-        self.shard_plan = shard_plan
-        num_shards = 1 if shard_plan is None else shard_plan.num_shards
-        if shard_plan is not None:
-            if len(tenants) > 1:
-                raise ValueError(
-                    "shard_plan requires a single-tenant engine; got "
-                    f"{len(tenants)} tenants"
-                )
-            shard_plan.validate(packed0.num_classes, packed0.dim)
-            if num_workers % num_shards:
-                raise ValueError(
-                    f"num_workers ({num_workers}) must be a multiple of "
-                    f"num_shards ({num_shards}) so every shard has equal "
-                    "replicas"
-                )
+        if shard_plan and len(tenants) > 1:
+            raise ValueError(
+                "shard_plan requires a single-tenant engine; got "
+                f"{len(tenants)} tenants"
+            )
+        plans = [
+            shard_plan or ShardPlan.by_class(tenant.model.num_classes, 1)
+            for tenant in tenants
+        ]
+        for tenant, plan in zip(tenants, plans):
+            plan.validate(tenant.model.num_classes, tenant.model.dim)
+        num_shards = plans[0].num_shards
+        if num_workers % num_shards:
+            raise ValueError(
+                f"num_workers ({num_workers}) must be a multiple of "
+                f"num_shards ({num_shards}) so every shard has equal "
+                "replicas"
+            )
+        # One plan combines every frame: a sharded engine has one
+        # tenant, and one-shard class plans all combine alike.
+        self._plan = plans[0]
         self.model = tenants[0].model
         self.encoder = tenants[0].encoder
-        self.dim = packed0.dim
-        self.num_classes = packed0.num_classes
+        self.dim = self.model.dim
+        self.num_classes = self.model.num_classes
         self.max_queries_per_request = max_queries_per_request
         self.backpressure_timeout = backpressure_timeout
         self.trace = ServeTrace()
@@ -508,7 +499,7 @@ class ServingEngine:
         self._next_trace_id = 0
         slot_words = 0
         tenant_slots: list[TenantSlot] = []
-        for i, tenant in enumerate(tenants):
+        for i, (tenant, plan) in enumerate(zip(tenants, plans)):
             packed = tenant.model.packed()
             words = packed.words.shape[1]
             slot_words = max(slot_words, max_queries_per_request * words)
@@ -532,8 +523,7 @@ class ServingEngine:
                 )
             control = ControlBlock.create(f"{t_prefix}-control")
             publisher = GenerationPublisher(
-                t_prefix, control, trace_source=self._last_trace_id,
-                shard_plan=shard_plan,
+                t_prefix, control, plan, trace_source=self._last_trace_id,
             )
             publisher.publish_packed(packed)  # generation 1
             # No recovery writer is running yet: deregister so an idle
@@ -551,6 +541,7 @@ class ServingEngine:
                 control_name=control.name,
                 dim=packed.dim,
                 num_classes=packed.num_classes,
+                shard_plan=plan,
                 codebook_name=codebook_name,
                 num_features=num_features,
                 levels=levels,
@@ -587,9 +578,6 @@ class ServingEngine:
             tenants=tuple(tenant_slots),
             telemetry_prefix=telemetry_prefix,
             flight_slots=self._flight_slots,
-            shard_kind=None if shard_plan is None else shard_plan.kind,
-            shard_bounds=() if shard_plan is None else shard_plan.bounds,
-            num_shards=num_shards,
             min_workers=min_workers,
             max_workers=max_workers,
         )
@@ -610,14 +598,13 @@ class ServingEngine:
         # Unresolved requests only: resolution pops the entry, leaving
         # the future as the request's sole owner.
         self._pending: dict[int, ServeFuture] = {}
-        self._dispatched: dict[int, tuple[int, tuple]] = {}
         self._dead: set[int] = set()
         self._retiring: set[int] = set()
         self._outbox: list[tuple] = []
         self._frame_requests = max(1, frame_requests)
         # Load-aware dispatch state: requests outstanding per worker
         # (incremented per dispatched frame entry, decremented as its
-        # results/partials arrive) — the same queue-depth quantity the
+        # replies arrive) — the same queue-depth quantity the
         # ``serve.fleet.shard*`` telemetry reports, tracked engine-side
         # so picking a replica never races a slab scrape.
         self._depth: list[int] = []
@@ -625,7 +612,8 @@ class ServingEngine:
             s: [] for s in range(num_shards)
         }
         self._rr = {s: 0 for s in range(num_shards)}
-        # Sharded frames awaiting their full partial set, by frame seq.
+        # Dispatched frames awaiting a reply from every shard, by frame
+        # seq: {"entries", "workers": {shard: worker}, "replies"}.
         self._next_frame_seq = 0
         self._frames: dict[int, dict] = {}
 
@@ -671,11 +659,6 @@ class ServingEngine:
     def publisher(self) -> GenerationPublisher:
         """The first tenant's publisher (single-tenant back-compat)."""
         return self._publishers[0]
-
-    @property
-    def control(self) -> ControlBlock:
-        """The first tenant's control block (back-compat)."""
-        return self._controls[0]
 
     def publisher_for(self, tenant: str) -> GenerationPublisher:
         """The :class:`GenerationPublisher` of one tenant's stream.
@@ -884,45 +867,31 @@ class ServingEngine:
         return len(self._pending)
 
     def _dispatch(self, frame: list[tuple]) -> None:
-        """Route one frame to its worker(s), recording the assignment.
+        """Send one frame to a live replica of every shard, and track it.
 
-        Unsharded: the frame goes to the least-loaded live worker.
-        Sharded: the same frame goes to one replica of *every* shard —
-        each serves its partial table, and the collector combines them
-        once the full set (on one generation) is in.  Assignments are
-        what lets :meth:`_handle_worker_death` re-route a crashed
-        worker's unserved work — request payloads still sit in the ring
-        (slots are freed only on resolution), so a survivor can serve
-        them from the same slots.
+        Each replica posts its shard's reply rows and the collector
+        combines the full set — one reply under a one-shard plan.  The
+        frame stays in ``_frames`` until it resolves, which is what lets
+        :meth:`_handle_worker_death` re-route a crashed worker's
+        unanswered frames: request payloads still sit in the ring (slots
+        are freed only on resolution), so a survivor can serve them from
+        the same slots.  A shard with no live replica fails the frame's
+        requests at once.
         """
-        if self.shard_plan is None:
-            with self._lock:
-                target = self._pick_replica(0)
-                if target is None:
-                    target = 0  # all dead; monitor/stop fail the requests
-                for entry in frame:
-                    self._dispatched[entry[0]] = (target, entry)
-                self._depth[target] += len(frame)
-            self._queues[target].put(frame)
-            return
         with self._lock:
-            frame_seq = self._next_frame_seq
-            self._next_frame_seq += 1
             targets: dict[int, int] = {}
             for shard in self._replicas:
                 worker = self._pick_replica(shard)
                 if worker is None:
-                    break  # a shard has no live replica: unservable
+                    self._fail_requests([entry[0] for entry in frame])
+                    return
                 targets[shard] = worker
-            if len(targets) < len(self._replicas):
-                self._fail_requests([entry[0] for entry in frame])
-                return
+            frame_seq = self._next_frame_seq
+            self._next_frame_seq += 1
             for worker in targets.values():
                 self._depth[worker] += len(frame)
             self._frames[frame_seq] = {
-                "entries": frame,
-                "partials": {},
-                "workers": targets,
+                "entries": frame, "workers": targets, "replies": {},
             }
         for worker in targets.values():
             self._queues[worker].put((frame_seq, frame))
@@ -984,80 +953,6 @@ class ServingEngine:
             self._resolve_locked(request_id, predictions=None, expired=True)
 
     # ------------------------------------------------------------------
-    # Bulk predict (deprecated)
-    # ------------------------------------------------------------------
-
-    def predict(
-        self, query_words: np.ndarray, *, timeout: float | None = 60.0
-    ) -> np.ndarray:
-        """Deprecated shim: bulk packed predict for the first tenant.
-
-        Shards into ``max_queries_per_request``-row requests, frame-
-        batches the submits, and reassembles predictions in input order.
-        Use :meth:`submit` with :class:`ServeRequest` per micro-batch
-        instead.
-        """
-        warnings.warn(
-            "predict() is deprecated; submit ServeRequests and gather "
-            "their ServeFutures",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._bulk(
-            np.ascontiguousarray(query_words, np.uint64), False, timeout
-        )
-
-    def predict_features(
-        self, features: np.ndarray, *, timeout: float | None = 60.0
-    ) -> np.ndarray:
-        """Deprecated shim: bulk raw-feature predict for the first tenant."""
-        warnings.warn(
-            "predict_features() is deprecated; submit "
-            "ServeRequest(..., features=True) and gather the futures",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._bulk(
-            np.ascontiguousarray(features, np.float64), True, timeout
-        )
-
-    def _bulk(self, matrix: np.ndarray, features: bool, timeout) -> np.ndarray:
-        step = self.max_queries_per_request
-        futures: list[ServeFuture] = []
-        parts = []
-        start = 0
-        while start < matrix.shape[0]:
-            chunk = matrix[start : start + step]
-            futures.append(self.submit(
-                ServeRequest(chunk, features=features), flush=False
-            ))
-            start += step
-            # Collect eagerly once enough requests are in flight to keep
-            # the ring from self-deadlocking on large inputs.
-            if len(futures) >= self.config.ring_slots // 2:
-                self.flush()
-                parts.extend(self._gather(futures, timeout))
-                futures = []
-        self.flush()
-        parts.extend(self._gather(futures, timeout))
-        return (
-            np.concatenate(parts)
-            if parts
-            else np.empty((0,), dtype=np.int64)
-        )
-
-    def _gather(self, futures, timeout) -> list[np.ndarray]:
-        parts = []
-        for future in futures:
-            result = future.result(timeout=timeout)
-            if result.predictions is None:
-                raise TimeoutError(
-                    f"request {future.request_id} expired before being served"
-                )
-            parts.append(result.predictions)
-        return parts
-
-    # ------------------------------------------------------------------
     # Collector
     # ------------------------------------------------------------------
 
@@ -1067,6 +962,10 @@ class ServingEngine:
         Per-worker collectors mean a worker killed mid-message can stall
         only its own (now-useless) stream; all shared mutation below is
         serialised by ``self._lock`` regardless of which thread runs it.
+        A message is one worker batch: per frame, the requests served (in
+        reply-row order) and those found expired, plus one reply array
+        holding every served row.  The batch is resolved and traced in
+        one lock hold.
         """
         metrics = _metrics()
         while True:
@@ -1079,31 +978,36 @@ class ServingEngine:
                 if metrics.enabled:
                     metrics.inc("serve.worker_errors")
                 continue
-            if message[0] == "partials":
-                self._collect_partials(message, metrics)
-                continue
-            _, worker_id, outputs, event_dict = message
-            expired_count = 0
+            _, worker_id, frames, rows, event_dict = message
+            # The batch event names the replying shard and the
+            # generation it served on.
+            shard = event_dict["shard"]
+            generation = event_dict["generation"]
+            refire: list[tuple[int, list, int]] = []
             with self._lock:
-                self._depth[worker_id] -= len(outputs)
-                for request_id, predictions, expired in outputs:
-                    if self._resolve_locked(
-                        request_id,
-                        predictions=predictions, expired=bool(expired),
-                    ):
-                        self._dispatched.pop(request_id, None)
-                        expired_count += int(expired)
-                self._record_batch_locked(event_dict, metrics, expired_count)
+                self._depth[worker_id] -= event_dict["requests"]
+                offset = 0
+                for frame_seq, served, expired in frames:
+                    end = offset + sum(n for _, n in served)
+                    frame = self._frames.get(frame_seq)
+                    if frame is not None:
+                        frame["replies"][shard] = (
+                            generation, served, expired, rows[offset:end]
+                        )
+                        if len(frame["replies"]) == len(self._replicas):
+                            self._combine_frame(
+                                frame_seq, frame, refire, metrics
+                            )
+                    offset = end
+                self._record_batch_locked(event_dict, metrics)
+            for frame_seq, entries, worker in refire:
+                self._queues[worker].put((frame_seq, entries))
 
-    def _record_batch_locked(
-        self, event_dict: dict, metrics, expired: int = 0
-    ) -> None:
+    def _record_batch_locked(self, event_dict: dict, metrics) -> None:
         """Trace and meter one worker batch (caller holds the lock).
 
-        The batch-event path of both collectors, run after the batch's
-        requests have resolved: ``queue_depth`` is the count of requests
-        still live.  ``expired`` counts this batch's deadline expiries
-        (sharded frames count theirs when they combine).
+        Runs after the batch's requests have resolved: ``queue_depth``
+        is the count of requests still live.
         """
         event = ServeBatchEvent.from_dict(
             {**event_dict, "queue_depth": len(self._pending)}
@@ -1112,8 +1016,6 @@ class ServingEngine:
         if not metrics.enabled:
             return
         metrics.inc("serve.batches")
-        if expired:
-            metrics.inc("serve.deadline_expired", expired)
         metrics.gauge("serve.queue_depth", event.queue_depth)
         metrics.gauge("serve.staleness_s", event.staleness_s)
         if event.adopted:
@@ -1122,95 +1024,54 @@ class ServingEngine:
         if event.degraded:
             metrics.inc("serve.degraded_batches")
 
-    def _collect_partials(self, message, metrics) -> None:
-        """Fold one shard's partial table into its frame; combine when full.
+    def _combine_frame(self, frame_seq, frame, refire, metrics) -> None:
+        """Resolve a frame with a reply from every shard (lock held).
 
-        A frame resolves only once every shard has reported *on the same
+        A frame resolves only once every shard has replied *on the same
         generation*: combining across generations would mix model
         snapshots and break the live-recovery bit-identity contract.
-        When partials disagree, the laggards (generations are monotonic,
-        so the stale ones) are re-dispatched; their replicas adopt the
-        newest generation before re-serving, so the retry converges.
+        When replies disagree, the laggards (generations are monotonic,
+        so the stale ones) are re-dispatched — appended to ``refire`` as
+        ``(frame_seq, entries, worker)`` for the caller to put outside
+        the lock; their replicas adopt the newest generation before
+        re-serving, so the retry converges.
         """
-        (_, worker_id, frame_seq, shard, generation,
-         ok, expired_ids, table, event_dict) = message
-        refire: list[tuple[int, list, int]] = []
-        with self._lock:
-            self._depth[worker_id] -= len(ok) + len(expired_ids)
-            frame = self._frames.get(frame_seq)
-            if frame is not None:
-                frame["partials"][shard] = (generation, ok, expired_ids,
-                                            table)
-                if len(frame["partials"]) == len(self._replicas):
-                    refire = self._combine_frame(frame_seq, frame, metrics)
-            self._record_batch_locked(event_dict, metrics)
-        for frame_seq, entries, worker in refire:
-            self._queues[worker].put((frame_seq, entries))
-
-    def _combine_frame(self, frame_seq, frame, metrics) -> list:
-        """Resolve a frame with a full partial set (caller holds the lock).
-
-        Returns re-dispatch instructions ``(frame_seq, entries, worker)``
-        for stale shards (queue puts happen outside the lock).
-        """
-        partials = frame["partials"]
-        newest = max(generation for generation, _, _, _ in
-                     partials.values())
-        stale = [s for s, (generation, _, _, _) in partials.items()
-                 if generation < newest]
+        replies = frame["replies"]
+        entries = frame["entries"]
+        newest = max(reply[0] for reply in replies.values())
+        stale = [s for s, reply in replies.items() if reply[0] < newest]
         if stale:
-            refire = []
-            for shard in stale:
-                del partials[shard]
-                worker = self._pick_replica(shard)
-                if worker is None:
-                    # The shard lost its last replica; the frame can
-                    # never complete.
-                    self._fail_requests([e[0] for e in frame["entries"]])
-                    self._frames.pop(frame_seq, None)
-                    return []
+            workers = [self._pick_replica(shard) for shard in stale]
+            if None in workers:
+                # A shard lost its last replica: the frame can never
+                # complete.
+                self._fail_requests([entry[0] for entry in entries])
+                del self._frames[frame_seq]
+                return
+            for shard, worker in zip(stale, workers):
+                del replies[shard]
                 frame["workers"][shard] = worker
-                self._depth[worker] += len(frame["entries"])
-                refire.append((frame_seq, frame["entries"], worker))
+                self._depth[worker] += len(entries)
+                refire.append((frame_seq, entries, worker))
             if metrics.enabled:
-                metrics.inc("serve.shard_redispatches", len(refire))
-            return refire
-
-        shard_order = sorted(partials)
-        ok0 = partials[shard_order[0]][1]
-        aligned = all(partials[s][1] == ok0 for s in shard_order[1:])
-        if aligned:
-            served = ok0
-            tables = [partials[s][3] for s in shard_order]
-        else:
-            # Deadline evaluations diverged across shards: only requests
-            # computed by every shard can be combined; the rest expire.
-            ok_sets = [
-                {req_id: i for i, (req_id, _) in enumerate(partials[s][1])}
-                for s in shard_order
+                metrics.inc("serve.shard_redispatches", len(stale))
+            return
+        shards = sorted(replies)
+        _, served, expired, _ = replies[shards[0]]
+        tables = [replies[s][3] for s in shards]
+        if any(replies[s][1] != served for s in shards[1:]):
+            # Deadline checks diverged across shards: only requests
+            # every shard served can combine; the rest expire.
+            keep = set.intersection(
+                *({req_id for req_id, _ in replies[s][1]} for s in shards)
+            )
+            served = [(req_id, n) for req_id, n in served if req_id in keep]
+            expired = [entry[0] for entry in entries if entry[0] not in keep]
+            tables = [
+                _rows_of(replies[s][1], replies[s][3], keep) for s in shards
             ]
-            served = [
-                (req_id, n) for req_id, n in ok0
-                if all(req_id in ids for ids in ok_sets[1:])
-            ]
-            tables = []
-            for s, ids in zip(shard_order, ok_sets):
-                offsets = np.zeros(len(partials[s][1]) + 1, dtype=np.int64)
-                np.cumsum(
-                    [n for _, n in partials[s][1]], out=offsets[1:]
-                )
-                table = partials[s][3]
-                tables.append(np.concatenate([
-                    table[offsets[ids[req_id]]:offsets[ids[req_id]] + n]
-                    for req_id, n in served
-                ]) if served else table[:0])
-        expired_count = 0
         if served:
-            if self.shard_plan.kind == "class":
-                full = combine_class_tables(tables)
-            else:
-                full = reduce_partial_tables(tables)
-            predictions = np.argmin(full, axis=1).astype(np.int64)
+            predictions = self._plan.combine(tables)
             offset = 0
             for req_id, n in served:
                 self._resolve_locked(
@@ -1219,17 +1080,12 @@ class ServingEngine:
                     expired=False,
                 )
                 offset += n
-        served_ids = {req_id for req_id, _ in served}
-        expired = [e[0] for e in frame["entries"]
-                   if e[0] not in served_ids]
-        expired_count = len(expired)
         self._fail_requests(expired)
-        self._frames.pop(frame_seq, None)
+        del self._frames[frame_seq]
         if metrics.enabled:
             metrics.inc("serve.frames_combined")
-            if expired_count:
-                metrics.inc("serve.deadline_expired", expired_count)
-        return []
+            if expired:
+                metrics.inc("serve.deadline_expired", len(expired))
 
     # ------------------------------------------------------------------
     # Worker pool (spawn / retire / liveness)
@@ -1268,7 +1124,7 @@ class ServingEngine:
         self.workers.append(worker)
         with self._lock:
             self._depth.append(0)
-            self._replicas[idx % self.config.num_shards].append(idx)
+            self._replicas[self.config.shard_of(idx)].append(idx)
         if start_collector:
             worker.start()
             self._start_collector(idx)
@@ -1329,20 +1185,13 @@ class ServingEngine:
                 i for i in range(len(self.workers))
                 if i not in self._dead and i not in self._retiring
             ]
-            floor = max(self.config.min_workers, self.config.num_shards)
-            if len(live) <= floor:
+            if len(live) <= self.config.min_workers:
                 return None
             idx = live[-1]
-            if self.config.num_shards > 1:
-                # Keep shards balanced: only retire if the victim's
-                # shard keeps at least one live replica.
-                shard = idx % self.config.num_shards
-                replicas = [
-                    w for w in live
-                    if w % self.config.num_shards == shard and w != idx
-                ]
-                if not replicas:
-                    return None
+            # Only retire a worker whose shard keeps a live replica.
+            shard = self.config.shard_of(idx)
+            if not any(self.config.shard_of(w) == shard for w in live[:-1]):
+                return None
             self._retiring.add(idx)
         self._queues[idx].put(None)  # drain-then-exit sentinel
         metrics = _metrics()
@@ -1377,11 +1226,14 @@ class ServingEngine:
     def _handle_worker_death(
         self, worker_idx: int, planned: bool = False
     ) -> None:
-        """Recover the requests a dead worker was holding.
+        """Re-route the frames a dead worker left unanswered.
 
-        Their payloads are still in the ring (slots free only on
-        resolution), so with survivors left they are simply re-framed to
-        a live worker; with none left they are failed immediately so no
+        A frame still missing this worker's shard reply goes to a
+        surviving replica of the *same* shard: the shard's segments
+        outlive the worker, and the request payloads sit in the ring
+        (slots free only on resolution).  A reply already received from
+        the dead worker stays valid.  With no surviving replica the
+        frame can never combine, so its requests fail at once and no
         caller blocks on a result that can never arrive.  ``planned``
         marks a graceful retirement (scale-down), which re-routes the
         same way but is not counted as a crash.
@@ -1389,53 +1241,17 @@ class ServingEngine:
         metrics = _metrics()
         if metrics.enabled and not planned:
             metrics.inc("serve.worker_deaths")
-        if self.shard_plan is not None:
-            self._handle_shard_worker_death(worker_idx)
-            return
-        frame: list[tuple] = []
-        with self._lock:
-            stale = [
-                (request_id, entry)
-                for request_id, (owner, entry) in self._dispatched.items()
-                if owner == worker_idx
-            ]
-            any_alive = any(
-                i not in self._dead for i in range(len(self.workers))
-            )
-            for request_id, entry in stale:
-                self._dispatched.pop(request_id, None)
-                if request_id not in self._pending:
-                    continue
-                if any_alive:
-                    frame.append(entry)
-                else:
-                    self._resolve_locked(
-                        request_id, predictions=None, expired=True
-                    )
-        if frame:
-            self._dispatch(frame)
-
-    def _handle_shard_worker_death(self, worker_idx: int) -> None:
-        """Re-route a dead replica's unanswered shard work.
-
-        Frames whose partial from this worker's shard is still missing
-        go to a surviving replica of the *same* shard (the shard's
-        segments outlive the worker, and the request payloads sit in
-        the ring).  A partial already received from the dead worker
-        stays valid.  With no surviving replica the frame can never
-        combine, so its requests fail immediately.
-        """
-        shard = worker_idx % len(self._replicas)
+        shard = self.config.shard_of(worker_idx)
         refire: list[tuple[int, list, int]] = []
         with self._lock:
             for frame_seq, frame in list(self._frames.items()):
-                if (frame["workers"].get(shard) != worker_idx
-                        or shard in frame["partials"]):
+                if (frame["workers"][shard] != worker_idx
+                        or shard in frame["replies"]):
                     continue
                 replacement = self._pick_replica(shard)
                 if replacement is None:
                     self._fail_requests([e[0] for e in frame["entries"]])
-                    self._frames.pop(frame_seq, None)
+                    del self._frames[frame_seq]
                     continue
                 frame["workers"][shard] = replacement
                 self._depth[replacement] += len(frame["entries"])
@@ -1538,6 +1354,17 @@ class ServingEngine:
     def worker_errors(self) -> list[tuple[int, str]]:
         """Tracebacks reported by crashed-but-not-killed workers."""
         return list(self._worker_errors)
+
+
+def _rows_of(served, rows, keep) -> np.ndarray:
+    """The reply ``rows`` of the requests in ``keep``, in ``served`` order."""
+    parts = []
+    offset = 0
+    for req_id, n in served:
+        if req_id in keep:
+            parts.append(rows[offset:offset + n])
+        offset += n
+    return np.concatenate(parts) if parts else rows[:0]
 
 
 def _emergency_cleanup(workers, segments, publishers, controls) -> None:

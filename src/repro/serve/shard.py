@@ -1,23 +1,27 @@
 """Model sharding for the concurrent serving engine.
 
 A :class:`ShardPlan` splits a packed model's ``(k, W)`` word matrix into
-shards along one of its two axes:
+shards along one of its two axes, and owns the rule that turns the
+shards' answers back into predictions (:meth:`ShardPlan.reply` in the
+worker, :meth:`ShardPlan.combine` in the engine):
 
 * ``kind="class"`` — shard ``s`` holds a contiguous *row* range of class
-  hypervectors ``(k_s, W)``.  A worker attached to it computes a full
-  distance table against *its* classes only; the engine concatenates the
-  per-shard tables along the class axis (in shard order, so the global
-  argmin keeps the unsharded first-index tie behaviour) and takes one
-  argmin.  This is the LogHD-style partitioning: the class axis is the
-  natural split, and each worker's scan shrinks to ``1/S`` of the model.
+  hypervectors ``(k_s, W)``.  A worker attached to it computes a
+  distance table against *its* classes only and replies, per query row,
+  its best distance and that class's global index; the engine keeps the
+  closest reply per row, earlier shards winning ties, so the unsharded
+  first-index tie behaviour holds.  This is the LogHD-style
+  partitioning: the class axis is the natural split, and each worker's
+  scan shrinks to ``1/S`` of the model.  An unsharded engine serves
+  every tenant through the one-shard plan ``by_class(k, 1)``.
 * ``kind="word"`` — shard ``s`` holds a contiguous *64-bit word column*
   range ``(k, W_s)``.  XOR+popcount distributes over word blocks, so
-  each worker emits a *partial popcount* table ``(b, k)`` over its
+  each worker replies a *partial popcount* table ``(b, k)`` over its
   columns and the engine sums the partials with
   :func:`reduce_partial_tables` — a pairwise reduce tree, exact because
-  integer addition is associative.  This is what lets ``D`` grow past
-  what one worker's scan (or one segment) can hold: D = 10^6 splits
-  into word blocks no single worker ever maps in full.
+  integer addition is associative — before one argmin.  This is what
+  lets ``D`` grow past what one worker's scan (or one segment) can hold:
+  D = 10^6 splits into word blocks no single worker ever maps in full.
 
 Pad bits never perturb either combine: dimensions beyond ``dim`` are
 zero in the model *and* in every packed query (the :func:`~
@@ -39,7 +43,6 @@ import numpy as np
 
 __all__ = [
     "ShardPlan",
-    "combine_class_tables",
     "reduce_partial_tables",
 ]
 
@@ -164,15 +167,38 @@ class ShardPlan:
         lo, hi = self.bounds[shard]
         return query_words[:, lo:hi]
 
+    def reply(self, table: np.ndarray, shard: int) -> np.ndarray:
+        """What shard ``shard``'s worker posts for its ``(b, ·)`` table.
 
-def combine_class_tables(tables: list[np.ndarray]) -> np.ndarray:
-    """Stitch per-shard ``(b, k_s)`` distance tables into ``(b, k)``.
+        A class shard replies ``(b, 2)`` rows of (best distance, global
+        class index): the argmin stays in the worker, and within a shard
+        ties go to the lowest class.  A word shard replies its partial
+        popcount table as is — no row of it decides anything until every
+        shard's columns are summed.
+        """
+        if self.kind == "word":
+            return table
+        rows = np.empty((table.shape[0], 2), dtype=np.int64)
+        rows[:, 0] = table.min(axis=1)
+        rows[:, 1] = np.argmin(table, axis=1) + self.bounds[shard][0]
+        return rows
 
-    Tables must arrive in shard order — plan bounds are contiguous from
-    class 0, so concatenation restores the global class axis and the
-    downstream argmin keeps the unsharded first-index tie behaviour.
-    """
-    return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+    def combine(self, replies: list[np.ndarray]) -> np.ndarray:
+        """Predictions ``(b,)`` int64 from every shard's reply, in shard order.
+
+        Equal to ``argmin`` over the unsharded distance table, first
+        index winning ties: word partials are summed first; class
+        replies keep the closest row, and a tie keeps the earlier shard,
+        whose classes all precede the later one's.
+        """
+        if self.kind == "word":
+            return np.argmin(
+                reduce_partial_tables(replies), axis=1
+            ).astype(np.int64)
+        best = replies[0]
+        for rows in replies[1:]:
+            best = np.where(rows[:, :1] < best[:, :1], rows, best)
+        return np.ascontiguousarray(best[:, 1])
 
 
 def reduce_partial_tables(tables: list[np.ndarray]) -> np.ndarray:

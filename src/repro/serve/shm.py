@@ -14,9 +14,11 @@ Three pieces, all built on :mod:`multiprocessing.shared_memory`:
 * :class:`GenerationPublisher` — the single-writer publish side of the
   epoch/snapshot protocol: each :meth:`~GenerationPublisher.publish`
   copies the model's packed words (fresh by the
-  ``writable()``/``bump_version`` contract) into a new immutable
-  segment named ``{prefix}-g{N}``, flips the control block to point at
-  it, and retires generations nobody can still be told to adopt.  It
+  ``writable()``/``bump_version`` contract) into new immutable
+  segments, one per shard of the engine's
+  :class:`~repro.serve.shard.ShardPlan`, named ``{prefix}-g{N}-s{shard}``,
+  flips the control block to point at them, and retires generations
+  nobody can still be told to adopt.  It
   satisfies the :class:`repro.core.recovery.ModelPublisher` protocol,
   so a :class:`~repro.core.recovery.RobustHDRecovery` can announce
   repairs to live workers directly.
@@ -43,6 +45,7 @@ from multiprocessing import resource_tracker, shared_memory
 from repro.core.model import HDCModel
 from repro.core.packed import PackedModel
 from repro.obs.metrics import current as _metrics
+from repro.serve.shard import ShardPlan
 
 __all__ = [
     "ControlBlock",
@@ -291,55 +294,42 @@ _FIELD_INDEX = {
 }
 
 
-def generation_segment(
-    prefix: str, generation: int, shard: int | None = None
-) -> str:
-    """Deterministic segment name for generation ``N`` under a prefix.
+def generation_segment(prefix: str, generation: int, shard: int) -> str:
+    """Segment name of one shard of generation ``N`` under a prefix.
 
-    Sharded publishes split each generation into one segment per shard,
-    suffixed ``-s{shard}``; unsharded generations keep the bare name.
+    Every generation is one segment per shard of the publisher's plan —
+    a single ``-s0`` segment under an unsharded engine's one-shard plan.
     """
-    name = f"{prefix}-g{generation}"
-    return name if shard is None else f"{name}-s{shard}"
+    return f"{prefix}-g{generation}-s{shard}"
 
 
 def attach_generation(
     prefix: str,
     snapshot: ControlSnapshot,
-    shard_plan: "ShardPlan | None" = None,
-    shard: int | None = None,
+    shard_plan: ShardPlan,
+    shard: int,
 ) -> tuple[ShmArray, PackedModel]:
-    """Map the generation a control snapshot points at, zero-copy.
+    """Map shard ``shard`` of the generation a control snapshot names.
 
-    Returns the segment handle (the caller closes it on the next
-    adoption) and a read-only :class:`~repro.core.packed.PackedModel`
-    over its words.  With a :class:`~repro.serve.shard.ShardPlan`, maps
-    only shard ``shard``'s segment: a class shard's model covers its
-    row range at full width, a word shard's covers every class over its
-    word columns (its ``dim`` is the shard's bit span — partial
-    distances against it are exact partial popcounts).  May raise
-    ``FileNotFoundError`` if the generation was retired between the
-    control read and this call — callers re-read the control block and
-    retry on the (newer) generation it now names.
+    Zero-copy.  Returns the segment handle (the caller closes it on the
+    next adoption) and a read-only :class:`~repro.core.packed.PackedModel`
+    over its words: a class shard's model covers its row range at full
+    width, a word shard's covers every class over its word columns (its
+    ``dim`` is the shard's bit span — partial distances against it are
+    exact partial popcounts).  May raise ``FileNotFoundError`` if the
+    generation was retired between the control read and this call —
+    callers re-read the control block and retry on the (newer)
+    generation it now names.
     """
-    if shard_plan is None:
-        shape = (snapshot.num_classes, -(-snapshot.dim // 64))
-        dim = snapshot.dim
-    else:
-        shape = shard_plan.shard_shape(
-            snapshot.num_classes, snapshot.dim, shard
-        )
-        dim = shard_plan.shard_dim(snapshot.dim, shard)
+    shape = shard_plan.shard_shape(snapshot.num_classes, snapshot.dim, shard)
     segment = ShmArray.attach(
-        generation_segment(
-            prefix, snapshot.generation,
-            None if shard_plan is None else shard,
-        ),
+        generation_segment(prefix, snapshot.generation, shard),
         shape,
         np.uint64,
     )
     packed = PackedModel.from_buffer(
-        segment.array, shape[0], dim, version=snapshot.model_version,
+        segment.array, shape[0], shard_plan.shard_dim(snapshot.dim, shard),
+        version=snapshot.model_version,
     )
     return segment, packed
 
@@ -348,7 +338,8 @@ class GenerationPublisher:
     """Single-writer publisher of immutable packed-model generations.
 
     Satisfies :class:`repro.core.recovery.ModelPublisher`.  Generations
-    are numbered from 1; ``retire_lag`` controls how many superseded
+    are numbered from 1, and each is written as one segment per shard of
+    ``shard_plan``; ``retire_lag`` controls how many superseded
     generations stay mapped so a reader that just fetched the control
     block can still attach the segment it names (readers also retry via
     a fresh control read if they lose that race).
@@ -366,9 +357,9 @@ class GenerationPublisher:
         self,
         prefix: str,
         control: ControlBlock,
+        shard_plan: ShardPlan,
         retire_lag: int = 2,
         trace_source: "callable | None" = None,
-        shard_plan: "ShardPlan | None" = None,
     ) -> None:
         if retire_lag < 1:
             raise ValueError(f"retire_lag must be >= 1, got {retire_lag}")
@@ -388,25 +379,19 @@ class GenerationPublisher:
 
     def publish_packed(self, packed: PackedModel) -> int:
         generation = self.generation + 1
-        if self.shard_plan is None:
-            segments = [ShmArray.create(
-                generation_segment(self.prefix, generation), packed.words
-            )]
-        else:
-            # One immutable segment per shard, all fully written before
-            # the control flip below — a generation is visible only as a
-            # complete set, so no worker can combine across generations
-            # by attaching early.
-            self.shard_plan.validate(packed.num_classes, packed.dim)
-            segments = [
-                ShmArray.create(
-                    generation_segment(self.prefix, generation, shard),
-                    np.ascontiguousarray(
-                        self.shard_plan.shard_words(packed.words, shard)
-                    ),
-                )
-                for shard in range(self.shard_plan.num_shards)
-            ]
+        plan = self.shard_plan
+        plan.validate(packed.num_classes, packed.dim)
+        # One immutable segment per shard, all fully written before the
+        # control flip below — a generation is visible only as a complete
+        # set, so no worker can combine across generations by attaching
+        # early.
+        segments = [
+            ShmArray.create(
+                generation_segment(self.prefix, generation, shard),
+                plan.shard_words(packed.words, shard),
+            )
+            for shard in range(plan.num_shards)
+        ]
         now = time.monotonic_ns()
         # Segment contents are complete before the control block names
         # the generation — readers can never map a half-written model.

@@ -14,7 +14,9 @@ loops:
    than at request size.
 2. **Adopt.**  For every tenant referenced by the batch, read that
    tenant's control block (seqlock) and, if its recovery writer has
-   published a newer generation, remap to it before serving.
+   published a newer generation, remap to this worker's shard of it
+   (``worker_id % num_shards``; shard 0 under the one-shard plan of an
+   unsharded engine) before serving.
    Generations are immutable, so within a batch every query sees one
    consistent model per tenant — and because each tenant has its own
    control block and generation stream, a recovery pass hot-swapping
@@ -31,9 +33,11 @@ loops:
    rest by tenant, gather each group's payloads from the ring (packed
    query words directly, or features quantised + encoded against that
    tenant's codebook), run one coalesced distance computation per
-   tenant, and post per-request predictions plus one
-   :class:`~repro.obs.trace.ServeBatchEvent`-shaped record back on the
-   result queue.
+   tenant, and turn each table into its plan's reply rows
+   (:meth:`~repro.serve.shard.ShardPlan.reply`).  One message goes back
+   per batch: per frame, the requests served (in row order) and those
+   expired, one array holding every reply row in frame order, and one
+   :class:`~repro.obs.trace.ServeBatchEvent`-shaped record.
 
 When the engine runs with telemetry (the default), each worker is also
 the single writer of its shared-memory *telemetry slab*
@@ -73,7 +77,6 @@ from repro.obs.telemetry import (
     TelemetryWriter,
     slab_words,
 )
-from repro.serve.shard import ShardPlan
 from repro.serve.shm import ControlBlock, ShmArray, attach_generation
 
 __all__ = ["PAYLOAD_FEATURES", "PAYLOAD_PACKED", "worker_main"]
@@ -90,7 +93,7 @@ def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
     the :class:`~repro.serve.engine.TenantSlot` whose geometry (word
     width, codebook shape, quantiser range) the payloads follow, and
     ``[word_lo, word_hi)`` the column range this worker scans (the full
-    range when unsharded or class-sharded).  The common case — every
+    range under a class plan).  The common case — every
     live request packed with the same query count — gathers with one
     fancy index over the ring instead of a Python-level slice per
     request; mixed batches fall back to the per-request path.
@@ -130,13 +133,16 @@ def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
 def _drain(request_q, first, coalesce: int):
     """Coalesce immediately-available frames behind ``first``.
 
-    Returns ``(requests, saw_sentinel)``.  The queue is this worker's
-    own, so a drained ``None`` sentinel is ours: it stops the drain and
-    the loop exits once the in-hand batch has been served.
+    Frames are ``(frame_seq, entries)``; draining stops once the batch
+    holds ``coalesce`` requests.  Returns ``(frames, saw_sentinel)``.
+    The queue is this worker's own, so a drained ``None`` sentinel is
+    ours: it stops the drain and the loop exits once the in-hand batch
+    has been served.
     """
-    requests = list(first)
+    frames = [first]
+    count = len(first[1])
     saw_sentinel = False
-    while len(requests) < coalesce:
+    while count < coalesce:
         try:
             frame = request_q.get_nowait()
         except queue.Empty:
@@ -144,26 +150,34 @@ def _drain(request_q, first, coalesce: int):
         if frame is None:
             saw_sentinel = True
             break
-        requests.extend(frame)
-    return requests, saw_sentinel
+        frames.append(frame)
+        count += len(frame[1])
+    return frames, saw_sentinel
 
 
 class _TenantState:
     """One tenant's attached shared state inside a worker."""
 
     __slots__ = ("codebook", "control", "generation", "packed", "segment",
-                 "slot")
+                 "shard", "slot", "word_hi", "word_lo")
 
-    def __init__(self, slot, control, codebook) -> None:
+    def __init__(self, slot, control, codebook, shard) -> None:
         self.slot = slot  # the TenantSlot geometry
         self.control = control
         self.codebook = codebook
+        self.shard = shard
         self.segment = None
         self.packed = None
         self.generation = 0
+        # The query-word columns this worker scans: its word range
+        # under a word plan, every word under a class plan.
+        plan = slot.shard_plan
+        self.word_lo, self.word_hi = (
+            plan.bounds[shard] if plan.kind == "word" else (0, slot.words)
+        )
 
-    def adopt(self, plan, shard):
-        """Remap to the newest published generation if it moved.
+    def adopt(self):
+        """Remap to this worker's shard of the newest generation if it moved.
 
         Returns ``(snapshot, adopted, adoption_lag_s)``.  Spins briefly
         until generation 1 exists (the engine publishes every tenant
@@ -179,7 +193,8 @@ class _TenantState:
         while True:
             try:
                 new_segment, new_packed = attach_generation(
-                    self.slot.prefix, snapshot, plan, shard
+                    self.slot.prefix, snapshot, self.slot.shard_plan,
+                    self.shard,
                 )
                 break
             except FileNotFoundError:
@@ -214,6 +229,7 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
     reported as an ``("error", worker_id, traceback)`` message so the
     engine can surface it instead of hanging on lost results.
     """
+    shard = cfg.shard_of(worker_id)
     tenants: list[_TenantState] = []
     for slot in cfg.tenants:
         control = ControlBlock.attach(slot.control_name)
@@ -224,7 +240,7 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
                 (slot.num_features, slot.levels, slot.words),
                 np.uint64,
             )
-        tenants.append(_TenantState(slot, control, codebook))
+        tenants.append(_TenantState(slot, control, codebook, shard))
     ring = ShmArray.attach(
         cfg.ring_name, (cfg.ring_slots, cfg.slot_bytes // 8), np.uint64
     )
@@ -244,24 +260,6 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
             telemetry_segment.array, worker_id,
             pid=os.getpid(), started_ns=time.monotonic_ns(),
         )
-    # Sharded engines (single-tenant by construction) map worker ->
-    # shard by residue; each worker attaches only its shard's generation
-    # segments and serves exactly one frame per batch (frame
-    # compositions must match across shards for the engine's combine,
-    # so cross-frame coalescing is the engine's job — it sizes frames
-    # up instead).
-    sharded = cfg.num_shards > 1
-    plan = (
-        ShardPlan(kind=cfg.shard_kind, bounds=cfg.shard_bounds)
-        if sharded
-        else None
-    )
-    shard = worker_id % cfg.num_shards if sharded else -1
-    if plan is not None and plan.kind == "word":
-        word_lo, word_hi = plan.bounds[shard]
-    else:
-        word_lo, word_hi = 0, tenants[0].slot.words
-    if telemetry is not None and sharded:
         telemetry.set_shard(shard)
     batch_index = 0
     try:
@@ -271,16 +269,12 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
             wait_s = time.perf_counter() - wait0
             if frame is None:
                 break
-            if sharded:
-                frame_seq, requests = frame
-                saw_sentinel = False
-            else:
-                frame_seq = -1
-                requests, saw_sentinel = _drain(
-                    request_q, frame, cfg.coalesce_requests
-                )
+            frames, saw_sentinel = _drain(
+                request_q, frame, cfg.coalesce_requests
+            )
             t0 = time.perf_counter()
             now = time.monotonic_ns()
+            requests = [entry for _, entries in frames for entry in entries]
             # Lowest trace id in the batch: the correlation join key.
             batch_trace_id = min(r[5] for r in requests)
             if telemetry is not None:
@@ -298,9 +292,7 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
             degraded = False
             for idx in referenced:
                 state = tenants[idx]
-                snapshot, t_adopted, t_lag = state.adopt(
-                    plan, shard if sharded else None
-                )
+                snapshot, t_adopted, t_lag = state.adopt()
                 if t_adopted:
                     adopted = True
                     adoption_lag_s = max(adoption_lag_s, t_lag)
@@ -321,81 +313,77 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
                                 state.generation, int(t_stale * 1e9),
                             )
 
-            # Partition on deadlines, then serve the live requests with
-            # one coalesced distance computation per tenant.
+            # Partition each frame on deadlines, then serve the live
+            # requests with one coalesced distance computation per tenant.
             by_tenant = {idx: [] for idx in referenced}
-            expired = []  # (req_id, trace_id)
-            for (req_id, slot, n_queries, deadline_ns, kind, trace_id,
-                 tenant_idx) in requests:
-                if deadline_ns and now > deadline_ns:
-                    expired.append((req_id, trace_id))
-                else:
-                    by_tenant[tenant_idx].append(
-                        (req_id, slot, n_queries, kind)
-                    )
+            frame_replies = []  # (frame_seq, served [(req_id, n)], expired)
+            live_tenants = []  # (tenant_idx, n_queries) in frame order
+            misses = []  # (req_id, trace_id)
+            for frame_seq, entries in frames:
+                served = []
+                expired = []
+                for (req_id, slot, n_queries, deadline_ns, kind, trace_id,
+                     tenant_idx) in entries:
+                    if deadline_ns and now > deadline_ns:
+                        expired.append(req_id)
+                        misses.append((req_id, trace_id))
+                    else:
+                        served.append((req_id, n_queries))
+                        live_tenants.append((tenant_idx, n_queries))
+                        by_tenant[tenant_idx].append(
+                            (req_id, slot, n_queries, kind)
+                        )
+                frame_replies.append((frame_seq, served, expired))
             total_queries = 0
             bytes_scanned = 0
-            tenants_served = 0
-            outputs = []  # (req_id, predictions | None, expired?)
-            table = None  # sharded mode ships the distance table instead
-            live = []  # live rows in tenant-grouped order (sharded path)
+            parts = []
             for idx in referenced:
                 group = by_tenant[idx]
                 if not group:
                     continue
-                tenants_served += 1
                 state = tenants[idx]
                 group_queries = sum(n for _, _, n, _ in group)
                 total_queries += group_queries
                 query_words = _gather_queries(
                     ring, group, state.slot, state.codebook,
-                    word_lo, word_hi,
+                    state.word_lo, state.word_hi,
                 )
                 # Model bytes streamed: every query scans the tenant's
                 # attached word matrix once — what sharding shrinks.
                 bytes_scanned += group_queries * int(
                     state.packed.words.nbytes
                 )
-                if sharded:
-                    # Partial table only: a class shard's columns cover
-                    # its class rows, a word shard's are partial
-                    # popcounts over its word columns.  One contiguous
-                    # array per frame — the engine combines and argmins.
-                    table = state.packed.distances(query_words)
-                    live.extend(group)
-                else:
-                    # Min-distance argmin matches HDCModel.predict's
-                    # argmax over similarities, including first-index
-                    # tie order.
-                    predictions = np.argmin(
-                        state.packed.distances(query_words), axis=1
-                    ).astype(np.int64)
-                    offset = 0
-                    for req_id, _, n_queries, _ in group:
-                        outputs.append(
-                            (req_id,
-                             predictions[offset : offset + n_queries],
-                             False)
-                        )
-                        offset += n_queries
-            for req_id, trace_id in expired:
-                if not sharded:
-                    outputs.append((req_id, None, True))
-                if telemetry is not None:
+                parts.append(state.slot.shard_plan.reply(
+                    state.packed.distances(query_words), shard
+                ))
+            if len(parts) > 1:
+                # Rows were computed tenant by tenant; a stable sort of
+                # the frame-order rows by tenant says where each goes.
+                tenant_of, sizes = np.array(live_tenants).T
+                grouped = np.concatenate(parts)
+                rows = np.empty_like(grouped)
+                rows[np.argsort(
+                    np.repeat(tenant_of, sizes), kind="stable"
+                )] = grouped
+            else:
+                rows = parts[0] if parts else np.empty((0, 2), np.int64)
+            if telemetry is not None:
+                for req_id, trace_id in misses:
                     telemetry.record_event(
                         EV_DEADLINE_MISS, now, req_id, max(0, trace_id)
                     )
 
             duration_s = time.perf_counter() - t0
             # Generation/version reported for the lowest-index tenant
-            # the batch touched (the only tenant, pre-multi-tenant).
+            # the batch touched (the only tenant of a sharded engine,
+            # whose collector compares generations across shards).
             lead = tenants[referenced[0]]
             event = {
                 "worker_id": worker_id,
                 "batch_index": batch_index,
                 "requests": len(requests),
                 "queries": total_queries,
-                "expired": len(expired),
+                "expired": len(misses),
                 "generation": lead.generation,
                 "model_version": (
                     lead.packed.version if lead.packed is not None else 0
@@ -409,7 +397,7 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
                 "shard": shard,
                 "dispatch_wait_s": wait_s,
                 "bytes_scanned": bytes_scanned,
-                "tenants": max(1, tenants_served),
+                "tenants": max(1, len(parts)),
             }
             if telemetry is not None:
                 end_ns = time.monotonic_ns()
@@ -420,23 +408,14 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
                 telemetry.record_batch(
                     requests=len(requests),
                     queries=total_queries,
-                    expired=len(expired),
+                    expired=len(misses),
                     duration_ns=int(duration_s * 1e9),
                     adopted=adopted,
                     degraded=degraded,
                     now_ns=end_ns,
                     wait_ns=int(wait_s * 1e9),
                 )
-            if sharded:
-                result_q.put((
-                    "partials", worker_id, frame_seq, shard,
-                    tenants[0].generation,
-                    [(req_id, n) for req_id, _, n, _ in live],
-                    [req_id for req_id, _ in expired],
-                    table, event,
-                ))
-            else:
-                result_q.put(("batch", worker_id, outputs, event))
+            result_q.put(("batch", worker_id, frame_replies, rows, event))
             batch_index += 1
             if saw_sentinel:
                 break  # in-hand work served; now shut down

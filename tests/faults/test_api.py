@@ -1,4 +1,4 @@
-"""Tests for the unified fault-injection API and the deprecation shims."""
+"""Tests for the unified fault-injection API."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,6 @@ from repro.faults.api import (
     inject,
     make_injector,
 )
-from repro.faults.bitflip import attack_hdc_model
-from repro.faults.informed import attack_hdc_informed
 from repro.faults.models import TransientFlipProcess
 
 
@@ -190,51 +188,6 @@ class TestAttack:
             (attacked.class_hv != model.class_hv).reshape(-1)
         )
         assert (mask.bit_indices == diff).all()
-
-
-class TestDeprecatedShims:
-    def test_attack_hdc_model_warns_and_matches(self):
-        model = make_model(dim=512)
-        with pytest.warns(DeprecationWarning, match="attack_hdc_model"):
-            legacy = attack_hdc_model(
-                model, 0.1, "random", np.random.default_rng(4)
-            )
-        new, _ = attack(model, 0.1, "random", np.random.default_rng(4))
-        assert (legacy.class_hv == new.class_hv).all()
-
-    def test_attack_hdc_model_clustered_kwarg(self):
-        model = make_model(dim=2048)
-        with pytest.warns(DeprecationWarning):
-            legacy = attack_hdc_model(
-                model, 0.05, "clustered", np.random.default_rng(5),
-                cluster_bits=128,
-            )
-        new, _ = attack(
-            model, 0.05, "clustered", np.random.default_rng(5),
-            cluster_bits=128,
-        )
-        assert (legacy.class_hv == new.class_hv).all()
-
-    def test_attack_hdc_model_still_checks_mode(self):
-        model = make_model()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="mode"):
-                attack_hdc_model(model, 0.1, "bogus", np.random.default_rng(0))
-
-    def test_attack_hdc_informed_warns_and_matches(self):
-        model = make_model(dim=256)
-        queries = np.random.default_rng(1).integers(
-            0, 2, (20, 256), dtype=np.uint8
-        )
-        with pytest.warns(DeprecationWarning, match="attack_hdc_informed"):
-            legacy = attack_hdc_informed(
-                model, 0.05, queries, np.random.default_rng(6)
-            )
-        new, _ = attack(
-            model, 0.05, "informed", np.random.default_rng(6),
-            reference_queries=queries,
-        )
-        assert (legacy.class_hv == new.class_hv).all()
 
 
 class TestTransientProcessConvergence:

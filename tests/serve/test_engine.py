@@ -45,7 +45,9 @@ class TestServing:
         reference = clf.predict(task.test_x)
         packed = clf.encoder.encode_packed(task.test_x)
         with ServingEngine(clf, num_workers=2) as engine:
-            served = engine.predict(packed.words)
+            served = engine.submit(
+                ServeRequest(packed.words)
+            ).result().predictions
             prefix = engine.config.prefix
         assert (served == reference).all()
         assert shm_entries(prefix) == []
@@ -54,7 +56,9 @@ class TestServing:
         task, clf = fitted
         reference = clf.predict(task.test_x)
         with ServingEngine(clf, num_workers=2) as engine:
-            served = engine.predict_features(task.test_x)
+            served = engine.submit(
+                ServeRequest(task.test_x, features=True)
+            ).result().predictions
         assert (served == reference).all()
 
     def test_single_request_roundtrip(self, fitted):
@@ -69,7 +73,7 @@ class TestServing:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
             trace = engine.trace
         assert len(trace) >= 1
         assert trace.queries_served == task.test_x.shape[0]
@@ -173,6 +177,27 @@ class TestLifecycle:
         for future in futures:
             assert not future.result(timeout=1.0).ok
 
+    def test_submit_after_last_worker_dies_fails_fast(self, fitted):
+        """With every worker dead, a new submit has no replica to go to:
+        it resolves expired at once instead of waiting for ``stop()``."""
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x[:4]).words
+        engine = ServingEngine(clf, num_workers=2)
+        prefix = engine.config.prefix
+        try:
+            engine.submit(ServeRequest(words)).result()  # both forked
+            for worker in engine.workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while engine.live_workers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert engine.live_workers == 0
+            result = engine.submit(ServeRequest(words)).result(timeout=1.0)
+            assert result.expired and not result.ok
+        finally:
+            engine.stop()
+        assert shm_entries(prefix) == []
+
     def test_engine_forgets_requests_consumed_by_callbacks(self, fitted):
         """The gateway's pattern: results consumed only through done
         callbacks, never ``result()``.  Once every request has resolved,
@@ -199,7 +224,7 @@ class TestLifecycle:
             assert engine.in_flight == 0
             with engine._lock:
                 assert engine._pending == {}
-                assert engine._dispatched == {}
+                assert engine._frames == {}
                 assert len(engine._free_slots) == engine.config.ring_slots
         assert len(got) == total
         for result in got:
@@ -258,7 +283,8 @@ class TestLifecycle:
         try:
             os.kill(engine.workers[0].pid, signal.SIGKILL)
             time.sleep(0.05)
-            served = engine.predict(words)  # survivor serves everything
+            # The survivor serves everything.
+            served = engine.submit(ServeRequest(words)).result().predictions
             assert (served == reference).all()
         finally:
             engine.stop()

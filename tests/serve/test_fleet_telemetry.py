@@ -48,8 +48,8 @@ class TestFleetScrape:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
+            engine.submit(ServeRequest(words)).result()
             merged = engine.scrape_telemetry(MetricsRegistry())
             trace = engine.trace
         assert merged["counters"]["batches"] == len(trace)
@@ -65,7 +65,7 @@ class TestFleetScrape:
         words = clf.encoder.encode_packed(task.test_x).words
         registry = MetricsRegistry()
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
             engine.scrape_telemetry(registry)
             ps = engine.telemetry.percentiles("batch_duration_ns")
         assert registry.counter("serve.fleet.queries") == words.shape[0]
@@ -83,7 +83,7 @@ class TestFleetScrape:
         with use_metrics(MetricsRegistry()) as registry:
             engine = ServingEngine(clf, num_workers=1)
             try:
-                engine.predict(words)
+                engine.submit(ServeRequest(words)).result()
             finally:
                 engine.stop()
             assert registry.counter("serve.fleet.queries") == words.shape[0]
@@ -96,7 +96,7 @@ class TestFleetScrape:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x[:4]).words
         with ServingEngine(clf, num_workers=1, telemetry=False) as engine:
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
             assert engine.telemetry is None
             assert engine.flight_recorder is None
             with pytest.raises(RuntimeError, match="telemetry=False"):
@@ -110,7 +110,7 @@ class TestTraceIds:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
             events = list(engine.trace)
         assert events
         # Every batch carries the lowest trace id it coalesced, and the
@@ -124,9 +124,10 @@ class TestTraceIds:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=1) as engine:
-            engine.predict(words)  # some traffic before the publish
+            # Some traffic before the publish, and some after.
+            engine.submit(ServeRequest(words)).result()
             engine.publisher.publish(clf.model)
-            engine.predict(words)  # traffic after
+            engine.submit(ServeRequest(words)).result()
             log = engine.publisher.publish_log
             trace = engine.trace
         # Generation 1 (startup) precedes all traffic; the re-publish is
@@ -142,9 +143,9 @@ class TestTraceIds:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=1) as engine:
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
             engine.publisher.publish(clf.model)
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
             rows = correlate(engine.trace, engine.publisher)
         by_gen = {row["generation"]: row for row in rows}
         new_gen = max(by_gen)
@@ -165,7 +166,8 @@ class TestFlightRecorderIntegration:
         engine = ServingEngine(clf, num_workers=1)
         prefix = engine.config.prefix
         try:
-            engine.predict(words)  # real served traffic in the ring
+            # Real served traffic in the ring.
+            engine.submit(ServeRequest(words)).result()
             victim = engine.workers[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
@@ -206,8 +208,8 @@ class TestFlightRecorderIntegration:
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=2) as engine:
-            engine.predict(words)
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
+            engine.submit(ServeRequest(words)).result()
             events = engine.flight_recorder.all_events()
         assert {e.worker_id for e in events} == {0, 1}
         t = [e.t_ns for e in events]
@@ -217,7 +219,7 @@ class TestFlightRecorderIntegration:
 class TestBitIdentity:
     """Telemetry on vs off must not change a single bit of a seeded run."""
 
-    def test_concurrent_attack_and_recover_identical(self):
+    def test_concurrent_attack_and_recover_identical(self, predict_rows):
         task = make_prototype_classification(
             "tele-live", num_features=16, num_classes=5, num_train=300,
             num_test=200, seed=0,
@@ -235,7 +237,7 @@ class TestBitIdentity:
 
             def traffic():
                 while not stop.is_set():
-                    engine.predict(eval_words)
+                    predict_rows(engine, eval_words)
 
             thread = threading.Thread(target=traffic, daemon=True)
             thread.start()
@@ -244,7 +246,7 @@ class TestBitIdentity:
                     0.2, config=RecoveryConfig(), passes=2, seed=11,
                     publisher=engine.publisher,
                 )
-                final = engine.predict(eval_words)
+                final = predict_rows(engine, eval_words)
             finally:
                 stop.set()
                 thread.join()

@@ -369,7 +369,7 @@ class TestGatewayLifecycle:
             assert engine.in_flight == 0
             with engine._lock:
                 assert engine._pending == {}
-                assert engine._dispatched == {}
+                assert engine._frames == {}
         finally:
             server.stop()
             engine.stop()

@@ -99,7 +99,9 @@ class TestPublisherContract:
 
 
 class TestConcurrentBitIdentity:
-    def test_concurrent_run_matches_sequential_reference(self, task):
+    def test_concurrent_run_matches_sequential_reference(
+        self, task, predict_rows
+    ):
         reference, ref_outcome, recorder = run_reference(task)
         eval_words = reference._eval_packed.words
 
@@ -112,7 +114,7 @@ class TestConcurrentBitIdentity:
         def traffic():
             nonlocal rounds
             while not stop.is_set():
-                engine.predict(eval_words)
+                predict_rows(engine, eval_words)
                 rounds += 1
 
         thread = threading.Thread(target=traffic, daemon=True)
@@ -122,7 +124,7 @@ class TestConcurrentBitIdentity:
                 0.2, config=RecoveryConfig(), passes=2, seed=11,
                 publisher=engine.publisher,
             )
-            final_predictions = engine.predict(eval_words)
+            final_predictions = predict_rows(engine, eval_words)
         finally:
             stop.set()
             thread.join()
@@ -142,17 +144,19 @@ class TestConcurrentBitIdentity:
         assert rounds >= 1  # traffic genuinely overlapped the recovery
         assert glob.glob(f"/dev/shm/{prefix}*") == []
 
-    def test_requests_after_publish_see_new_generation(self, task):
+    def test_requests_after_publish_see_new_generation(
+        self, task, predict_rows
+    ):
         experiment = make_experiment(task)
         eval_words = experiment._eval_packed.words
         engine = ServingEngine(experiment.classifier, num_workers=1)
         try:
-            engine.predict(eval_words)  # generation 1 traffic
+            predict_rows(engine, eval_words)  # generation 1 traffic
             model = experiment.model
             with model.writable() as hv:
                 hv[:, 0] ^= 1  # flip every class's first bit
             engine.publisher.publish(model)
-            served = engine.predict(eval_words)
+            served = predict_rows(engine, eval_words)
             expected = np.argmin(model.packed().distances(eval_words), axis=1)
             assert (served == expected).all()
             assert engine.trace.last.generation == 2
@@ -161,18 +165,18 @@ class TestConcurrentBitIdentity:
 
 
 class TestDegradedMode:
-    def test_stalled_writer_flags_degraded_batches(self, task):
+    def test_stalled_writer_flags_degraded_batches(self, task, predict_rows):
         experiment = make_experiment(task)
         eval_words = experiment._eval_packed.words
         engine = ServingEngine(experiment.classifier, num_workers=1,
                                stall_timeout=0.05)
         try:
-            engine.predict(eval_words)
+            predict_rows(engine, eval_words)
             assert engine.trace.degraded_batches == 0
             # A writer registers (touch), then stalls past the threshold.
             engine.publisher.touch()
             time.sleep(0.2)
-            engine.predict(eval_words)
+            predict_rows(engine, eval_words)
             last = engine.trace.last
             assert last.degraded
             assert last.staleness_s >= 0.05
@@ -181,20 +185,22 @@ class TestDegradedMode:
         finally:
             engine.stop()
 
-    def test_idle_engine_without_writer_is_not_degraded(self, task):
+    def test_idle_engine_without_writer_is_not_degraded(
+        self, task, predict_rows
+    ):
         experiment = make_experiment(task)
         eval_words = experiment._eval_packed.words
         engine = ServingEngine(experiment.classifier, num_workers=1,
                                stall_timeout=0.05)
         try:
             time.sleep(0.2)  # far past the stall threshold, but no writer
-            engine.predict(eval_words)
+            predict_rows(engine, eval_words)
             assert engine.trace.degraded_batches == 0
             assert engine.trace.last.staleness_s == 0.0
         finally:
             engine.stop()
 
-    def test_finished_recovery_deregisters_writer(self, task):
+    def test_finished_recovery_deregisters_writer(self, task, predict_rows):
         experiment = make_experiment(task)
         eval_words = experiment._eval_packed.words
         engine = ServingEngine(experiment.classifier, num_workers=1,
@@ -205,7 +211,7 @@ class TestDegradedMode:
                 publisher=engine.publisher,
             )
             time.sleep(0.2)  # recovery done; its silence is not a stall
-            engine.predict(eval_words)
+            predict_rows(engine, eval_words)
             assert engine.trace.last is not None
             assert not engine.trace.last.degraded
         finally:

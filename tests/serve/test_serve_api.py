@@ -1,10 +1,9 @@
-"""Unified submit API tests: ServeRequest/ServeFuture, shims, config.
+"""Unified submit API tests: ServeRequest/ServeFuture, config.
 
 Pins the API contract: ``submit`` takes a ``ServeRequest`` and returns a
 ``ServeFuture`` that owns the request's state (its result, done
 callbacks and repeatable ``result()`` survive the engine forgetting the
-request); the deprecated ``predict``/``predict_features`` shims emit
-DeprecationWarning and stay bit-identical to the ``ServeRequest`` path;
+request) and is the only way in — the bulk ``predict`` shims are gone;
 ``ServeConfig`` is keyword-only and its validation errors name the
 offending field; ``repro.serve.__all__`` is the stable seven-name
 surface; and ``stop()`` is idempotent and safe under
@@ -20,7 +19,7 @@ import repro.serve as serve_pkg
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier
 from repro.datasets.synthetic import make_prototype_classification
-from repro.serve import ServeConfig, ServeRequest, ServingEngine
+from repro.serve import ServeConfig, ServeRequest, ServingEngine, ShardPlan
 from repro.serve.engine import ServeFuture, TenantSlot
 
 
@@ -109,6 +108,8 @@ class TestUnifiedSubmit:
             engine.submit(words)
         assert not hasattr(engine, "submit_features")
         assert not hasattr(engine, "result")
+        assert not hasattr(engine, "predict")
+        assert not hasattr(engine, "predict_features")
 
     def test_client_trace_id_echoed(self, fitted, engine):
         task, clf = fitted
@@ -131,28 +132,12 @@ class TestUnifiedSubmit:
             engine.submit(ServeRequest(words), deadline=1.0)
 
 
-class TestDeprecatedShims:
-    """The bulk predict shims warn and match the ServeRequest path."""
-
-    def test_predict_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        words = clf.encoder.encode_packed(task.test_x).words
-        with pytest.warns(DeprecationWarning, match="predict"):
-            old = engine.predict(words)
-        np.testing.assert_array_equal(old, clf.predict(task.test_x))
-
-    def test_predict_features_warns_and_matches(self, fitted, engine):
-        task, clf = fitted
-        with pytest.warns(DeprecationWarning, match="predict_features"):
-            old = engine.predict_features(task.test_x)
-        np.testing.assert_array_equal(old, clf.predict(task.test_x))
-
-
 class TestServeConfig:
     def _tenant(self, **overrides):
         base = dict(
             index=0, tenant_id="default", prefix="p-t0",
             control_name="p-t0-control", dim=512, num_classes=4,
+            shard_plan=ShardPlan.by_class(4, 1),
         )
         base.update(overrides)
         return TenantSlot(**base)
@@ -180,7 +165,6 @@ class TestServeConfig:
             ("prefix", "", "ServeConfig.prefix"),
             ("tenants", (), "ServeConfig.tenants"),
             ("flight_slots", -1, "ServeConfig.flight_slots"),
-            ("num_shards", 0, "ServeConfig.num_shards"),
             ("min_workers", 0, "ServeConfig.min_workers"),
         ],
     )
@@ -193,21 +177,15 @@ class TestServeConfig:
             self._config(min_workers=4, max_workers=2)
 
     def test_sharding_single_tenant_only(self):
-        two = (self._tenant(), self._tenant(
+        sharded = self._tenant(shard_plan=ShardPlan.by_class(4, 2))
+        other = self._tenant(
             index=1, tenant_id="b", prefix="p-t1",
             control_name="p-t1-control",
-        ))
-        with pytest.raises(ValueError, match="ServeConfig.num_shards"):
-            self._config(
-                tenants=two, num_shards=2, shard_kind="class",
-                shard_bounds=((0, 2), (2, 4)),
-            )
-
-    def test_single_tenant_back_compat_views(self):
-        cfg = self._config()
-        assert cfg.control_name == "p-t0-control"
-        assert cfg.dim == 512
-        assert cfg.codebook_name is None
+        )
+        assert self._config(tenants=(sharded,)).shard_of(3) == 1
+        assert self._config(tenants=(self._tenant(), other)).shard_of(3) == 0
+        with pytest.raises(ValueError, match="ServeConfig.tenants"):
+            self._config(tenants=(sharded, other))
 
 
 class TestStableSurface:

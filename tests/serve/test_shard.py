@@ -2,9 +2,10 @@
 
 The load-bearing properties:
 
-* class- and word-sharded engines produce predictions bit-identical to
-  the unsharded engine and the in-process packed path (argmin ties
-  included);
+* class- and word-sharded engines, one-shard plans included, produce
+  predictions bit-identical to the in-process packed path (argmin ties
+  included), and every plan's ``combine`` of its shards' ``reply`` rows
+  equals the unsharded argmin;
 * a concurrent attack-and-recover published into a sharded engine ends
   bit-identical to the sequential reference;
 * killing one replica of a shard re-routes its work to the surviving
@@ -28,7 +29,6 @@ from repro.serve import (
     ServeRequest,
     ServingEngine,
     ShardPlan,
-    combine_class_tables,
     reduce_partial_tables,
 )
 
@@ -107,11 +107,40 @@ class TestShardPlanGeometry:
 
 
 class TestCombineRules:
-    def test_class_concat_preserves_order(self):
-        a = np.array([[1, 2]], dtype=np.int64)
-        b = np.array([[3]], dtype=np.int64)
-        assert (combine_class_tables([a, b]) == [[1, 2, 3]]).all()
-        assert combine_class_tables([a]) is a
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(["class", "word"]),
+        st.data(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_combined_replies_equal_unsharded_argmin(
+        self, b, k, shards, kind, data
+    ):
+        rng = np.random.default_rng(
+            data.draw(st.integers(min_value=0, max_value=2**31))
+        )
+        table = rng.integers(0, 4, (b, k)).astype(np.int64)
+        # Force ties: one random column matches every row's minimum.
+        table[:, rng.integers(k)] = table.min(axis=1)
+        if kind == "class":
+            plan = ShardPlan.by_class(k, min(shards, k))
+            replies = [
+                plan.reply(table[:, lo:hi], s)
+                for s, (lo, hi) in enumerate(plan.bounds)
+            ]
+        else:
+            plan = ShardPlan.by_word(64 * shards, shards)
+            # Partial popcounts: each distance split over the shards.
+            partials = rng.multinomial(table, np.full(shards, 1 / shards))
+            replies = [
+                plan.reply(np.ascontiguousarray(partials[:, :, s]), s)
+                for s in range(shards)
+            ]
+        combined = plan.combine(replies)
+        assert combined.dtype == np.int64
+        assert (combined == np.argmin(table, axis=1)).all()
 
     @given(st.integers(min_value=1, max_value=9), st.data())
     @settings(deadline=None, max_examples=25)
@@ -146,6 +175,8 @@ def fitted():
 
 def plans_for(clf):
     return [
+        ShardPlan.by_class(clf.model.num_classes, 1),
+        ShardPlan.by_word(clf.encoder.dim, 1),
         ShardPlan.by_class(clf.model.num_classes, 2),
         ShardPlan.by_word(clf.encoder.dim, 2),
         ShardPlan.by_word(clf.encoder.dim, 3),
@@ -163,7 +194,8 @@ class TestShardedServing:
             )
             prefix = engine.config.prefix
             try:
-                assert (engine.predict(words) == reference).all()
+                served = engine.submit(ServeRequest(words)).result()
+                assert (served.predictions == reference).all()
             finally:
                 engine.stop()
             assert shm_entries(prefix) == []
@@ -176,7 +208,8 @@ class TestShardedServing:
         plan = ShardPlan.by_class(clf.model.num_classes, 2)
         with ServingEngine(clf, num_workers=4, shard_plan=plan) as engine:
             for _ in range(3):
-                assert (engine.predict(words) == reference).all()
+                served = engine.submit(ServeRequest(words)).result()
+                assert (served.predictions == reference).all()
 
     def test_sharded_feature_requests(self, fitted):
         task, clf = fitted
@@ -186,9 +219,10 @@ class TestShardedServing:
                 clf, num_workers=plan.num_shards, shard_plan=plan
             )
             try:
-                assert (
-                    engine.predict_features(task.test_x) == reference
-                ).all()
+                served = engine.submit(
+                    ServeRequest(task.test_x, features=True)
+                ).result()
+                assert (served.predictions == reference).all()
             finally:
                 engine.stop()
 
@@ -223,7 +257,7 @@ class TestShardedServing:
         words = clf.encoder.encode_packed(task.test_x).words
         plan = ShardPlan.by_word(clf.encoder.dim, 2)
         with ServingEngine(clf, num_workers=2, shard_plan=plan) as engine:
-            engine.predict(words)
+            engine.submit(ServeRequest(words)).result()
             events = list(engine.trace)
         shards_seen = {event.shard for event in events}
         assert shards_seen == {0, 1}
@@ -245,11 +279,13 @@ class TestShardedCrashRecovery:
         engine = ServingEngine(clf, num_workers=4, shard_plan=plan)
         prefix = engine.config.prefix
         try:
-            assert (engine.predict(words) == reference).all()
+            served = engine.submit(ServeRequest(words)).result()
+            assert (served.predictions == reference).all()
             # Kill one replica of shard 0 (workers 0 and 2 serve shard 0).
             os.kill(engine.workers[0].pid, signal.SIGKILL)
             time.sleep(0.05)
-            assert (engine.predict(words) == reference).all()
+            served = engine.submit(ServeRequest(words)).result()
+            assert (served.predictions == reference).all()
         finally:
             engine.stop()
         assert shm_entries(prefix) == []
@@ -272,7 +308,9 @@ class TestShardedCrashRecovery:
 
 class TestShardedLiveRecovery:
     @pytest.mark.parametrize("kind", ["class", "word"])
-    def test_concurrent_attack_and_recover_bit_identical(self, kind):
+    def test_concurrent_attack_and_recover_bit_identical(
+        self, kind, predict_rows
+    ):
         """The tentpole equivalence: attack-and-recover published into a
         *sharded* live engine ends bit-identical to the sequential
         reference — final model words and served predictions."""
@@ -325,7 +363,7 @@ class TestShardedLiveRecovery:
                 0.15, config=RecoveryConfig(), passes=1, seed=23,
                 publisher=engine.publisher,
             )
-            served = engine.predict(eval_words)
+            served = predict_rows(engine, eval_words)
         finally:
             engine.stop()
         assert shm_entries(prefix) == []
@@ -360,7 +398,7 @@ class TestShardedPublisher:
             names = shm_entries(prefix)
             assert not any("-g1-" in e for e in names)  # retired set gone
             words = clf.encoder.encode_packed(task.test_x).words
-            served = engine.predict(words)
+            served = engine.submit(ServeRequest(words)).result().predictions
             expected = np.argmin(
                 model.packed().distances(words), axis=1
             ).astype(np.int64)

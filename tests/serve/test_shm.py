@@ -14,6 +14,7 @@ import pytest
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.core.recovery import ModelPublisher
+from repro.serve.shard import ShardPlan
 from repro.serve.shm import (
     ControlBlock,
     GenerationPublisher,
@@ -148,10 +149,13 @@ class TestGenerationPublisher:
     def test_publish_attach_roundtrip(self, trained_model):
         prefix = unique_name("repro-test")
         control = ControlBlock.create(f"{prefix}-control")
-        publisher = GenerationPublisher(prefix, control)
+        plan = ShardPlan.by_class(trained_model.num_classes, 1)
+        publisher = GenerationPublisher(prefix, control, plan)
         try:
             assert publisher.publish(trained_model) == 1
-            segment, packed = attach_generation(prefix, control.read())
+            segment, packed = attach_generation(
+                prefix, control.read(), plan, 0
+            )
             assert (packed.words == trained_model.packed().words).all()
             assert packed.dim == trained_model.dim
             assert not packed.words.flags.writeable
@@ -164,17 +168,20 @@ class TestGenerationPublisher:
     def test_retire_lag_unlinks_superseded_generations(self, trained_model):
         prefix = unique_name("repro-test")
         control = ControlBlock.create(f"{prefix}-control")
-        publisher = GenerationPublisher(prefix, control, retire_lag=2)
+        publisher = GenerationPublisher(
+            prefix, control, ShardPlan.by_class(trained_model.num_classes, 1),
+            retire_lag=2,
+        )
         try:
             for expected in (1, 2, 3, 4):
                 with trained_model.writable() as hv:
                     hv[0, 0] ^= 1
                 assert publisher.publish(trained_model) == expected
             # Generations 1 and 2 retired, 3 and 4 still mapped.
-            assert shm_entries(generation_segment(prefix, 1)) == []
-            assert shm_entries(generation_segment(prefix, 2)) == []
-            assert shm_entries(generation_segment(prefix, 3))
-            assert shm_entries(generation_segment(prefix, 4))
+            assert shm_entries(generation_segment(prefix, 1, 0)) == []
+            assert shm_entries(generation_segment(prefix, 2, 0)) == []
+            assert shm_entries(generation_segment(prefix, 3, 0))
+            assert shm_entries(generation_segment(prefix, 4, 0))
         finally:
             publisher.close()
             control.unlink()
@@ -183,7 +190,9 @@ class TestGenerationPublisher:
     def test_close_is_idempotent(self, trained_model):
         prefix = unique_name("repro-test")
         control = ControlBlock.create(f"{prefix}-control")
-        publisher = GenerationPublisher(prefix, control)
+        publisher = GenerationPublisher(
+            prefix, control, ShardPlan.by_class(trained_model.num_classes, 1)
+        )
         try:
             publisher.publish(trained_model)
             publisher.close()
@@ -195,7 +204,9 @@ class TestGenerationPublisher:
     def test_touch_and_end_writing_flip_writer_state(self, trained_model):
         prefix = unique_name("repro-test")
         control = ControlBlock.create(f"{prefix}-control")
-        publisher = GenerationPublisher(prefix, control)
+        publisher = GenerationPublisher(
+            prefix, control, ShardPlan.by_class(trained_model.num_classes, 1)
+        )
         try:
             publisher.publish(trained_model)
             assert control.read().writer_active
