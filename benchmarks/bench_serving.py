@@ -5,9 +5,10 @@ paper's deployment shape (D = 10,000, k = 12 — the HAR workload):
 
 * **predict** — batched 1-bit classification, packed Hamming search vs
   the float64 ``bipolar @ weights.T`` reference;
-* **detect** — noisy-chunk detection over a query batch, word-aligned
-  packed chunk sweep (and the float einsum fallback) vs the seed's
-  per-query float loop;
+* **detect** — noisy-chunk detection over a query batch, one packed
+  chunk-distance kernel call vs the seed's per-query float loop, at a
+  word-aligned chunk size (D = 10,240, d = 512) and at an unaligned one
+  (D = 10,000, d = 500: chunks start and end inside words);
 * **recover** — the full online recovery step (confidence gate + chunk
   votes + probabilistic substitution) as a block-batched packed stream
   vs the seed's one-query-at-a-time float loop.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -170,23 +172,24 @@ def run(quick: bool) -> dict:
         predict_kw = dict(dim=2_048, num_classes=6, batch=256, repeats=2)
         detect_kw = dict(dim=2_560, num_classes=6, num_chunks=20, batch=64,
                          repeats=2)
-        fallback_kw = dict(dim=2_000, num_classes=6, num_chunks=20, batch=64,
-                           repeats=2)
+        unaligned_kw = dict(dim=2_000, num_classes=6, num_chunks=20, batch=64,
+                            repeats=2)
         recover_kw = dict(dim=2_000, num_classes=6, num_chunks=20, stream=128,
                           repeats=1)
     else:
         predict_kw = dict(dim=10_000, num_classes=12, batch=2_048, repeats=5)
         detect_kw = dict(dim=10_240, num_classes=12, num_chunks=20,
                          batch=512, repeats=5)
-        fallback_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
-                           batch=512, repeats=3)
+        unaligned_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
+                            batch=512, repeats=3)
         recover_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
                           stream=1_024, repeats=3)
     return {
-        "schema": 2,
+        "schema": 3,
         "generated_by": "benchmarks/bench_serving.py"
         + (" --quick" if quick else ""),
         "python": sys.version.split()[0],
+        "cpus": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "hardware_popcount": hasattr(np, "bitwise_count"),
         "kernel_backend": kernels.active_backend().name,
@@ -196,7 +199,7 @@ def run(quick: bool) -> dict:
                                       levels=2, seed=0).block_bytes(),
         "predict": bench_predict(**predict_kw),
         "detect_word_aligned": bench_detect(**detect_kw),
-        "detect_einsum_fallback": bench_detect(**fallback_kw),
+        "detect_unaligned": bench_detect(**unaligned_kw),
         "recover_step": bench_recover(**recover_kw),
     }
 

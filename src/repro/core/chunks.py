@@ -12,12 +12,14 @@ it away from where the clean model would place it.
 Detection is purely a read-side computation; the repair itself lives in
 :mod:`repro.core.recovery`.
 
-Serving fast path: when the model is 1-bit and chunk boundaries fall on
-64-bit word boundaries (``d % 64 == 0``), per-chunk similarities run as
-word-wide XOR + popcount on the model's cached packed words — the chunk
-similarity is exactly ``d/2 - hamming`` per chunk, bit-identical to the
-float einsum (every term is a multiple of 0.5, summed exactly).  Odd
-geometries fall back to the float einsum transparently.
+Serving fast path: for a 1-bit model and binary (or already packed)
+queries, per-chunk similarities are one call of the active kernel
+backend's ``chunk_distance_table`` on the model's cached packed words, at
+any chunk size ``d`` — a chunk may start and end inside a 64-bit word.
+The chunk similarity is exactly ``d/2 - hamming`` per chunk,
+bit-identical to the float einsum (every term is a multiple of 0.5,
+summed exactly).  Only multi-bit models, non-binary queries and the
+:func:`~repro.core.packed.float_backend` oracle take the einsum.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.core.packed import (
     PackedHypervectors,
     _pack_bits,
     packed_backend_enabled,
-    packed_popcount,
     unpack,
 )
 from repro.obs.metrics import current as _metrics
@@ -49,17 +50,14 @@ def _packed_chunk_similarities(
     queries: np.ndarray | PackedHypervectors,
     num_chunks: int,
 ) -> np.ndarray | None:
-    """Per-chunk similarities ``(b, m, k)`` via XOR+popcount, or None.
+    """Per-chunk similarities ``(b, m, k)`` from one kernel call, or None.
 
-    Requires a 1-bit model, binary integer (or already packed) queries
-    and word-aligned chunks; returns None when any condition fails so
-    callers can fall back to the float einsum.  Packed queries reuse
-    their words directly — no repack.
+    Requires a 1-bit model and binary integer (or already packed)
+    queries; returns None when either condition fails so callers can
+    fall back to the float einsum.  Packed queries reuse their words
+    directly — no repack.
     """
     if model.bits != 1 or not packed_backend_enabled():
-        return None
-    model_words = model.packed().chunk_words(num_chunks)  # (k, m, w)
-    if model_words is None:
         return None
     if isinstance(queries, PackedHypervectors):
         word_rows = queries.words
@@ -67,18 +65,8 @@ def _packed_chunk_similarities(
         word_rows = _pack_bits(queries.astype(np.uint8, copy=False))
     else:
         return None
-    chunk_size = model.dim // num_chunks
-    query_words = word_rows.reshape(
-        word_rows.shape[0], num_chunks, -1
-    )  # (b, m, w)
-    k = model_words.shape[0]
-    sims = np.empty((word_rows.shape[0], num_chunks, k), dtype=np.float64)
-    for c in range(k):
-        distances = packed_popcount(
-            np.bitwise_xor(query_words, model_words[c])
-        )  # (b, m)
-        sims[:, :, c] = chunk_size / 2.0 - distances
-    return sims
+    distances = model.packed().chunk_distances(word_rows, num_chunks)
+    return (model.dim // num_chunks) / 2.0 - distances
 
 
 def chunk_similarities(
@@ -105,35 +93,23 @@ def chunk_similarities_batch(
 ) -> np.ndarray:
     """Per-chunk similarities for a query batch, shape ``(b, m, k)``.
 
-    The batched form of :func:`chunk_similarities`; one packed
-    XOR+popcount sweep (or one einsum on the fallback path) replaces a
-    Python loop over queries.  Accepts packed queries
-    (:class:`~repro.core.packed.PackedHypervectors`): word-aligned
-    geometries consume the words as-is; odd geometries unpack and take
-    the einsum, so results never depend on the input form.
+    The batched form of :func:`chunk_similarities`; one packed kernel
+    call (or one einsum on the fallback path) replaces a Python loop
+    over queries.  Accepts packed queries
+    (:class:`~repro.core.packed.PackedHypervectors`), whose words the
+    kernel consumes as-is; on the einsum path they are unpacked, so
+    results never depend on the input form.
     """
     if isinstance(queries, PackedHypervectors):
-        if queries.dim != model.dim:
-            raise ValueError(
-                f"query dim {queries.dim} != model dim {model.dim}"
-            )
-        if model.dim % num_chunks != 0:
-            as_chunks(np.empty(model.dim, dtype=np.uint8), num_chunks)
-        metrics = _metrics()
-        fast = _packed_chunk_similarities(model, queries, num_chunks)
-        if fast is not None:
-            if metrics.enabled:
-                metrics.inc("chunks.detect_batches_packed")
-            return fast
-        queries = unpack(queries)
-    queries = np.atleast_2d(queries)
-    if queries.shape[1] != model.dim:
-        raise ValueError(
-            f"query dim {queries.shape[1]} != model dim {model.dim}"
-        )
-    if model.dim % num_chunks != 0:
+        query_dim = queries.dim
+    else:
+        queries = np.atleast_2d(queries)
+        query_dim = queries.shape[1]
+    if query_dim != model.dim:
+        raise ValueError(f"query dim {query_dim} != model dim {model.dim}")
+    if num_chunks < 1 or model.dim % num_chunks != 0:
         # Delegate the error to as_chunks for a consistent message.
-        as_chunks(queries[0], num_chunks)
+        as_chunks(np.empty(model.dim, dtype=np.uint8), num_chunks)
     metrics = _metrics()
     fast = _packed_chunk_similarities(model, queries, num_chunks)
     if fast is not None:
@@ -142,6 +118,8 @@ def chunk_similarities_batch(
         return fast
     if metrics.enabled:
         metrics.inc("chunks.detect_batches_float")
+    if isinstance(queries, PackedHypervectors):
+        queries = np.atleast_2d(unpack(queries))
     q_chunks = as_chunks(
         queries.astype(np.float64) * 2.0 - 1.0, num_chunks
     )  # (b, m, d)
@@ -237,8 +215,8 @@ def chunk_accuracy_profile(
     chunk should perform well above chance; after an attack the profile
     dips exactly at the chunks that absorbed flips, which is the signal
     the detector exploits.  Computed as one batched sweep over all
-    queries (packed XOR+popcount when the geometry allows, a single
-    einsum otherwise).
+    queries (one packed kernel call for a 1-bit model, a single einsum
+    otherwise).
     """
     labels = np.asarray(labels, dtype=np.int64)
     queries = np.atleast_2d(queries)

@@ -3,10 +3,14 @@
 Every 1-bit hot path in this repo bottoms out in one of two primitives
 over packed uint64 words (64 dimensions per word):
 
-* ``distance_table(queries, model)`` — the Hamming *distance table*
-  ``(b, k)`` between query words ``(b, W)`` and model words ``(k, W)``:
-  XOR then popcount, summed over the word axis.  Prediction, chunk
-  detection and every serving worker score through it.
+* ``chunk_distance_table(queries, model, num_chunks, chunk_bits)`` — the
+  per-chunk Hamming distances ``(b, m, k)`` between query words
+  ``(b, W)`` and model words ``(k, W)``: XOR then popcount, summed over
+  chunk ``j``'s bits ``[j·d, (j+1)·d)`` with ``d = chunk_bits``.  ``d``
+  is any width — a chunk may start and end inside a word.  Its
+  one-chunk case is ``distance_table(queries, model)``, the ``(b, k)``
+  table that prediction and every serving worker score through; the
+  noisy-chunk detector reads the per-chunk table.
 * ``encode_words(codebook_words, idx)`` — the encoder's bundle: row
   ``i`` of the ``(b, W)`` result is the per-bit strict majority of the
   ``n`` bound-codebook rows ``codebook_words[k, idx[i, k]]``.  Every
@@ -19,18 +23,18 @@ computation can move between substrates without the callers changing:
 * :class:`NumpyPackedBackend` — the vectorised CPU path: row-blocked
   XOR + ``np.bitwise_count`` (or the 16-bit LUT decomposition on NumPy
   1.x / under ``REPRO_FORCE_POP16_LUT=1``) with reused scratch buffers,
-  and the ``bit_plane_sum``/``bit_plane_ge`` adder tree over gathered
-  word arrays for encoding.  The only path on hosts without a C
-  compiler.
+  per-word counts summed per chunk, and the
+  ``bit_plane_sum``/``bit_plane_ge`` adder tree over gathered word
+  arrays for encoding.  The only path on hosts without a C compiler.
 * :class:`ReferenceBackend` — the unpacked uint8 oracle: broadcast XOR
   on raw bits, and a plain count of the unpacked bound rows.  Slow,
   obviously correct, and the equivalence anchor the property tests pin
   every other backend against.
 * :class:`NativeCpuBackend` — C kernels compiled on first use (cached
   per host) and the default wherever a C compiler is present: a fused
-  XOR+popcount+accumulate distance table and a bit-sliced carry-save
-  majority encoder, each one pass with no table-sized intermediates and
-  the GIL released for the duration.
+  XOR+popcount+accumulate chunk distance table and a bit-sliced
+  carry-save majority encoder, each one pass with no table-sized
+  intermediates and the GIL released for the duration.
 
 :func:`roofline_validation` compares a backend's measured distance
 throughput against the analytic :class:`repro.pim.gpu.GPUModel`
@@ -43,7 +47,9 @@ an explicit :func:`set_kernel_backend` call, the
 the C kernels compiled on this host (and ``REPRO_FORCE_POP16_LUT``
 is unset), falling back to ``"numpy"``.
 Every distance computed through :meth:`PackedModel.distances
-<repro.core.packed.PackedModel.distances>` and
+<repro.core.packed.PackedModel.distances>`,
+:meth:`PackedModel.chunk_distances
+<repro.core.packed.PackedModel.chunk_distances>` and
 :meth:`PackedHypervectors.hamming_to
 <repro.core.packed.PackedHypervectors.hamming_to>`, and every packed
 encode through :func:`repro.core.encoder.encode_words_from_codebook`,
@@ -63,6 +69,7 @@ in place.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from contextlib import contextmanager
@@ -96,7 +103,12 @@ _ROW_BLOCK = 256
 _SCRATCH_WORDS = 1 << 16
 
 
-def _check_operands(queries: np.ndarray, model: np.ndarray) -> None:
+def _chunk_operands(
+    queries: np.ndarray, model: np.ndarray, num_chunks: int, chunk_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a chunk-distance call; returns C-contiguous operands."""
+    queries = np.ascontiguousarray(queries)
+    model = np.ascontiguousarray(model)
     if queries.dtype != np.uint64 or model.dtype != np.uint64:
         raise ValueError(
             f"expected uint64 words, got {queries.dtype} vs {model.dtype}"
@@ -105,11 +117,55 @@ def _check_operands(queries: np.ndarray, model: np.ndarray) -> None:
         raise ValueError(
             f"expected 2-D word arrays, got {queries.ndim}-D vs {model.ndim}-D"
         )
-    if queries.shape[1] != model.shape[1]:
+    words = queries.shape[1]
+    if words != model.shape[1]:
         raise ValueError(
-            f"word-count mismatch: queries have {queries.shape[1]} words, "
+            f"word-count mismatch: queries have {words} words, "
             f"model has {model.shape[1]}"
         )
+    if num_chunks < 1 or chunk_bits < 0:
+        raise ValueError(
+            f"expected num_chunks >= 1 and chunk_bits >= 0, got "
+            f"{num_chunks} and {chunk_bits}"
+        )
+    if num_chunks * chunk_bits > 64 * words:
+        raise ValueError(
+            f"{num_chunks} chunks of {chunk_bits} bits exceed {words} words"
+        )
+    return queries, model
+
+
+@functools.lru_cache(maxsize=32)
+def _chunk_edges(num_chunks: int, chunk_bits: int) -> tuple[np.ndarray, ...]:
+    """Word layout of the chunks ``[j·d, (j+1)·d)``, ``d = chunk_bits >= 1``.
+
+    Returns ``(first, last, head_mask, tail_mask, whole_lo, whole_hi)``,
+    each ``(m,)``: chunk ``j`` touches words ``first[j]..last[j]``; the
+    words ``[whole_lo[j], whole_hi[j])`` lie wholly inside it, and the
+    bits it owns of the edge words are ``head_mask[j]`` of word
+    ``first[j]`` and ``tail_mask[j]`` of word ``last[j]`` (zero where
+    that edge word is whole or is the head word already).
+    """
+    starts = np.arange(num_chunks, dtype=np.int64) * chunk_bits
+    ends = starts + chunk_bits
+    first, last = starts >> 6, (ends - 1) >> 6
+    lo, hi = starts & 63, ((ends - 1) & 63) + 1  # bit spans, 1 <= hi <= 64
+    one_word = first == last
+    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+    def span(a, b):  # bits [a, b) of a word, 0 <= a < b <= 64
+        return (ones >> (64 - (b - a)).astype(np.uint64)) << a.astype(np.uint64)
+
+    head_mask = np.where(one_word, span(lo, hi), span(lo, np.full_like(lo, 64)))
+    head_mask[(lo == 0) & (~one_word | (hi == 64))] = 0
+    tail_mask = span(np.zeros_like(hi), hi)
+    tail_mask[one_word | (hi == 64)] = 0
+    whole_lo = first + (head_mask != 0)
+    whole_hi = last + 1 - (tail_mask != 0)
+    edges = (first, last, head_mask, tail_mask, whole_lo, whole_hi)
+    for array in edges:  # shared by every caller through the cache
+        array.flags.writeable = False
+    return edges
 
 
 def check_encode_operands(codebook_words: np.ndarray, idx) -> np.ndarray:
@@ -157,8 +213,11 @@ class KernelBackend:
     """Contract every packed-kernel backend implements.
 
     A backend computes exact integer Hamming distances between packed
-    uint64 word arrays and majority-bundles bound-codebook rows into
-    packed encodings.  Implementations must be bit-identical to
+    uint64 word arrays — per chunk, with the whole-row table as the
+    one-chunk case — and majority-bundles bound-codebook rows into
+    packed encodings.  Each backend implements one distance kernel,
+    :meth:`chunk_distance_table`; :meth:`distance_table` is defined
+    here on top of it.  Implementations must be bit-identical to
     :class:`ReferenceBackend` — the serving tier treats the table as
     ground truth (argmin ties included), and the equivalence oracle in
     ``tests/core/test_kernels.py`` holds every backend to it.
@@ -172,18 +231,38 @@ class KernelBackend:
         """Whether this backend can run in the current process."""
         return False
 
+    def chunk_distance_table(
+        self,
+        queries: np.ndarray,
+        model: np.ndarray,
+        num_chunks: int,
+        chunk_bits: int,
+    ) -> np.ndarray:
+        """Per-chunk Hamming distances ``(b, m, k)``, ``m = num_chunks``.
+
+        Both operands are ``uint64`` word matrices sharing the word
+        count ``W``; entry ``(i, j, c)`` counts the differing bits of
+        query row ``i`` and model row ``c`` in chunk ``j``, the bits
+        ``[j·d, (j+1)·d)`` with ``d = chunk_bits``.  ``d`` is given in
+        bits because it need not be a multiple of 64, and because pad
+        bits make ``64·W`` larger than the logical dimensionality.  Bits
+        past ``m·d`` are not counted; ``m·d`` must not exceed ``64·W``.
+        The result is ``int64``.
+        """
+        raise NotImplementedError
+
     def distance_table(
         self, queries: np.ndarray, model: np.ndarray
     ) -> np.ndarray:
         """Hamming distances ``(b, k)`` of query words vs model words.
 
-        Both operands are ``uint64`` word matrices sharing the word
-        count ``W``; the result is ``int64``.  Pad bits (beyond the
-        logical dimensionality) must be zero in both operands, which
-        makes the table exact for full vectors *and* for word-block
-        shards of them.
+        The one-chunk case of :meth:`chunk_distance_table`, over all
+        ``64·W`` bits.  Pad bits (beyond the logical dimensionality)
+        must be zero in both operands, which makes the table exact for
+        full vectors *and* for word-block shards of them.
         """
-        raise NotImplementedError
+        words = queries.shape[-1]
+        return self.chunk_distance_table(queries, model, 1, 64 * words)[:, 0]
 
     def encode_words(
         self, codebook_words: np.ndarray, idx: np.ndarray
@@ -207,9 +286,12 @@ class KernelBackend:
 class NumpyPackedBackend(KernelBackend):
     """Vectorised NumPy kernels — the path on hosts without a C compiler.
 
-    Distances are row-blocked XOR+popcount.  Population counts use
-    ``np.bitwise_count`` when NumPy exposes it and the 16-bit
-    lookup-table decomposition otherwise; the switch is
+    Distances are row-blocked XOR+popcount: per-word population counts,
+    summed per chunk.  Word-aligned chunks sum a reshaped block of
+    counts; otherwise whole words are summed through a running count
+    and each chunk's edge words are counted under the chunk's bit mask.
+    Population counts use ``np.bitwise_count`` when NumPy exposes it
+    and the 16-bit lookup-table decomposition otherwise; the switch is
     read from :mod:`repro.core.packed` *at call time* so the LUT path
     can be forced for testing (monkeypatching
     ``repro.core.packed._HAS_BITWISE_COUNT`` or exporting
@@ -227,40 +309,52 @@ class NumpyPackedBackend(KernelBackend):
     def available(cls) -> bool:
         return True
 
-    def distance_table(
-        self, queries: np.ndarray, model: np.ndarray
+    def chunk_distance_table(
+        self,
+        queries: np.ndarray,
+        model: np.ndarray,
+        num_chunks: int,
+        chunk_bits: int,
     ) -> np.ndarray:
-        queries = np.ascontiguousarray(queries)
-        model = np.ascontiguousarray(model)
-        _check_operands(queries, model)
+        queries, model = _chunk_operands(queries, model, num_chunks, chunk_bits)
         b, k = queries.shape[0], model.shape[0]
         words = queries.shape[1]
-        out = np.empty((b, k), dtype=np.int64)
+        out = np.zeros((b, num_chunks, k), dtype=np.int64)
+        if not (out.size and chunk_bits):
+            return out
         # One broadcast XOR per row block — 3 ufunc dispatches per
         # block rather than 3 per class row, which is what keeps small
         # serving batches cheap.  The block height caps the
         # (rows, k, words) scratch at ``_SCRATCH_WORDS`` uint64.
         rows = max(1, min(b, _ROW_BLOCK, _SCRATCH_WORDS // max(1, k * words)))
-        if not _packed._HAS_BITWISE_COUNT:
-            for lo in range(0, b, rows):
-                block = queries[lo : lo + rows]
-                out[lo : lo + block.shape[0]] = _packed.packed_popcount(
-                    np.bitwise_xor(block[:, None, :], model[None, :, :])
-                )
-            return out
         xor_buf = np.empty((rows, k, words), dtype=np.uint64)
         count_buf = np.empty((rows, k, words), dtype=np.uint8)
-        # Narrowest exact accumulator (row popcount sums reach 64·W):
-        # summing uint8 counts into uint16 is measurably faster than
-        # into int64, and the int64 output assignment upcasts losslessly.
+        # Narrowest exact accumulator (a chunk's count reaches 64·W at
+        # most): summing uint8 counts into uint16 is measurably faster
+        # than into int64, and the int64 output assignment upcasts
+        # losslessly.
         acc = np.uint16 if words * 64 <= np.iinfo(np.uint16).max else np.int64
+        span = chunk_bits // 64
+        if chunk_bits % 64:
+            first, last, head, tail, whole_lo, whole_hi = _chunk_edges(
+                num_chunks, chunk_bits
+            )
         for lo in range(0, b, rows):
-            block = queries[lo : lo + rows]
-            n = block.shape[0]
-            np.bitwise_xor(block[:, None, :], model[None, :, :],
-                           out=xor_buf[:n])
-            np.bitwise_count(xor_buf[:n], out=count_buf[:n])
-            out[lo : lo + n] = count_buf[:n].sum(axis=-1, dtype=acc)
+            n = min(rows, b - lo)
+            xor = np.bitwise_xor(queries[lo : lo + n, None, :],
+                                 model[None, :, :], out=xor_buf[:n])
+            counts = _packed._word_popcounts(xor, out=count_buf[:n])
+            if not chunk_bits % 64:
+                per = counts[..., : num_chunks * span].reshape(
+                    n, k, num_chunks, span
+                ).sum(axis=-1, dtype=acc)
+            else:
+                running = np.zeros((n, k, words + 1), dtype=acc)
+                np.cumsum(counts, axis=-1, dtype=acc, out=running[..., 1:])
+                per = running[..., whole_hi] - running[..., whole_lo]
+                per += _packed._word_popcounts(xor[..., first] & head)
+                per += _packed._word_popcounts(xor[..., last] & tail)
+            out[lo : lo + n] = per.transpose(0, 2, 1)
         return out
 
     def encode_words(
@@ -297,14 +391,21 @@ class ReferenceBackend(KernelBackend):
     def available(cls) -> bool:
         return True
 
-    def distance_table(
-        self, queries: np.ndarray, model: np.ndarray
+    def chunk_distance_table(
+        self,
+        queries: np.ndarray,
+        model: np.ndarray,
+        num_chunks: int,
+        chunk_bits: int,
     ) -> np.ndarray:
-        queries = np.ascontiguousarray(queries)
-        model = np.ascontiguousarray(model)
-        _check_operands(queries, model)
+        queries, model = _chunk_operands(queries, model, num_chunks, chunk_bits)
+        b, k = queries.shape[0], model.shape[0]
         xor = np.bitwise_xor(queries[:, None, :], model[None, :, :])
-        return _unpack_bits(xor).sum(axis=-1, dtype=np.int64)
+        bits = _unpack_bits(xor)[..., : num_chunks * chunk_bits]
+        per = bits.reshape(b, k, num_chunks, chunk_bits).sum(
+            axis=-1, dtype=np.int64
+        )
+        return np.ascontiguousarray(per.transpose(0, 2, 1))
 
     def encode_words(
         self, codebook_words: np.ndarray, idx: np.ndarray
@@ -318,9 +419,10 @@ class ReferenceBackend(KernelBackend):
         return out.byteswap() if _packed._BIG_ENDIAN else out
 
 
-# The C kernels.  ``repro_distance_table`` is the fused
-# XOR+popcount+accumulate distance table: one pass over the operands
-# with no table-sized intermediates.  ``repro_encode_words`` is the
+# The C kernels.  ``repro_chunk_distance_table`` is the fused
+# XOR+popcount+accumulate chunk distance table: one pass over the
+# operands with no table-sized intermediates, the whole-row table
+# (m = 1) taking the plain word loop.  ``repro_encode_words`` is the
 # encoder's majority bundle, bit-sliced: per output row and per block of
 # BLK words, 64 per-dimension counters per word live in local bit planes
 # (plane p holds bit p of each counter).  Features are added 8 at a
@@ -338,19 +440,76 @@ _NATIVE_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-void repro_distance_table(const uint64_t *restrict queries,
-                          const uint64_t *restrict model,
-                          int64_t *restrict out,
-                          int64_t b, int64_t k, int64_t w)
+/* Differing bits of q and r in words [lo, hi). */
+static inline uint64_t xor_popcount(const uint64_t *restrict q,
+                                    const uint64_t *restrict r,
+                                    int64_t lo, int64_t hi)
+{
+    uint64_t acc = 0;
+    for (int64_t t = lo; t < hi; t++)
+        acc += (uint64_t)__builtin_popcountll(q[t] ^ r[t]);
+    return acc;
+}
+
+/* The one-chunk table over whole rows: out[i, c], one word loop per
+   pair.  Kept out of line so it compiles exactly as a standalone
+   distance table would. */
+static __attribute__((noinline)) void
+row_distance_table(const uint64_t *restrict queries,
+                   const uint64_t *restrict model, int64_t *restrict out,
+                   int64_t b, int64_t k, int64_t w)
 {
     for (int64_t i = 0; i < b; i++) {
         const uint64_t *q = queries + i * w;
         for (int64_t c = 0; c < k; c++) {
-            const uint64_t *m = model + c * w;
+            const uint64_t *r = model + c * w;
             uint64_t acc = 0;
-            for (int64_t j = 0; j < w; j++)
-                acc += (uint64_t)__builtin_popcountll(q[j] ^ m[j]);
+            for (int64_t t = 0; t < w; t++)
+                acc += (uint64_t)__builtin_popcountll(q[t] ^ r[t]);
             out[i * k + c] = (int64_t)acc;
+        }
+    }
+}
+
+/* out[i, j, c] = differing bits of queries[i] and model[c] in bits
+   [j * d, (j + 1) * d), j < m, d >= 1; rows are w words long.  Whole
+   words are counted unmasked; only a chunk's first and last words are
+   masked, when the chunk starts or ends inside them. */
+void repro_chunk_distance_table(const uint64_t *restrict queries,
+                                const uint64_t *restrict model,
+                                int64_t *restrict out,
+                                int64_t b, int64_t k, int64_t w,
+                                int64_t m, int64_t d)
+{
+    const uint64_t ones = ~(uint64_t)0;
+    if (m == 1 && d == 64 * w) {
+        row_distance_table(queries, model, out, b, k, w);
+        return;
+    }
+    for (int64_t i = 0; i < b; i++) {
+        const uint64_t *q = queries + i * w;
+        for (int64_t c = 0; c < k; c++) {
+            const uint64_t *r = model + c * w;
+            int64_t *o = out + i * m * k + c;
+            for (int64_t j = 0; j < m; j++) {
+                int64_t lo = j * d, hi = lo + d;
+                int64_t first = lo >> 6, last = hi >> 6;
+                unsigned head = (unsigned)(lo & 63), tail = (unsigned)(hi & 63);
+                uint64_t acc;
+                if (first == last) {  /* bits [head, tail) of one word */
+                    uint64_t mask = (ones >> (64 - (tail - head))) << head;
+                    acc = (uint64_t)__builtin_popcountll(
+                        (q[first] ^ r[first]) & mask);
+                } else {
+                    acc = (uint64_t)__builtin_popcountll(
+                              (q[first] ^ r[first]) & (ones << head))
+                        + xor_popcount(q, r, first + 1, last);
+                    if (tail)
+                        acc += (uint64_t)__builtin_popcountll(
+                            (q[last] ^ r[last]) & (ones >> (64 - tail)));
+                }
+                o[j * k] = (int64_t)acc;
+            }
         }
     }
 }
@@ -492,11 +651,12 @@ def _build_native_kernel():
         # half-written library.
         os.replace(tmp, so_path)
     lib = ctypes.CDLL(str(so_path))
-    lib.repro_distance_table.argtypes = [
+    lib.repro_chunk_distance_table.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64,
     ]
-    lib.repro_distance_table.restype = None
+    lib.repro_chunk_distance_table.restype = None
     lib.repro_encode_words.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_void_p,
@@ -509,7 +669,7 @@ def _build_native_kernel():
 class NativeCpuBackend(KernelBackend):
     """C kernels compiled on first use: distance table and encoder.
 
-    The distance table fuses XOR, popcount, and the word-axis
+    The chunk distance table fuses XOR, popcount, and the word-axis
     accumulation in one loop nest, so no ``(b, k, W)`` intermediate is
     ever materialised — on a popcount-capable CPU this is several times
     faster than the blocked NumPy path.  The encoder keeps each row's
@@ -555,23 +715,23 @@ class NativeCpuBackend(KernelBackend):
             )
         return lib
 
-    def distance_table(
-        self, queries: np.ndarray, model: np.ndarray
+    def chunk_distance_table(
+        self,
+        queries: np.ndarray,
+        model: np.ndarray,
+        num_chunks: int,
+        chunk_bits: int,
     ) -> np.ndarray:
         lib = self._require()
-        queries = np.ascontiguousarray(queries)
-        model = np.ascontiguousarray(model)
-        _check_operands(queries, model)
+        queries, model = _chunk_operands(queries, model, num_chunks, chunk_bits)
         b, k = queries.shape[0], model.shape[0]
-        out = np.empty((b, k), dtype=np.int64)
-        if b and k:
-            if queries.shape[1]:
-                lib.repro_distance_table(
-                    queries.ctypes.data, model.ctypes.data,
-                    out.ctypes.data, b, k, queries.shape[1],
-                )
-            else:
-                out[:] = 0
+        if not (b and k and chunk_bits):
+            return np.zeros((b, num_chunks, k), dtype=np.int64)
+        out = np.empty((b, num_chunks, k), dtype=np.int64)
+        lib.repro_chunk_distance_table(
+            queries.ctypes.data, model.ctypes.data, out.ctypes.data,
+            b, k, queries.shape[1], num_chunks, chunk_bits,
+        )
         return out
 
     def encode_words(

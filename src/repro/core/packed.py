@@ -153,15 +153,27 @@ def unpack(packed: "PackedHypervectors") -> np.ndarray:
     return flat[0] if packed.single else flat
 
 
+def _word_popcounts(
+    words: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-word population counts (uint8) of a uint64 word array.
+
+    ``np.bitwise_count`` where NumPy has it, else four 16-bit table
+    lookups per word; the switch is read at call time.
+    """
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(words, out=out)
+    words = np.ascontiguousarray(words)
+    halves = words.view(np.uint16).reshape(*words.shape, 4)
+    return _POP16[halves].sum(axis=-1, dtype=np.uint8, out=out)
+
+
 def packed_popcount(words: np.ndarray) -> np.ndarray:
     """Population count summed over the last axis of a uint64 word array."""
-    w = np.ascontiguousarray(words)
+    w = np.asarray(words)
     if w.dtype != np.uint64:
         raise ValueError(f"expected uint64 words, got {w.dtype}")
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(w).sum(axis=-1, dtype=np.int64)
-    chunks = w.view(np.uint16).reshape(*w.shape, 4)
-    return _POP16[chunks].sum(axis=(-1, -2), dtype=np.int64)
+    return _word_popcounts(w).sum(axis=-1, dtype=np.int64)
 
 
 def packed_bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -403,7 +415,7 @@ class PackedHypervectors:
         """
         if other.dim != self.dim:
             raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
-        return _distance_table(self.words, other.words)
+        return _backend().distance_table(self.words, other.words)
 
     def bind(self, other: "PackedHypervectors") -> "PackedHypervectors":
         """Elementwise XOR binding of two equal-shape packed batches."""
@@ -416,18 +428,17 @@ class PackedHypervectors:
         )
 
 
-def _distance_table(queries: np.ndarray, model: np.ndarray) -> np.ndarray:
-    """Hamming distances ``(b, k)`` of query words vs model words.
+def _backend():
+    """The active :mod:`repro.core.kernels` backend.
 
-    Dispatches to the active :mod:`repro.core.kernels` backend (the
-    native C kernel where it compiled, else row-blocked NumPy; see
-    ``kernels.set_kernel_backend`` / ``REPRO_KERNEL_BACKEND``).  The
+    The native C kernel where it compiled, else row-blocked NumPy; see
+    ``kernels.set_kernel_backend`` / ``REPRO_KERNEL_BACKEND``.  The
     import is deferred because ``kernels`` imports this module at load
     time.
     """
     from repro.core import kernels
 
-    return kernels.active_backend().distance_table(queries, model)
+    return kernels.active_backend()
 
 
 @dataclass(frozen=True)
@@ -494,23 +505,24 @@ class PackedModel:
 
     def distances(self, query_words: np.ndarray) -> np.ndarray:
         """Hamming distances ``(b, k)`` for packed query words ``(b, W)``."""
-        return _distance_table(np.atleast_2d(query_words), self.words)
+        return _backend().distance_table(np.atleast_2d(query_words), self.words)
 
-    def chunk_words(self, num_chunks: int) -> np.ndarray | None:
-        """Word view ``(k, m, d/64)`` for per-chunk XOR+popcount, or None.
+    def chunk_distances(
+        self, query_words: np.ndarray, num_chunks: int
+    ) -> np.ndarray:
+        """Per-chunk Hamming distances ``(b, m, k)`` for query words ``(b, W)``.
 
-        Chunk boundaries must fall on word boundaries — i.e.
-        ``dim % num_chunks == 0`` and the chunk size ``d = dim /
-        num_chunks`` must be a multiple of 64.  Callers fall back to the
-        float einsum when this returns None.
+        Chunk ``j`` covers dimensions ``[j·d, (j+1)·d)`` with ``d = dim /
+        num_chunks``, which must divide evenly; ``d`` need not be a
+        multiple of 64.
         """
         if num_chunks < 1 or self.dim % num_chunks:
-            return None
-        chunk_size = self.dim // num_chunks
-        if chunk_size % _WORD:
-            return None
-        return self.words.reshape(
-            self.words.shape[0], num_chunks, chunk_size // _WORD
+            raise ValueError(
+                f"dim {self.dim} is not divisible into {num_chunks} chunks"
+            )
+        return _backend().chunk_distance_table(
+            np.atleast_2d(query_words), self.words, num_chunks,
+            self.dim // num_chunks,
         )
 
 

@@ -35,11 +35,17 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.chunks import detect_faulty_chunks_batch
 from repro.core.confidence import prediction_confidence
 from repro.core.hypervector import as_chunks
-from repro.core.model import HDCModel
-from repro.core.packed import PackedHypervectors, unpack
+from repro.core.model import HDCModel, _centered_weights, _is_binary
+from repro.core.packed import (
+    PackedHypervectors,
+    _pack_bits,
+    packed_backend_enabled,
+    unpack,
+)
 from repro.obs.metrics import current as _metrics
 from repro.obs.trace import RecoveryBlockEvent, RecoveryTrace, _as_nested_tuple
 
@@ -121,9 +127,11 @@ class RecoveryConfig:
     block_size:
         Default serving block size for :class:`RobustHDRecovery` and the
         pipeline's ``attack_and_recover`` — how many queries the batched
-        engine sweeps per :func:`recover_block` call.  Never changes the
-        results (the block engine exactly replays the sequential loop);
-        it only caps how much batched work one model write invalidates.
+        engine gates at once per :func:`recover_block` call, and how
+        often a publisher sees a new generation.  Never changes the
+        results (the block engine exactly replays the sequential loop),
+        and a model write does not invalidate batched work: it patches
+        one class's similarities for the rows still ahead.
     """
 
     confidence_threshold: float = 0.85
@@ -202,16 +210,16 @@ def probabilistic_substitution(
     return changed
 
 
-def _gated_predictions(
-    model: HDCModel, queries: np.ndarray, config: RecoveryConfig
+def _gate(
+    model: HDCModel, sims: np.ndarray, config: RecoveryConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and confidences ``(b,)`` for a block of queries.
+    """Predictions and confidences ``(b,)`` from similarities ``(b, k)``.
 
-    Both ``similarities`` and ``prediction_confidence`` are row-wise
-    independent, so one batched call yields values identical to a
-    query-at-a-time loop over the same model state.
+    The one place the confidence rule lives: a block's first gate and
+    every re-gate after a model write go through it.  The rule is
+    row-wise independent, so gating a row inside any block gives the
+    values a query-at-a-time loop would.
     """
-    sims = model.similarities(queries)
     if model.num_classes == 2:
         # With two classes every per-query-standardised confidence is a
         # constant (see repro.core.confidence); measure the margin in
@@ -223,6 +231,26 @@ def _gated_predictions(
             scale=float(np.sqrt(model.dim / 2.0)),
         )
     return prediction_confidence(sims, config.temperature)
+
+
+def _class_similarities(
+    model: HDCModel, queries: np.ndarray | PackedHypervectors, c: int
+) -> np.ndarray:
+    """Similarities ``(b,)`` of queries to class ``c`` alone.
+
+    Column ``c`` of ``model.similarities(queries)``, computed the way it
+    would be for the query form — packed words through the active
+    kernel backend, uint8 rows through the float reference — but
+    against one class and without counting as served queries.
+    """
+    if isinstance(queries, PackedHypervectors):
+        class_words = model.packed().words[c : c + 1]
+        distances = kernels.active_backend().distance_table(
+            queries.words, class_words
+        )
+        return model.dim / 2.0 - distances[:, 0]
+    bipolar = queries.astype(np.float64) * 2.0 - 1.0
+    return bipolar @ _centered_weights(model.class_hv[c], model.bits)
 
 
 def _substitute_faulty(
@@ -288,21 +316,26 @@ def recover_block(
 
     Semantically identical to calling :func:`recover_step` on each query
     in order — same predictions, same stats, same random draws — but the
-    confidence gate and the chunk-vote detector run *vectorised* over the
-    whole block.  The model only changes when a trusted query has faulty
-    chunks, so all batched read-side results computed before that point
-    are exact; at the first model write the remainder of the block is
-    recomputed against the updated model.  On a healthy (or recovered)
-    model writes are rare and the whole block runs as a handful of
-    XOR+popcount sweeps.
+    confidence gate runs once, vectorised over the whole block.  The
+    rows are then walked in order: each trusted row is checked by the
+    chunk-vote detector against the model as it stands at that row (one
+    packed kernel call).  A substitution rewrites chunks of one class
+    only, so afterwards only that class's similarity column is
+    recomputed for the rows still ahead, and those rows are re-gated
+    from the patched similarities.  Every similarity is an exact integer
+    count, so the patched values equal a fresh gate; nothing else is
+    recomputed and the sweep never restarts.
 
     Queries may arrive as uint8 bit rows or already packed
     (:class:`~repro.core.packed.PackedHypervectors`, the
-    ``Encoder.encode_packed`` output).  Packed streams feed the gate and
-    the detector word-for-word — nothing is repacked — and only the rare
-    trusted query that actually triggers a substitution is unpacked (the
-    repair writes individual bits into the uint8 model tensor).  Results
-    are bit-identical either way.
+    ``Encoder.encode_packed`` output).  Binary rows are packed once per
+    block; packed streams feed the gate and the detector word-for-word,
+    and only a trusted row that actually triggers a substitution is
+    unpacked (the repair writes individual bits into the uint8 model
+    tensor).  Under :func:`~repro.core.packed.float_backend`, or for
+    non-binary rows, every similarity — the per-write patch included —
+    comes from the float reference.  Results are bit-identical either
+    way.
 
     If a ``trace`` is supplied, one
     :class:`~repro.obs.trace.RecoveryBlockEvent` is appended per call.
@@ -316,14 +349,26 @@ def recover_block(
             "recovery requires a binary (1-bit) model; "
             f"got bits={model.bits}"
         )
-    packed_input = isinstance(queries, PackedHypervectors)
-    if not packed_input:
+    if isinstance(queries, PackedHypervectors):
+        query_dim = queries.dim
+    else:
         queries = np.atleast_2d(queries)
-    query_dim = queries.dim if packed_input else queries.shape[1]
+        query_dim = queries.shape[1]
     if query_dim != model.dim:
         raise ValueError(
             f"queries must have dim {model.dim}, got {query_dim}"
         )
+    # One query form for the whole block: packed words wherever the
+    # packed engine would serve them, uint8 rows otherwise.
+    if isinstance(queries, PackedHypervectors):
+        if not packed_backend_enabled():
+            queries = np.atleast_2d(unpack(queries))
+    elif packed_backend_enabled() and _is_binary(queries):
+        queries = PackedHypervectors(
+            words=_pack_bits(queries.astype(np.uint8, copy=False)),
+            dim=model.dim,
+        )
+    packed_rows = isinstance(queries, PackedHypervectors)
     num_queries = len(queries)
     metrics = _metrics()
     version_before = model.version
@@ -337,68 +382,57 @@ def recover_block(
             (model.num_classes, config.num_chunks), dtype=np.int64
         )
         ev_chunk_repair_bits = np.zeros_like(ev_chunk_flags)
-    out = np.empty(num_queries, dtype=np.int64)
     with metrics.timer("recovery.recover_block"):
-        start = 0
-        while start < num_queries:
-            block = queries[start:]
-            preds, conf = _gated_predictions(model, block, config)
-            trusted = conf >= config.confidence_threshold
-            trusted_idx = np.flatnonzero(trusted)
-            if trusted_idx.size:
-                faulty_masks = detect_faulty_chunks_batch(
-                    model,
-                    block[trusted_idx],
-                    preds[trusted_idx],
-                    config.num_chunks,
-                    config.detection_margin,
-                )  # (t, m)
-            mutated = False
-            next_trusted = 0  # cursor into trusted_idx / faulty_masks
-            for j in range(len(block)):
-                if stats is not None:
-                    stats.queries_seen += 1
-                    stats.confidence_trace.append(float(conf[j]))
-                if trace is not None:
-                    ev_confidences.append(float(conf[j]))
-                out[start + j] = preds[j]
-                if not trusted[j]:
-                    continue
-                faulty = faulty_masks[next_trusted]
-                next_trusted += 1
-                total_trusted += 1
-                flagged = int(faulty.sum())
-                total_flagged += flagged
-                if stats is not None:
-                    stats.queries_trusted += 1
-                    stats.chunks_checked += config.num_chunks
-                    stats.chunks_repaired += flagged
-                if trace is not None:
-                    ev_trusted_per_class[preds[j]] += 1
-                    ev_chunk_flags[preds[j]] += faulty
-                if not flagged:
-                    continue
-                query_bits = (
-                    unpack(block[j]) if packed_input else block[j]
+        sims = model.similarities(queries)  # (b, k)
+        preds, conf = _gate(model, sims, config)
+        for j in range(num_queries):
+            if stats is not None:
+                stats.queries_seen += 1
+                stats.confidence_trace.append(float(conf[j]))
+            if trace is not None:
+                ev_confidences.append(float(conf[j]))
+            if conf[j] < config.confidence_threshold:
+                continue
+            predicted = int(preds[j])
+            faulty = detect_faulty_chunks_batch(
+                model,
+                queries[j : j + 1],
+                preds[j : j + 1],
+                config.num_chunks,
+                config.detection_margin,
+            )[0]  # (m,)
+            total_trusted += 1
+            flagged = int(faulty.sum())
+            total_flagged += flagged
+            if stats is not None:
+                stats.queries_trusted += 1
+                stats.chunks_checked += config.num_chunks
+                stats.chunks_repaired += flagged
+            if trace is not None:
+                ev_trusted_per_class[predicted] += 1
+                ev_chunk_flags[predicted] += faulty
+            if not flagged:
+                continue
+            query_bits = unpack(queries[j]) if packed_rows else queries[j]
+            per_chunk = _substitute_faulty(
+                model, query_bits, predicted, faulty, config, rng
+            )
+            substituted = int(per_chunk.sum())
+            total_bits += substituted
+            if stats is not None:
+                stats.bits_substituted += substituted
+            if trace is not None:
+                ev_chunk_repair_bits[predicted, np.flatnonzero(faulty)] += (
+                    per_chunk
                 )
-                per_chunk = _substitute_faulty(
-                    model, query_bits, int(preds[j]), faulty, config, rng
+            if substituted and j + 1 < num_queries:
+                # Only class ``predicted`` changed: patch its column for
+                # the rows ahead and re-gate them.
+                rest = slice(j + 1, None)
+                sims[rest, predicted] = _class_similarities(
+                    model, queries[rest], predicted
                 )
-                substituted = int(per_chunk.sum())
-                total_bits += substituted
-                if stats is not None:
-                    stats.bits_substituted += substituted
-                if trace is not None:
-                    ev_chunk_repair_bits[preds[j], np.flatnonzero(faulty)] += (
-                        per_chunk
-                    )
-                # The model changed: everything batched beyond this query
-                # is stale.  Restart the sweep from the next query.
-                start += j + 1
-                mutated = True
-                break
-            if not mutated:
-                start = num_queries
+                preds[rest], conf[rest] = _gate(model, sims[rest], config)
     if trace is not None:
         trace.record(RecoveryBlockEvent(
             block_index=trace.next_block_index(),
@@ -422,7 +456,7 @@ def recover_block(
         metrics.inc("recovery.model_writes", model.version - version_before)
         metrics.observe("recovery.block_trust_rate",
                         total_trusted / max(1, num_queries))
-    return out
+    return preds
 
 
 class RobustHDRecovery:
@@ -496,11 +530,10 @@ class RobustHDRecovery:
         Queries are processed sequentially — each repair changes the model
         the next query sees, which is exactly the online dynamic the paper
         studies.  Internally the stream is served in blocks of
-        ``block_size`` through :func:`recover_block`, which vectorises
-        the gate and the detector while producing results identical to
-        the one-query-at-a-time loop (``block_size`` caps how much
-        batched work a model write can invalidate; it never changes the
-        results).
+        ``block_size`` through :func:`recover_block`, which gates each
+        block in one vectorised pass while producing results identical
+        to the one-query-at-a-time loop (``block_size`` sets the publish
+        cadence; it never changes the results).
 
         Accepts the packed stream ``Encoder.encode_packed`` emits — the
         words flow through the gate and the detector unmodified (see

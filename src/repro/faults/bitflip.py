@@ -131,11 +131,15 @@ def sample_clustered_bits(
             break
     out = np.concatenate(picks)
     if remaining > 0:
-        # Budget exceeds what the victim spans can absorb (tiny memories);
-        # spill the remainder uniformly over untouched addresses.
-        pool = np.setdiff1d(
-            np.arange(total_bits, dtype=np.int64), out, assume_unique=False
-        )
+        # The victim spans absorb num_victims * flips_per_cluster bits,
+        # short of the budget whenever budget / flips_per_cluster rounds
+        # down (or the memory has too few spans): spill the remainder
+        # uniformly over untouched addresses.  The pool is the sorted
+        # complement of ``out``, so the draw picks the same addresses as
+        # ``rng.choice(np.setdiff1d(np.arange(total_bits), out), ...)``.
+        keep = np.ones(total_bits, dtype=bool)
+        keep[out] = False
+        pool = np.flatnonzero(keep)
         out = np.concatenate([out, rng.choice(pool, size=remaining,
                                               replace=False)])
     return out

@@ -12,8 +12,9 @@ from repro.core.chunks import (
 )
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import float_backend
+from repro.core.packed import float_backend, pack
 from repro.datasets.synthetic import make_prototype_classification
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +99,8 @@ class TestDetectFaultyChunks:
 class TestBatchedChunkOps:
     """The batched sweeps must equal per-query loops on both backends."""
 
-    # dim=1280/m=20 exercises the word-aligned packed path; the fitted
-    # fixture (dim=1000/m=10) exercises the einsum fallback.
+    # dim=1280/m=20 gives word-aligned chunks; the fitted fixture
+    # (dim=1000/m=10) gives chunks that start and end inside words.
     @pytest.fixture(scope="class")
     def aligned(self):
         rng = np.random.default_rng(21)
@@ -123,6 +124,26 @@ class TestBatchedChunkOps:
                 [chunk_similarities(model, q, 10) for q in queries[:16]]
             )
         assert (batched == looped).all()
+
+    # Chunk sizes 1000, 125, 100, 25 and 1: none a multiple of 64.
+    @pytest.mark.parametrize("num_chunks", [1, 8, 10, 40, 1000])
+    def test_unaligned_packed_and_uint8_equal_einsum(self, fitted,
+                                                     num_chunks):
+        """At chunk sizes off the word grid, packed and uint8 queries
+        take the packed kernel and equal the float einsum exactly."""
+        model, queries, _ = fitted
+        block = queries[:12]
+        with float_backend():
+            einsum = chunk_similarities_batch(model, block, num_chunks)
+        with use_metrics(MetricsRegistry()) as registry:
+            from_uint8 = chunk_similarities_batch(model, block, num_chunks)
+            from_packed = chunk_similarities_batch(
+                model, pack(block), num_chunks
+            )
+        assert registry.counter("chunks.detect_batches_packed") == 2
+        assert registry.counter("chunks.detect_batches_float") == 0
+        assert (from_uint8 == einsum).all()
+        assert (from_packed == einsum).all()
 
     def test_detect_batch_equals_loop(self, aligned):
         model, queries = aligned

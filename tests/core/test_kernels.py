@@ -1,8 +1,9 @@
 """Kernel-backend contract tests.
 
-Every registered backend must produce a distance table and encodings
-bit-identical to :class:`ReferenceBackend` — the unpacked uint8 oracle
-— over random shapes, including operands with zeroed pad bits and
+Every registered backend must produce chunk distance tables, distance
+tables and encodings bit-identical to :class:`ReferenceBackend` — the
+unpacked uint8 oracle — over random shapes, including operands with
+zeroed pad bits, chunks that start and end inside a word, and
 word-column slices (the word-shard cases).
 """
 
@@ -84,6 +85,119 @@ class TestEquivalence:
         expected = backend.distance_table(queries, model)
         monkeypatch.setattr(packed, "_HAS_BITWISE_COUNT", False)
         assert (backend.distance_table(queries, model) == expected).all()
+
+
+# Chunk widths on, inside and straddling word boundaries.
+CHUNK_BITS = [1, 63, 64, 65, 100, 500, 512]
+
+
+def direct_chunk_distances(queries, model, num_chunks, chunk_bits):
+    """Per-chunk mismatch counts straight from the unpacked bits."""
+    dim = num_chunks * chunk_bits
+    q = kernels._unpack_bits(queries)[:, :dim]
+    m = kernels._unpack_bits(model)[:, :dim]
+    diff = q[:, None, :] != m[None, :, :]  # (b, k, dim)
+    per = diff.reshape(len(q), len(m), num_chunks, chunk_bits).sum(axis=-1)
+    return per.transpose(0, 2, 1)
+
+
+class TestChunkDistanceTable:
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("chunk_bits", CHUNK_BITS)
+    @pytest.mark.parametrize("num_chunks", [1, 2, 7])
+    def test_matches_reference_oracle(self, name, chunk_bits, num_chunks):
+        backend = get_or_skip(name)
+        dim = num_chunks * chunk_bits
+        queries, model = padded_words(9, dim), padded_words(5, dim)
+        got = backend.chunk_distance_table(queries, model, num_chunks,
+                                           chunk_bits)
+        assert got.dtype == np.int64
+        assert got.shape == (9, num_chunks, 5)
+        want = direct_chunk_distances(queries, model, num_chunks, chunk_bits)
+        assert (got == want).all()
+        oracle = kernels.get_backend("reference")
+        assert (got == oracle.chunk_distance_table(
+            queries, model, num_chunks, chunk_bits)).all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("chunk_bits", [1, 63, 65, 100])
+    def test_bits_past_the_chunks_are_not_counted(self, name, chunk_bits):
+        """Set bits after ``m·d`` (up to ``64·W``) never reach a chunk."""
+        backend = get_or_skip(name)
+        num_chunks = 3
+        words = -(-num_chunks * chunk_bits // 64) + 1
+        queries, model = random_words(4, words), random_words(6, words)
+        got = backend.chunk_distance_table(queries, model, num_chunks,
+                                           chunk_bits)
+        want = direct_chunk_distances(queries, model, num_chunks, chunk_bits)
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    def test_zero_rows_classes_and_bits(self, name):
+        backend = get_or_skip(name)
+        q, m = random_words(3, 4), random_words(5, 4)
+        assert backend.chunk_distance_table(q[:0], m, 2, 100).shape == (
+            0, 2, 5)
+        assert backend.chunk_distance_table(q, m[:0], 2, 100).shape == (
+            3, 2, 0)
+        assert backend.chunk_distance_table(q[:1], m[:1], 2, 100).shape == (
+            1, 2, 1)
+        empty = backend.chunk_distance_table(q, m, 4, 0)
+        assert empty.shape == (3, 4, 5) and not empty.any()
+        no_words = backend.chunk_distance_table(
+            np.zeros((2, 0), np.uint64), np.zeros((3, 0), np.uint64), 1, 0
+        )
+        assert no_words.shape == (2, 1, 3) and not no_words.any()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("chunk_bits", [63, 64, 100])
+    def test_word_shard_operands(self, name, chunk_bits):
+        """Column slices ``words[:, lo:hi]`` (a word shard) are read as
+        the shard's own rows, not as views into the full rows."""
+        backend = get_or_skip(name)
+        queries, model = random_words(7, 20), random_words(4, 20)
+        for lo, hi in ((0, 8), (3, 14), (12, 20)):
+            q, m = queries[:, lo:hi], model[:, lo:hi]
+            assert not m.flags.c_contiguous
+            num_chunks = 64 * (hi - lo) // chunk_bits
+            got = backend.chunk_distance_table(q, m, num_chunks, chunk_bits)
+            want = direct_chunk_distances(
+                np.ascontiguousarray(q), np.ascontiguousarray(m),
+                num_chunks, chunk_bits,
+            )
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("chunk_bits", CHUNK_BITS)
+    def test_numpy_lut_popcount(self, monkeypatch, chunk_bits):
+        backend = kernels.get_backend("numpy")
+        queries, model = padded_words(5, 4 * chunk_bits), padded_words(
+            3, 4 * chunk_bits)
+        monkeypatch.setattr(packed, "_HAS_BITWISE_COUNT", False)
+        got = backend.chunk_distance_table(queries, model, 4, chunk_bits)
+        assert (got == direct_chunk_distances(queries, model, 4,
+                                              chunk_bits)).all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("b,k,w", SHAPES)
+    def test_distance_table_is_the_one_chunk_case(self, name, b, k, w):
+        backend = get_or_skip(name)
+        queries, model = random_words(b, w), random_words(k, w)
+        one_chunk = backend.chunk_distance_table(queries, model, 1, 64 * w)
+        assert (backend.distance_table(queries, model)
+                == one_chunk[:, 0]).all()
+
+    @pytest.mark.parametrize("num_chunks,chunk_bits", [
+        (0, 64), (2, -1), (3, 100),
+    ])
+    def test_geometry_validated(self, num_chunks, chunk_bits):
+        """``m`` chunks of ``d`` bits must fit the ``64·W`` row bits."""
+        q, m = random_words(2, 4), random_words(2, 4)
+        for name, available in kernels.available_backends().items():
+            if not available:
+                continue
+            with pytest.raises(ValueError, match="chunk"):
+                kernels.get_backend(name).chunk_distance_table(
+                    q, m, num_chunks, chunk_bits)
 
 
 def random_codebook(n: int, levels: int, words: int) -> np.ndarray:

@@ -297,15 +297,6 @@ class TestPackedModel:
             unpack(PackedHypervectors(pm.words, pm.dim)) == class_hv
         ).all()
 
-    def test_chunk_words_alignment(self):
-        rng = np.random.default_rng(13)
-        pm = pack_model(rng.integers(0, 2, (3, 1280), dtype=np.uint8))
-        aligned = pm.chunk_words(20)  # chunk size 64
-        assert aligned is not None and aligned.shape == (3, 20, 1)
-        assert pm.chunk_words(10).shape == (3, 10, 2)
-        assert pm.chunk_words(40) is None  # chunk size 32: not word-aligned
-        assert pm.chunk_words(3) is None  # 1280 % 3 != 0
-
     def test_distances_match_reference(self):
         rng = np.random.default_rng(14)
         class_hv = rng.integers(0, 2, (5, 200), dtype=np.uint8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.encoder import Encoder
@@ -18,6 +18,8 @@ from repro.core.recovery import (
 )
 from repro.datasets.synthetic import make_prototype_classification
 from repro.faults.api import attack
+from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.trace import RecoveryBlockEvent, RecoveryTrace
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,21 @@ class TestRecoverBlock:
             assert p_step == p_block[0]
         assert (a.class_hv == b.class_hv).all()
 
+    def test_one_gate_per_row_and_packed_detection(self, fitted):
+        """At chunk size 100 (not a multiple of 64) a block gates every
+        row once and detects packed, model writes included."""
+        attacked, queries = self._attacked(fitted)
+        config = RecoveryConfig(confidence_threshold=0.5, num_chunks=20)
+        with use_metrics(MetricsRegistry()) as registry:
+            recover_block(attacked.copy(), queries[:60], config,
+                          np.random.default_rng(7))
+        assert registry.counter("recovery.model_writes") >= 1
+        assert registry.counter("model.queries_served") == 60
+        assert registry.counter("chunks.detect_batches_float") == 0
+        assert registry.counter("chunks.detect_batches_packed") == (
+            registry.counter("recovery.queries_trusted")
+        )
+
     def test_empty_block(self, fitted):
         model, queries, _ = fitted
         preds = recover_block(
@@ -235,6 +252,90 @@ class TestRecoverBlock:
             np.random.default_rng(0),
         )
         assert preds.shape == (0,)
+
+
+def _merged(events: list[RecoveryBlockEvent]) -> RecoveryBlockEvent:
+    """One event covering consecutive step events, as a block would."""
+    def summed(field):
+        return np.sum([np.asarray(getattr(e, field)) for e in events], axis=0)
+
+    return RecoveryBlockEvent(
+        block_index=events[0].block_index,
+        queries=sum(e.queries for e in events),
+        trusted=sum(e.trusted for e in events),
+        confidences=tuple(c for e in events for c in e.confidences),
+        trusted_per_class=tuple(int(t) for t in summed("trusted_per_class")),
+        num_chunks=events[0].num_chunks,
+        chunk_flags=tuple(tuple(int(v) for v in row)
+                          for row in summed("chunk_flags")),
+        chunk_repair_bits=tuple(tuple(int(v) for v in row)
+                                for row in summed("chunk_repair_bits")),
+        bits_substituted=sum(e.bits_substituted for e in events),
+        model_version_before=events[0].model_version_before,
+        model_version_after=events[-1].model_version_after,
+    )
+
+
+@st.composite
+def damaged_streams(draw):
+    """A small damaged 1-bit model, a noisy query stream near its clean
+    prototypes, and a recovery config that trusts and writes often."""
+    k = draw(st.integers(2, 6))
+    num_chunks = draw(st.integers(2, 8))
+    chunk_bits = draw(st.sampled_from([1, 37, 63, 64, 65, 100, 128]))
+    dim = num_chunks * chunk_bits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prototypes = rng.integers(0, 2, (k, dim), dtype=np.uint8)
+    labels = rng.integers(0, k, draw(st.integers(8, 40)))
+    queries = prototypes[labels]
+    queries[rng.random(queries.shape) < 0.15] ^= 1
+    damaged = prototypes.copy()
+    # Clustered damage: about a third of each class's chunks get 70% of
+    # their bits flipped, so the detector flags and substitution writes.
+    hit = rng.random((k, num_chunks)) < 0.35
+    flips = rng.random((k, num_chunks, chunk_bits)) < 0.7
+    damaged ^= (flips & hit[:, :, None]).reshape(k, dim).astype(np.uint8)
+    config = RecoveryConfig(
+        confidence_threshold=draw(st.sampled_from([0.5, 0.55, 0.6])),
+        substitution_rate=draw(st.sampled_from([0.2, 0.5, 1.0])),
+        num_chunks=num_chunks,
+        detection_margin=draw(st.sampled_from([0.0, 0.02])),
+    )
+    return HDCModel(damaged), queries, config, draw(st.booleans())
+
+
+class TestBlockEqualsSteps:
+    """Property: one recover_block over a block replays recover_step row
+    by row — the model patched after every write — on any geometry."""
+
+    @staticmethod
+    def _block(model, queries, config, packed_input):
+        work, stats, trace = model.copy(), RecoveryStats(), RecoveryTrace()
+        preds = recover_block(
+            work, pack(queries) if packed_input else queries, config,
+            np.random.default_rng(3), stats, trace,
+        )
+        return preds, work.class_hv, stats, trace.last
+
+    @settings(max_examples=40)
+    @given(damaged_streams())
+    def test_block_replays_steps(self, case):
+        model, queries, config, packed_input = case
+        work, stats, trace = model.copy(), RecoveryStats(), RecoveryTrace()
+        rng = np.random.default_rng(3)
+        step_preds = np.array([
+            recover_step(work, q, config, rng, stats, trace)
+            for q in queries
+        ])
+        expected = (step_preds, work.class_hv, stats, _merged(list(trace)))
+        got = self._block(model, queries, config, packed_input)
+        with float_backend():
+            oracle = self._block(model, queries, config, packed_input)
+        for preds, class_hv, block_stats, event in (got, oracle):
+            assert (preds == expected[0]).all()
+            assert (class_hv == expected[1]).all()
+            assert block_stats == expected[2]
+            assert event == expected[3]
 
 
 class TestRobustHDRecovery:

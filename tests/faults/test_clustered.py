@@ -54,6 +54,53 @@ class TestSampling:
         assert bits.shape[0] == num_bits_to_flip(600, 0.9)
         assert len(set(bits.tolist())) == bits.shape[0]
 
+    @pytest.mark.parametrize("total,rate,cluster,spill", [
+        (120_000, 0.03, 512, 16),  # 14 victim spans of 256 bits
+        (100_000, 0.05, 384, 8),
+        (4_096, 0.05, 100, 5),
+        (1_000, 0.31, 7, 1),
+        (600, 0.9, 512, 284),  # one span: most of the budget spills
+    ])
+    def test_spill_draws_match_setdiff_pool(self, total, rate, cluster,
+                                            spill):
+        """The spill pool is the sorted complement of the span picks, so
+        the spilled draws equal a ``np.setdiff1d`` pool's draws."""
+
+        def setdiff_reference(rng):
+            budget = num_bits_to_flip(total, rate)
+            size = min(cluster, total)
+            per_span = size // 2
+            spans = max(1, total // size)
+            victims = rng.choice(
+                spans, size=min(spans, max(1, round(budget / per_span))),
+                replace=False,
+            )
+            picks, remaining = [], budget
+            for span in victims:
+                take = min(per_span, remaining)
+                picks.append(
+                    span * size + rng.choice(size, size=take, replace=False)
+                )
+                remaining -= take
+                if remaining <= 0:
+                    break
+            out = np.concatenate(picks)
+            assert remaining == spill
+            if remaining > 0:
+                pool = np.setdiff1d(np.arange(total, dtype=np.int64), out)
+                out = np.concatenate(
+                    [out, rng.choice(pool, size=remaining, replace=False)]
+                )
+            return out
+
+        for seed in range(6):
+            got = sample_clustered_bits(
+                total, rate, np.random.default_rng(seed), cluster_bits=cluster
+            )
+            want = setdiff_reference(np.random.default_rng(seed))
+            assert got.dtype == want.dtype
+            assert (got == want).all()
+
     def test_bad_cluster(self):
         with pytest.raises(ValueError, match="cluster_bits"):
             sample_clustered_bits(100, 0.1, np.random.default_rng(0),
