@@ -10,12 +10,22 @@ inspectable after every run.
 The scale is selected with the ``REPRO_BENCH_SCALE`` environment variable
 (``smoke`` / ``default`` / ``full``); the committed EXPERIMENTS.md values
 come from ``default``.
+
+The script benchmarks that write a root ``BENCH_*.json`` record start it
+with :func:`host` and emit it with :func:`write_record`; their
+sequential reference runs publish into a :class:`Recorder`.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import sys
 from pathlib import Path
+
+import numpy as np
+
+from repro.core import kernels
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -34,3 +44,49 @@ def run_and_record(benchmark, name: str, run_fn, render_fn):
     print()
     print(text)
     return result
+
+
+def host() -> dict:
+    """The header of every ``BENCH_*.json`` record: the host it ran on."""
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpus": len(os.sched_getaffinity(0)),
+        "kernel_backend": kernels.active_backend().name,
+    }
+
+
+def write_record(results: dict, output: Path | None) -> None:
+    """Print a record as JSON, and write it to ``output`` when given."""
+    text = json.dumps(results, indent=2)
+    print(text)
+    if output is not None:
+        output.write_text(text + "\n")
+        print(f"\nwrote {output}", file=sys.stderr)
+
+
+class Recorder:
+    """In-process model publisher for sequential reference runs: keeps
+    the last published packed model words."""
+
+    def __init__(self):
+        self.words = None
+        self.generation = 0
+
+    def publish(self, model):
+        self.words = model.packed().words.copy()
+        self.generation += 1
+        return self.generation
+
+    def touch(self):
+        pass
+
+    def end_writing(self):
+        pass
+
+    def predict(self, query_words: np.ndarray) -> np.ndarray:
+        """Labels under the last published model (nearest class)."""
+        distances = np.bitwise_count(
+            self.words[None, :, :] ^ query_words[:, None, :]
+        ).sum(axis=2)
+        return np.argmin(distances, axis=1).astype(np.int64)

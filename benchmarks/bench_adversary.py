@@ -46,7 +46,6 @@ it as a workflow artifact).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
@@ -54,9 +53,10 @@ from pathlib import Path
 
 import numpy as np
 
+from _common import Recorder, host, write_record
+
 from repro.adversary import AdaptiveAdversary, CampaignConfig, run_campaign
 from repro.adversary.adaptive import run_adaptive_scenario
-from repro.core import kernels
 from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import RecoveryConfig
 from repro.datasets.synthetic import make_prototype_classification
@@ -257,7 +257,7 @@ def bench_gateway_live_adversary(smoke: bool) -> dict:
     # Offline reference: replay the identical scenario with a recorder
     # in place of the engine; the recorder's last published generation
     # is exactly the model the workers ended up adopting.
-    recorder = _Recorder()
+    recorder = Recorder()
     offline = run_adaptive_scenario(
         experiment, scenario="adaptive", error_rate=0.05, config=config,
         adversary=AdaptiveAdversary(
@@ -268,13 +268,9 @@ def bench_gateway_live_adversary(smoke: bool) -> dict:
     assert outcome.accuracy_trace == offline.accuracy_trace, (
         "live-gateway adaptive scenario diverged from the offline run"
     )
-    offline_predictions = np.argmin(
-        np.bitwise_count(
-            recorder.words[None, :, :] ^ eval_words[:, None, :]
-        ).sum(axis=2),
-        axis=1,
-    ).astype(np.int64)
-    predictions_identical = bool((served == offline_predictions).all())
+    predictions_identical = bool(
+        (served == recorder.predict(eval_words)).all()
+    )
     assert predictions_identical, (
         "gateway-served predictions diverged from the offline "
         "struck-and-recovered model"
@@ -297,34 +293,13 @@ def bench_gateway_live_adversary(smoke: bool) -> dict:
     }
 
 
-class _Recorder:
-    """Minimal publisher: keeps the last published packed words."""
-
-    def __init__(self):
-        self.words = None
-        self.generation = 0
-
-    def publish(self, model):
-        self.words = model.packed().words.copy()
-        self.generation += 1
-        return self.generation
-
-    def touch(self):
-        pass
-
-    def end_writing(self):
-        pass
-
-
 def run(smoke: bool) -> tuple[dict, object]:
     campaign, trace = bench_campaign(smoke)
     results = {
         "schema": 1,
         "generated_by": "benchmarks/bench_adversary.py"
         + (" --smoke" if smoke else ""),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "kernel_backend": kernels.active_backend().name,
+        **host(),
         "campaign": campaign,
         "gateway_live_adversary": bench_gateway_live_adversary(smoke),
     }
@@ -344,14 +319,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(one CampaignEvent per line)")
     args = parser.parse_args(argv)
     results, trace = run(smoke=args.smoke)
-    rendered = json.dumps(results, indent=2)
-    print(rendered)
-    output = args.output
-    if output is None and not args.smoke:
-        output = DEFAULT_OUTPUT
-    if output is not None:
-        output.write_text(rendered + "\n")
-        print(f"\nwrote {output}", file=sys.stderr)
+    write_record(results,
+                 args.output or (None if args.smoke else DEFAULT_OUTPUT))
     if args.trace_output is not None:
         trace.write_jsonl(args.trace_output)
         print(f"wrote {args.trace_output}", file=sys.stderr)

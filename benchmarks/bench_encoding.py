@@ -38,13 +38,12 @@ committed ``BENCH_encoding.json``.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+from _common import host, write_record
 
 from repro.core import kernels
 from repro.core.encoder import Encoder, clear_codebook_cache
@@ -246,14 +245,10 @@ def run(smoke: bool) -> dict:
         fit_kw = dict(num_features=64, dim=10_000, levels=32, num_classes=12,
                       num_train=3_000, epochs=3, separation=1.2)
     return {
-        "schema": 2,
+        "schema": 3,
         "generated_by": "benchmarks/bench_encoding.py"
         + (" --smoke" if smoke else ""),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "cpus": len(os.sched_getaffinity(0)),
-        "kernel_backend": kernels.active_backend().name,
-        "hardware_popcount": hasattr(np, "bitwise_count"),
+        **host(),
         "encode": bench_encode(**encode_kw),
         "encode_backends": bench_encode_backends(**backends_kw),
         "fit": bench_fit(**fit_kw),
@@ -270,15 +265,8 @@ def main(argv: list[str] | None = None) -> int:
                              f"(default: {DEFAULT_OUTPUT})")
     args = parser.parse_args(argv)
 
-    results = run(args.smoke)
-    text = json.dumps(results, indent=2)
-    print(text)
-    output = args.output
-    if output is None and not args.smoke:
-        output = DEFAULT_OUTPUT
-    if output is not None:
-        output.write_text(text + "\n")
-        print(f"\nwrote {output}", file=sys.stderr)
+    write_record(run(args.smoke),
+                 args.output or (None if args.smoke else DEFAULT_OUTPUT))
     return 0
 
 

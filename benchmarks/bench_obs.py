@@ -5,11 +5,13 @@ The serving and recovery hot paths carry metrics hooks
 record a structured per-block trace (:mod:`repro.obs.trace`).  This
 benchmark measures what those hooks cost on the two paths that matter:
 
-* **packed predict** — batched 1-bit classification through the packed
-  XOR+popcount backend, no-op registry vs a recording
+* **predict** — batched 1-bit classification through the packed
+  XOR+popcount backend (D = 10,000, k = 12, batch 2,048 in the full
+  run), no-op registry vs a recording
   :class:`~repro.obs.metrics.MetricsRegistry`;
-* **recovery** — the block-batched recovery stream, no-op vs recording
-  metrics vs full :class:`~repro.obs.trace.RecoveryTrace` capture;
+* **recovery** — the block-batched recovery stream (m = 20 chunks,
+  1,024 queries in the full run), no-op vs recording metrics vs full
+  :class:`~repro.obs.trace.RecoveryTrace` capture;
 * **telemetry** — the cross-process serving telemetry
   (:mod:`repro.obs.telemetry`): a multi-worker engine with worker slabs
   on vs off (predictions asserted identical), plus a micro-measured
@@ -20,9 +22,12 @@ benchmark measures what those hooks cost on the two paths that matter:
 Target: **< 5% overhead** with a recording registry installed (the
 default no-op registry costs one attribute lookup + empty call per batch
 and should be unmeasurable), and **< 5%** per-batch telemetry recording
-cost relative to the batch it instruments.  The benchmark asserts the
-results are bit-identical across all instrumentation modes while it
-measures.
+cost relative to the batch it instruments.  The instrumented and no-op
+arms run interleaved, alternating which goes first, and the gated
+overhead is the median of the per-round time ratios, so host drift
+between rounds cancels instead of reading as overhead.  The benchmark
+asserts the results are bit-identical across all instrumentation modes
+while it measures.
 
 Usage::
 
@@ -39,42 +44,82 @@ target is missed, a smoke run if the telemetry target is.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from _common import host, write_record
+
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.core.recovery import RecoveryConfig, RobustHDRecovery
 from repro.datasets.synthetic import make_prototype_classification
 from repro.faults.api import attack
-from repro.obs.metrics import MetricsRegistry, disable_metrics, use_metrics
+from repro.obs.metrics import (
+    MetricsRegistry,
+    NullMetrics,
+    disable_metrics,
+    use_metrics,
+)
 from repro.obs.telemetry import (
     EV_BATCH_END,
     EV_BATCH_START,
     TelemetryWriter,
     slab_words,
 )
-from repro.serve import ServingEngine
-
-from bench_serve import predict_bulk
+from repro.serve import ServeRequest, ServingEngine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_obs.json"
 OVERHEAD_TARGET = 0.05
 
 
-def _time(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` in seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _under(registry: MetricsRegistry, fn):
+    """``fn`` as an arm that runs with ``registry`` installed."""
+    def arm():
+        with use_metrics(registry):
+            return fn()
+    return arm
+
+
+def _paired(arms: dict, rounds: int) -> dict:
+    """Time the arms interleaved, reversing their order every round, so
+    each arm runs before and after each other arm equally often.
+
+    Returns each arm's median wall seconds and, for every arm after the
+    first (the no-op baseline), ``<arm>_overhead``: the median over
+    rounds of its time over the baseline's time in the same round,
+    minus one.
+    """
+    names = list(arms)
+    times = {name: [] for name in names}
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            start = time.perf_counter()
+            arms[name]()
+            times[name].append(time.perf_counter() - start)
+    base = np.array(times[names[0]])
+    out = {name: float(np.median(t)) for name, t in times.items()}
+    for name in names[1:]:
+        ratios = np.array(times[name]) / base
+        out[f"{name}_overhead"] = float(np.median(ratios)) - 1.0
+    return out
+
+
+def predict_bulk(engine: ServingEngine, words: np.ndarray) -> np.ndarray:
+    """Ordered bulk predict: requests of at most
+    ``max_queries_per_request`` rows, frame-batched, concatenated."""
+    step = engine.max_queries_per_request
+    futures = [
+        engine.submit(ServeRequest(words[lo : lo + step]), flush=False)
+        for lo in range(0, words.shape[0], step)
+    ]
+    engine.flush()
+    return np.concatenate([
+        future.result(timeout=60.0).predictions for future in futures
+    ])
 
 
 def _make_workload(dim: int, num_classes: int, batch: int, noise: float,
@@ -88,32 +133,28 @@ def _make_workload(dim: int, num_classes: int, batch: int, noise: float,
 
 
 def bench_predict(dim: int, num_classes: int, batch: int,
-                  repeats: int) -> dict:
+                  rounds: int) -> dict:
     model, queries, _ = _make_workload(dim, num_classes, batch, noise=0.2)
     model.packed()  # warm the version-stamped cache
-
-    disable_metrics()
-    ref = model.predict(queries)
-    t_noop = _time(lambda: model.predict(queries), repeats)
-
-    with use_metrics(MetricsRegistry()) as registry:
-        got = model.predict(queries)
-        t_metrics = _time(lambda: model.predict(queries), repeats)
-    assert (got == ref).all(), "metrics changed predictions"
+    registry = MetricsRegistry()
+    noop = _under(NullMetrics(), lambda: model.predict(queries))
+    recording = _under(registry, lambda: model.predict(queries))
+    assert (recording() == noop()).all(), "metrics changed predictions"
     assert registry.counter("model.queries_served") > 0
-
+    timed = _paired({"noop": noop, "metrics": recording}, rounds)
     return {
         "dim": dim,
         "num_classes": num_classes,
         "batch": batch,
-        "noop_qps": batch / t_noop,
-        "metrics_qps": batch / t_metrics,
-        "metrics_overhead": t_metrics / t_noop - 1.0,
+        "rounds": rounds,
+        "noop_qps": batch / timed["noop"],
+        "metrics_qps": batch / timed["metrics"],
+        "metrics_overhead": timed["metrics_overhead"],
     }
 
 
 def bench_recovery(dim: int, num_classes: int, num_chunks: int, stream: int,
-                   repeats: int) -> dict:
+                   rounds: int) -> dict:
     model, queries, _ = _make_workload(dim, num_classes, stream, noise=0.2,
                                        seed=2)
     config = RecoveryConfig(num_chunks=num_chunks)
@@ -136,30 +177,29 @@ def bench_recovery(dim: int, num_classes: int, num_chunks: int, stream: int,
         preds = rec.process(queries)
         return preds, rec.model.class_hv
 
-    disable_metrics()
-    ref = run(with_trace=False)
-    t_noop = _time(lambda: run(with_trace=False), repeats)
-    traced = run(with_trace=True)
-    assert (ref[0] == traced[0]).all(), "trace changed predictions"
-    assert (ref[1] == traced[1]).all(), "trace changed the repaired model"
-    t_trace = _time(lambda: run(with_trace=True), repeats)
-
-    with use_metrics(MetricsRegistry()) as registry:
-        got = run(with_trace=False)
-        t_metrics = _time(lambda: run(with_trace=False), repeats)
-    assert (got[0] == ref[0]).all(), "metrics changed predictions"
-    assert (got[1] == ref[1]).all(), "metrics changed the repaired model"
+    registry = MetricsRegistry()
+    arms = {
+        "noop": _under(NullMetrics(), lambda: run(with_trace=False)),
+        "metrics": _under(registry, lambda: run(with_trace=False)),
+        "trace": _under(NullMetrics(), lambda: run(with_trace=True)),
+    }
+    ref = arms["noop"]()
+    for name in ("metrics", "trace"):
+        got = arms[name]()
+        assert (got[0] == ref[0]).all(), f"{name} changed predictions"
+        assert (got[1] == ref[1]).all(), f"{name} changed the repaired model"
     assert registry.counter("recovery.queries") > 0
-
+    timed = _paired(arms, rounds)
     return {
         "dim": dim,
         "num_chunks": num_chunks,
         "stream": stream,
-        "noop_qps": stream / t_noop,
-        "metrics_qps": stream / t_metrics,
-        "trace_qps": stream / t_trace,
-        "metrics_overhead": t_metrics / t_noop - 1.0,
-        "trace_overhead": t_trace / t_noop - 1.0,
+        "rounds": rounds,
+        "noop_qps": stream / timed["noop"],
+        "metrics_qps": stream / timed["metrics"],
+        "trace_qps": stream / timed["trace"],
+        "metrics_overhead": timed["metrics_overhead"],
+        "trace_overhead": timed["trace_overhead"],
     }
 
 
@@ -246,25 +286,25 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
 
 def run(smoke: bool) -> dict:
     if smoke:
-        predict_kw = dict(dim=2_048, num_classes=6, batch=256, repeats=3)
+        predict_kw = dict(dim=2_048, num_classes=6, batch=256, rounds=4)
         recover_kw = dict(dim=2_000, num_classes=6, num_chunks=20,
-                          stream=128, repeats=2)
+                          stream=128, rounds=4)
         telemetry_kw = dict(num_classes=6, num_features=16, dim=1_024,
                             levels=8, batch=256, rounds=4, repeats=1)
     else:
-        predict_kw = dict(dim=10_000, num_classes=12, batch=2_048, repeats=7)
+        predict_kw = dict(dim=10_000, num_classes=12, batch=2_048,
+                          rounds=64)
         recover_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
-                          stream=1_024, repeats=5)
+                          stream=1_024, rounds=48)
         telemetry_kw = dict(num_classes=12, num_features=32, dim=4_096,
                             levels=16, batch=1_024, rounds=8, repeats=3)
     return {
-        "schema": 2,
+        "schema": 3,
         "generated_by": "benchmarks/bench_obs.py"
         + (" --smoke" if smoke else ""),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
+        **host(),
         "overhead_target": OVERHEAD_TARGET,
-        "predict_packed": bench_predict(**predict_kw),
+        "predict": bench_predict(**predict_kw),
         "recovery": bench_recovery(**recover_kw),
         "telemetry": bench_telemetry(**telemetry_kw),
     }
@@ -282,14 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     results = run(args.smoke)
-    text = json.dumps(results, indent=2)
-    print(text)
-    output = args.output
-    if output is None and not args.smoke:
-        output = DEFAULT_OUTPUT
-    if output is not None:
-        output.write_text(text + "\n")
-        print(f"\nwrote {output}", file=sys.stderr)
+    write_record(results,
+                 args.output or (None if args.smoke else DEFAULT_OUTPUT))
 
     failed = False
     # The telemetry record cost is a stable micro-measurement: gate it in
@@ -310,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     if not args.smoke:
         worst = max(
-            results["predict_packed"]["metrics_overhead"],
+            results["predict"]["metrics_overhead"],
             results["recovery"]["metrics_overhead"],
         )
         if worst > OVERHEAD_TARGET:

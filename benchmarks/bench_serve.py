@@ -1,61 +1,61 @@
-"""Concurrent serving benchmark: multi-worker engine vs single process.
+"""Concurrent serving benchmark: what only a multi-worker engine measures.
 
-Measures the serving tier added on top of the PR 1 packed backend at a
-request-serving shape (many independent micro-batch requests, the
-deployment pattern the ROADMAP's "serve heavy traffic" north star
-describes):
+Each leg serves many independent micro-batch requests through
+:class:`repro.serve.ServingEngine` and checks every reply against the
+in-process packed path before it is timed:
 
-* **baseline** — the single-process packed path: one
-  ``PackedModel.distances`` + argmin call per request, exactly what a
-  caller of the PR 1 API does per arriving request;
-* **engine** — :class:`repro.serve.ServingEngine` at 1/2/4 workers:
-  requests flow through the bounded shared-memory ring, are
-  frame-batched over the queue, and each worker coalesces queued
-  requests into a single packed distance computation.  The win is
-  coalescing — per-request dispatch overhead is paid once per *batch* —
-  so it holds even when workers share cores with the client;
-* **equivalence** — a seeded attack-and-recover run published live into
-  a serving engine (workers adopting each repaired generation between
-  batches) must end bit-identical — final model words and predictions —
-  to the sequential reference; asserted before the numbers are written.
+* **throughput** — the engine at 1/2/4 workers against the
+  single-process packed baseline (one ``PackedModel.distances`` +
+  argmin call per request).  Requests flow through the bounded
+  shared-memory ring, are frame-batched over the queue, and each worker
+  coalesces queued requests into one packed distance computation;
+* **class and word sharding** — the same workload with each worker
+  owning a class-row slice of the model, and a 10^6-dimension random
+  model whose 64-bit word blocks are split across workers;
+* **gateway** — a two-tenant soak through the TCP gateway while one
+  tenant is attacked and recovered live, with sequential round-trip
+  latency, overload (typed ``OVERLOADED`` shed) and credit backpressure
+  (paused, never shed) sub-legs.
 
-Results are written as JSON so future PRs have a perf trajectory to
-regress against.
+perfbench (``perfbench/run.py``) measures the single-tenant serve path
+per layer, and ``benchmarks/bench_obs.py`` times the packed predict and
+recovery paths; this benchmark does not repeat them.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serve.py           # writes BENCH_serve.json
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke   # CI smoke, prints JSON only
 
-``--smoke`` shrinks every workload so the run takes a couple of seconds
-and, unless ``--output`` is given explicitly, does not overwrite the
-committed ``BENCH_serve.json``.  ``--telemetry`` scrapes the worker
-shared-memory telemetry slabs and records true cross-worker batch
-latency percentiles (fleet p50/p95/p99) per worker count;
-``--prom-output PATH`` additionally exports the scraped fleet metrics in
-Prometheus text format (CI publishes this as a workflow artifact).
+``--smoke`` shrinks every workload so the run takes seconds and, unless
+``--output`` is given, does not overwrite the committed
+``BENCH_serve.json``.  ``--prom-output PATH`` also exports the scraped
+fleet metrics in Prometheus text format.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import asyncio
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import kernels
+from _common import Recorder, host, write_record
+
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import RecoveryConfig
 from repro.datasets.synthetic import make_prototype_classification
 from repro.obs.export import write_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.serve import (
     AsyncGatewayClient,
+    GatewayClient,
+    GatewayRejected,
     GatewayServer,
     ServeRequest,
     ServingEngine,
@@ -63,12 +63,10 @@ from repro.serve import (
     TenantRegistry,
 )
 from repro.serve.autoscale import WorkerAutoscaler
+from repro.serve.protocol import RejectCode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_serve.json"
-# bench_serving.py (the in-process packed-vs-float benchmark) owns this
-# file; refusing it here keeps the near-homonym artifacts unambiguous.
-FORBIDDEN_OUTPUT = "BENCH_serving.json"
 
 
 def _worker_diagnostics(engine: ServingEngine) -> dict:
@@ -139,49 +137,27 @@ def _drive(engine: ServingEngine, requests: list[np.ndarray],
     return time.perf_counter() - start
 
 
-class _Recorder:
-    """Minimal in-process ModelPublisher for sequential reference runs."""
+def _check_and_time(engine: ServingEngine, payloads: list[np.ndarray],
+                    reference: list[np.ndarray], window: int,
+                    repeats: int) -> float:
+    """Best-of-``repeats`` wall seconds to serve ``payloads``.
 
-    def __init__(self):
-        self.words = None
-        self.version = 0
-        self.generations = 0
-
-    def publish(self, model):
-        packed = model.packed()
-        self.words = packed.words.copy()
-        self.version = packed.version
-        self.generations += 1
-        return self.generations
-
-    def touch(self):
-        pass
-
-
-def predict_bulk(engine: ServingEngine, words: np.ndarray,
-                 tenant: str | None = None) -> np.ndarray:
-    """Ordered bulk predict over the unified ServeRequest surface.
-
-    Splits ``words`` into requests of at most ``max_queries_per_request``
-    rows, frame-batches the submits, and concatenates the predictions.
+    The warm-up (first batches pay fork and first-adoption costs) serves
+    the first ``len(reference)`` payloads and asserts the engine
+    reproduces the in-process packed predictions.
     """
-    step = engine.max_queries_per_request
-    futures = []
-    for start in range(0, words.shape[0], step):
-        futures.append(engine.submit(
-            ServeRequest(words[start : start + step], tenant=tenant),
-            flush=False,
-        ))
+    check = [engine.submit(ServeRequest(payload), flush=False)
+             for payload in payloads[: len(reference)]]
     engine.flush()
-    return np.concatenate([
-        future.result(timeout=60.0).predictions for future in futures
-    ])
+    for future, expected in zip(check, reference):
+        assert (future.result().predictions == expected).all(), \
+            "engine predictions diverged from the packed baseline"
+    return min(_drive(engine, payloads, window) for _ in range(repeats))
 
 
 def bench_throughput(num_classes: int, num_features: int, dim: int,
                      levels: int, queries_per_request: int, requests: int,
                      worker_counts: tuple[int, ...], repeats: int,
-                     telemetry: bool = False,
                      registry: MetricsRegistry | None = None,
                      num_shards: int = 1,
                      frame_requests: int = 32) -> dict:
@@ -235,37 +211,19 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
             shard_plan=ShardPlan.by_class(num_classes, num_shards),
         )
         try:
-            # Warm-up: first batches pay fork + first-adoption costs, and
-            # double as a correctness check against the baseline.
-            check = [
-                engine.submit(ServeRequest(payload), flush=False)
-                for payload in payloads[:window]
-            ]
-            engine.flush()
-            for future, expected in zip(check, reference):
-                got = future.result().predictions
-                assert (got == expected).all(), \
-                    "engine predictions diverged from the packed baseline"
-            best = float("inf")
-            for _ in range(repeats):
-                best = min(best, _drive(engine, payloads, window))
-            fleet = None
-            if telemetry:
-                # Fleet percentiles out of worker shared memory: true
-                # cross-worker batch-latency distribution, merged from
-                # the per-worker log2 bins.
-                ps = engine.telemetry.percentiles(
-                    "batch_duration_ns", (50.0, 95.0, 99.0)
-                )
-                fleet = {
-                    f"batch_duration_ms_p{int(q)}": value / 1e6
-                    for q, value in ps.items()
-                }
-                if registry is not None:
-                    engine.scrape_telemetry(registry)
+            best = _check_and_time(engine, payloads, reference[:window],
+                                   window, repeats)
+            # Fleet percentiles out of worker shared memory: the true
+            # cross-worker batch-latency distribution, merged from the
+            # per-worker log2 bins.
+            ps = engine.telemetry.percentiles(
+                "batch_duration_ns", (50.0, 95.0, 99.0)
+            )
+            if registry is not None:
+                engine.scrape_telemetry(registry)
         finally:
             engine.stop()
-        entry = {
+        result["workers"][str(workers)] = {
             "requests_per_s": requests / best,
             "queries_per_s": requests * queries_per_request / best,
             "speedup_vs_baseline": best_base / best,
@@ -274,10 +232,11 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
                 engine.trace.requests_served / max(1, len(engine.trace))
             ),
             "per_worker": _worker_diagnostics(engine),
+            "fleet": {
+                f"batch_duration_ms_p{int(q)}": value / 1e6
+                for q, value in ps.items()
+            },
         }
-        if fleet is not None:
-            entry["fleet"] = fleet
-        result["workers"][str(workers)] = entry
     return result
 
 
@@ -319,13 +278,7 @@ def bench_word_shard_scale(dim: int, num_classes: int, num_shards: int,
         shard_plan=ShardPlan.by_word(dim, num_shards),
     )
     try:
-        for payload, expected in zip(payloads[:8], reference):
-            got = engine.submit(ServeRequest(payload)).result().predictions
-            assert (got == expected).all(), \
-                "word-sharded predictions diverged from the packed baseline"
-        best = float("inf")
-        for _ in range(repeats):
-            best = min(best, _drive(engine, payloads, window))
+        best = _check_and_time(engine, payloads, reference, window, repeats)
         diagnostics = _worker_diagnostics(engine)
     finally:
         engine.stop()
@@ -343,119 +296,42 @@ def bench_word_shard_scale(dim: int, num_classes: int, num_shards: int,
     }
 
 
-def bench_gpu_roofline(smoke: bool = False) -> dict:
-    """Measured CPU kernel throughput vs the analytic GPU roofline.
+def _flood(classifier: HDCClassifier, payload: np.ndarray, requests: int,
+           credited: bool, ring_slots: int, **server_kw) -> tuple:
+    """Pipeline ``requests`` copies of ``payload`` at once into a fresh
+    one-worker gateway; returns the per-request outcomes (predictions or
+    the exception), the client's credit window and credit waits, and the
+    server's shed count."""
+    engine = ServingEngine(classifier, num_workers=1, ring_slots=ring_slots,
+                           max_queries_per_request=payload.shape[0])
+    server = GatewayServer(engine, **server_kw).start()
 
-    The numpy backend's measured ``distance_table`` queries/s is divided
-    by the :class:`repro.pim.gpu.GPUModel` prediction — how far this
-    host's CPU path sits below the analytic Figure 2 GPU model.
-    """
-    kw = dict(dim=1_024, batch=256, repeats=1) if smoke else {}
-    return {
-        "available_backends": kernels.available_backends(),
-        "cpu": kernels.roofline_validation(kernels.get_backend("numpy"),
-                                           **kw),
-    }
-
-
-def bench_live_recovery(num_classes: int, num_features: int, dim: int,
-                        levels: int, error_rate: float, passes: int) -> dict:
-    """Concurrent attack-and-recover vs the sequential reference.
-
-    The sequential run records each published generation in-process; the
-    concurrent run publishes into a live :class:`ServingEngine` that is
-    serving traffic the whole time.  Both must end with bit-identical
-    model words and predictions — the equivalence the epoch/snapshot
-    protocol guarantees (recovery is the single writer; workers only
-    ever adopt immutable snapshots).
-    """
-    import threading
-
-    task = make_prototype_classification(
-        "bench-recover", num_features=num_features, num_classes=num_classes,
-        num_train=num_classes * 40, num_test=200, seed=0,
-    )
-
-    def experiment():
-        return RecoveryExperiment(dataset=task, dim=dim, epochs=2,
-                                  levels=levels, seed=7)
-
-    recorder = _Recorder()
-    reference = experiment()
-    ref_outcome = reference.attack_and_recover(
-        error_rate, config=RecoveryConfig(), passes=passes, seed=11,
-        publisher=recorder,
-    )
-    ref_packed_words = recorder.words
-    eval_words = reference._eval_packed.words
-
-    concurrent = experiment()
-    engine = ServingEngine(concurrent.classifier, num_workers=2)
-    served_rounds = 0
-    stop = threading.Event()
-
-    def traffic():
-        nonlocal served_rounds
-        while not stop.is_set():
-            predict_bulk(engine, eval_words)
-            served_rounds += 1
-
-    thread = threading.Thread(target=traffic, daemon=True)
-    start = time.perf_counter()
-    thread.start()
-    try:
-        outcome = concurrent.attack_and_recover(
-            error_rate, config=RecoveryConfig(), passes=passes, seed=11,
-            publisher=engine.publisher,
+    async def flood():
+        client = await AsyncGatewayClient.connect(
+            "127.0.0.1", server.port, credited=credited
         )
-    finally:
-        stop.set()
-        thread.join()
-    recover_s = time.perf_counter() - start
-    final_predictions = predict_bulk(engine, eval_words)
-    generations = engine.publisher.generation
-    trace = engine.trace
-    engine.stop()
+        try:
+            outcomes = await asyncio.gather(
+                *[client.predict(payload, tenant="default")
+                  for _ in range(requests)],
+                return_exceptions=True,
+            )
+            return outcomes, client.window, client.credit_waits
+        finally:
+            await client.close()
 
-    reference_predictions = np.argmin(
-        np.bitwise_count(
-            ref_packed_words[None, :, :] ^ eval_words[:, None, :]
-        ).sum(axis=2),
-        axis=1,
-    ).astype(np.int64)
-    model_identical = bool(
-        recorder.words is not None
-        and (recorder.words == ref_packed_words).all()
-        and outcome.accuracy_trace == ref_outcome.accuracy_trace
-    )
-    predictions_identical = bool(
-        (final_predictions == reference_predictions).all()
-    )
-    assert model_identical, \
-        "concurrent recovery diverged from the sequential reference model"
-    assert predictions_identical, \
-        "served predictions diverged from the sequential reference"
-    return {
-        "error_rate": error_rate,
-        "passes": passes,
-        "dim": dim,
-        "recovered_accuracy": outcome.recovered_accuracy,
-        "generations_published": generations,
-        "adoptions": trace.adoptions,
-        "degraded_batches": trace.degraded_batches,
-        "traffic_rounds_during_recovery": served_rounds,
-        "concurrent_recover_s": recover_s,
-        "final_model_bit_identical": model_identical,
-        "final_predictions_bit_identical": predictions_identical,
-    }
+    try:
+        return (*asyncio.run(flood()), server.admission.shed_total)
+    finally:
+        server.stop()
+        engine.stop()
 
 
 def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
-                  error_rate: float, passes: int, num_workers: int = 4,
-                  max_workers: int = 6, min_soak_s: float = 3.0,
-                  frame_batch: int = 1, sub_legs: bool = True,
+                  error_rate: float, passes: int, num_workers: int,
+                  max_workers: int, min_soak_s: float,
                   registry: MetricsRegistry | None = None) -> dict:
-    """Multi-tenant soak through the TCP gateway.
+    """Multi-tenant soak through the TCP gateway, plus three sub-legs.
 
     ``tenants`` independent models share one engine behind one
     :class:`GatewayServer`.  An async client pipelines mixed-tenant
@@ -464,34 +340,16 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     :class:`WorkerAutoscaler` running.  Every non-attacked tenant's
     response is checked bit-identical to its sequential reference on
     every round (hot-swap isolation); tenant 0 must match its own
-    sequential attack-and-recover reference once recovery lands.
+    sequential attack-and-recover reference once recovery lands, and
+    nothing may be shed.
 
-    ``frame_batch > 1`` drives the soak with ``SUBMIT_BATCH`` frames
-    of that many requests over a *credited* connection (the engine's
-    per-request query cap is raised so the gateway can merge each
-    batch into few zero-copy engine submits); bit-identity is still
-    asserted per entry, per round.
-
-    With ``sub_legs`` (the unbatched base run), three extra facts are
-    asserted and recorded: sequential round-trip latency percentiles
-    over a sync client (a Nagle/delayed-ACK regression would push p50
-    to ~40 ms; asserted < 25 ms), a typed non-zero shed counter under
-    a deliberately tiny in-flight cap (overload sub-leg), and a
-    credit-respecting flooding client that gets *paused*, never shed
-    (backpressure sub-leg: zero OVERLOADED, ``credit_waits > 0``).
+    The sub-legs assert and record sequential round-trip latency over a
+    sync client (a Nagle/delayed-ACK regression would push p50 to
+    ~40 ms; asserted < 25 ms), a typed non-zero shed counter under a
+    deliberately tiny in-flight cap (overload), and a credit-respecting
+    flooding client that gets *paused*, never shed (backpressure: zero
+    OVERLOADED, ``credit_waits > 0``).
     """
-    import asyncio
-    import threading
-
-    from repro.obs.metrics import set_metrics
-    from repro.serve import GatewayRejected
-    from repro.serve.client import GatewayClient
-    from repro.serve.protocol import RejectCode
-
-    if tenants < 2:
-        raise ValueError("the gateway leg needs >= 2 tenants")
-    if frame_batch < 1:
-        raise ValueError("frame_batch must be >= 1")
     qpr = 8
     names = [f"tenant{i}" for i in range(tenants)]
     tasks = [
@@ -511,18 +369,13 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
 
     # Sequential reference for the attacked tenant: identical
     # attack-and-recover replayed into an in-process recorder.
-    recorder = _Recorder()
+    recorder = Recorder()
     ref_outcome = experiment(0).attack_and_recover(
         error_rate, config=RecoveryConfig(), passes=passes, seed=11,
         publisher=recorder,
     )
     eval_words = [exp._eval_packed.words for exp in experiments]
-    ref_predictions = np.argmin(
-        np.bitwise_count(
-            recorder.words[None, :, :] ^ eval_words[0][:, None, :]
-        ).sum(axis=2),
-        axis=1,
-    ).astype(np.int64)
+    ref_predictions = recorder.predict(eval_words[0])
     # Fixed references for the tenants that are never touched.
     expected = {
         names[i]: np.argmin(
@@ -538,19 +391,12 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     for name, exp in zip(names, experiments):
         tenant_registry.add(name, exp.classifier)
     previous_metrics = set_metrics(registry) if registry is not None else None
-    # Raising the per-request query cap for batched runs lets the
-    # gateway merge a whole SUBMIT_BATCH into one zero-copy engine
-    # submit (the fast path under test); requests still carry qpr
-    # query rows each on the wire.
     engine = ServingEngine(
         tenant_registry, num_workers=num_workers, min_workers=2,
         max_workers=max_workers, ring_slots=128,
-        max_queries_per_request=qpr * frame_batch,
+        max_queries_per_request=qpr,
     )
-    server = GatewayServer(
-        engine,
-        connection_window=None if frame_batch == 1 else 128,
-    ).start()
+    server = GatewayServer(engine).start()
     scaler = WorkerAutoscaler(engine, interval_s=0.1).start()
     done = threading.Event()
     recovery: dict = {}
@@ -565,9 +411,7 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
             done.set()
 
     async def drive():
-        client = await AsyncGatewayClient.connect(
-            "127.0.0.1", server.port, credited=frame_batch > 1
-        )
+        client = await AsyncGatewayClient.connect("127.0.0.1", server.port)
         served = dict.fromkeys(names, 0)
         window = 4 * tenants
         rotate = 0
@@ -576,42 +420,7 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
         # sustained mixed-tenant traffic (and the autoscaler gets real
         # ticks), not a single burst.
         soak_until = time.perf_counter() + min_soak_s
-
-        async def pump(name):
-            """Batched soak driver: pipelined SUBMIT_BATCH frames for
-            one tenant over the shared credited connection,
-            bit-identity checked per entry.  Several pumps per tenant
-            keep the gateway's merge path saturated instead of
-            round-tripping one batch at a time."""
-            total = 0
-            batch_payloads = [payloads[name]] * frame_batch
-            while not done.is_set() or time.perf_counter() < soak_until:
-                # Captured before issuing (same contract as below).
-                settled = done.is_set()
-                entries = await client.submit_batch(
-                    batch_payloads, tenant=name
-                )
-                total += len(entries)
-                got = np.asarray(entries)
-                if name != names[0]:
-                    assert (got == expected[name]).all(), (
-                        f"{name} diverged from its sequential "
-                        f"reference while tenant 0 was hot-swapping"
-                    )
-                elif settled:
-                    assert (got == ref_predictions[:qpr]).all(), (
-                        "tenant 0 diverged from its recovered "
-                        "reference after recovery completed"
-                    )
-            return name, total
-
         try:
-            if frame_batch > 1:
-                depth = 3
-                for name, total in await asyncio.gather(
-                    *[pump(n) for n in names for _ in range(depth)]
-                ):
-                    served[name] += total
             while not done.is_set() or time.perf_counter() < soak_until:
                 # Captured before issuing: only requests submitted after
                 # the final generation published may be held to the
@@ -644,12 +453,7 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
             parts = await asyncio.gather(
                 *[client.predict(c, tenant=names[0]) for c in chunks]
             )
-            credit = {
-                "credited": client.credited,
-                "window": client.window,
-                "credit_waits": client.credit_waits,
-            }
-            return served, np.concatenate(parts), credit
+            return served, np.concatenate(parts)
         finally:
             await client.close()
 
@@ -657,7 +461,7 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     start = time.perf_counter()
     thread.start()
     try:
-        served, final_predictions, credit = asyncio.run(drive())
+        served, final_predictions = asyncio.run(drive())
     finally:
         thread.join()
     wall = time.perf_counter() - start
@@ -678,25 +482,23 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     # TCP_NODELAY on both ends keeps a loopback round trip in the
     # low-millisecond range; a Nagle/delayed-ACK regression would park
     # p50 near 40 ms and trip the assertion.
-    latency = None
-    if sub_legs:
-        lat_samples = []
-        with GatewayClient("127.0.0.1", server.port) as lat_client:
+    lat_samples = []
+    with GatewayClient("127.0.0.1", server.port) as lat_client:
+        lat_client.predict(payloads[names[1]], tenant=names[1])
+        for _ in range(50 if min_soak_s < 1.0 else 200):
+            t0 = time.perf_counter()
             lat_client.predict(payloads[names[1]], tenant=names[1])
-            for _ in range(50 if min_soak_s < 1.0 else 200):
-                t0 = time.perf_counter()
-                lat_client.predict(payloads[names[1]], tenant=names[1])
-                lat_samples.append((time.perf_counter() - t0) * 1e3)
-        latency = {
-            "samples": len(lat_samples),
-            "round_trip_ms_p50": float(np.percentile(lat_samples, 50)),
-            "round_trip_ms_p99": float(np.percentile(lat_samples, 99)),
-        }
-        assert latency["round_trip_ms_p50"] < 25.0, (
-            f"sequential gateway round trip p50 "
-            f"{latency['round_trip_ms_p50']:.1f} ms looks like a Nagle "
-            f"regression (expected low single digits with TCP_NODELAY)"
-        )
+            lat_samples.append((time.perf_counter() - t0) * 1e3)
+    latency = {
+        "samples": len(lat_samples),
+        "round_trip_ms_p50": float(np.percentile(lat_samples, 50)),
+        "round_trip_ms_p99": float(np.percentile(lat_samples, 99)),
+    }
+    assert latency["round_trip_ms_p50"] < 25.0, (
+        f"sequential gateway round trip p50 "
+        f"{latency['round_trip_ms_p50']:.1f} ms looks like a Nagle "
+        f"regression (expected low single digits with TCP_NODELAY)"
+    )
 
     admitted = server.admission.admitted
     shed_total = server.admission.shed_total
@@ -714,126 +516,57 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     server.stop()
     engine.stop()
 
-    overload = None
-    backpressure = None
     try:
-        if sub_legs:
-            # Overload sub-leg: a deliberately tiny in-flight cap under
-            # async pipelining must shed with a typed OVERLOADED reject
-            # while every admitted request still resolves correctly.
-            flood_requests = 40
-            sub_engine = ServingEngine(
-                experiments[1].classifier, num_workers=1, ring_slots=2,
-                max_queries_per_request=qpr,
-            )
-            sub_server = GatewayServer(sub_engine, max_inflight=1).start()
+        # Overload sub-leg: a deliberately tiny in-flight cap under
+        # async pipelining must shed with a typed OVERLOADED reject
+        # while every admitted request still resolves correctly.
+        flood_requests = 40
+        outcomes, _, _, _ = _flood(
+            experiments[1].classifier, payloads[names[1]], flood_requests,
+            credited=False, ring_slots=2, max_inflight=1,
+        )
+        flood_served = [o for o in outcomes if isinstance(o, np.ndarray)]
+        flood_shed = [o for o in outcomes if isinstance(o, GatewayRejected)]
+        assert flood_served, "overload sub-leg starved every request"
+        for got in flood_served:
+            assert (got == expected[names[1]]).all(), \
+                "overload sub-leg served wrong predictions"
+        assert flood_shed, "overload sub-leg shed nothing; cap not enforced"
+        assert {exc.code for exc in flood_shed} == {RejectCode.OVERLOADED}
 
-            async def flood():
-                client = await AsyncGatewayClient.connect(
-                    "127.0.0.1", sub_server.port
-                )
-                try:
-                    return await asyncio.gather(
-                        *[client.predict(payloads[names[1]],
-                                         tenant="default")
-                          for _ in range(flood_requests)],
-                        return_exceptions=True,
-                    )
-                finally:
-                    await client.close()
-
-            try:
-                outcomes = asyncio.run(flood())
-            finally:
-                sub_server.stop()
-                sub_engine.stop()
-            flood_served = [o for o in outcomes
-                            if isinstance(o, np.ndarray)]
-            flood_shed = [o for o in outcomes
-                          if isinstance(o, GatewayRejected)]
-            assert flood_served, "overload sub-leg starved every request"
-            for got in flood_served:
-                assert (got == expected[names[1]]).all(), \
-                    "overload sub-leg served wrong predictions"
-            assert flood_shed, \
-                "overload sub-leg shed nothing; cap not enforced"
-            assert {exc.code for exc in flood_shed} == \
-                {RejectCode.OVERLOADED}
-            overload = {
-                "requests": flood_requests,
-                "served": len(flood_served),
-                "shed": len(flood_shed),
-                "shed_rate": len(flood_shed) / flood_requests,
-                "reject_code": "OVERLOADED",
-            }
-
-            # Backpressure sub-leg: the same flood over a *credited*
-            # connection against a tiny window must be paused (client
-            # blocks on credits), never shed — zero OVERLOADED rejects
-            # for a credit-respecting client.
-            bp_requests = 60
-            bp_engine = ServingEngine(
-                experiments[1].classifier, num_workers=1, ring_slots=4,
-                max_queries_per_request=qpr,
-            )
-            bp_server = GatewayServer(
-                bp_engine, max_inflight=2, connection_window=2
-            ).start()
-
-            async def cooperative_flood():
-                client = await AsyncGatewayClient.connect(
-                    "127.0.0.1", bp_server.port, credited=True
-                )
-                try:
-                    got = await asyncio.gather(
-                        *[client.predict(payloads[names[1]],
-                                         tenant="default")
-                          for _ in range(bp_requests)]
-                    )
-                    return got, client.window, client.credit_waits
-                finally:
-                    await client.close()
-
-            try:
-                bp_served, bp_window, bp_waits = asyncio.run(
-                    cooperative_flood()
-                )
-            finally:
-                bp_shed = bp_server.admission.shed_total
-                bp_server.stop()
-                bp_engine.stop()
-            assert len(bp_served) == bp_requests, \
-                "backpressure sub-leg dropped requests"
-            for got in bp_served:
-                assert (got == expected[names[1]]).all(), \
-                    "backpressure sub-leg served wrong predictions"
-            assert bp_shed == 0, (
-                f"credit-respecting client was shed {bp_shed} times; "
-                f"backpressure should pause, not reject"
-            )
-            assert bp_waits > 0, (
-                "flood never waited on credits; the tiny window was "
-                "not exercised"
-            )
-            backpressure = {
-                "requests": bp_requests,
-                "window": bp_window,
-                "credit_waits": bp_waits,
-                "shed_total": bp_shed,
-                "paused_not_shed": True,
-            }
+        # Backpressure sub-leg: the same flood over a *credited*
+        # connection against a tiny window must be paused (client
+        # blocks on credits), never shed — zero OVERLOADED rejects for
+        # a credit-respecting client.
+        bp_requests = 60
+        bp_outcomes, bp_window, bp_waits, bp_shed = _flood(
+            experiments[1].classifier, payloads[names[1]], bp_requests,
+            credited=True, ring_slots=4, max_inflight=2,
+            connection_window=2,
+        )
+        for got in bp_outcomes:
+            assert isinstance(got, np.ndarray), \
+                f"backpressure sub-leg failed a request: {got!r}"
+            assert (got == expected[names[1]]).all(), \
+                "backpressure sub-leg served wrong predictions"
+        assert bp_shed == 0, (
+            f"credit-respecting client was shed {bp_shed} times; "
+            f"backpressure should pause, not reject"
+        )
+        assert bp_waits > 0, (
+            "flood never waited on credits; the tiny window was not "
+            "exercised"
+        )
     finally:
         if previous_metrics is not None:
             set_metrics(previous_metrics)
 
     total = sum(served.values())
-    record = {
+    return {
         "tenants": tenants,
         "tenant_ids": names,
         "dim": dim,
         "queries_per_request": qpr,
-        "frame_batch": frame_batch,
-        "credit": credit,
         "workers": {
             "initial": num_workers,
             "min": 2,
@@ -874,70 +607,27 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
             "final_predictions_bit_identical": predictions_identical,
             "other_tenants_bit_identical_throughout": True,
         },
+        "latency": latency,
+        "overload": {
+            "requests": flood_requests,
+            "served": len(flood_served),
+            "shed": len(flood_shed),
+            "shed_rate": len(flood_shed) / flood_requests,
+            "reject_code": "OVERLOADED",
+        },
+        "backpressure": {
+            "requests": bp_requests,
+            "window": bp_window,
+            "credit_waits": bp_waits,
+            "shed_total": bp_shed,
+            "paused_not_shed": True,
+        },
     }
-    if latency is not None:
-        record["latency"] = latency
-    if overload is not None:
-        record["overload"] = overload
-    if backpressure is not None:
-        record["backpressure"] = backpressure
-    return record
 
 
-def gateway_kwargs(smoke: bool, tenants: int = 2) -> dict:
-    """Gateway soak sizing shared by ``run`` and ``--gateway-only``."""
+def run(smoke: bool, registry: MetricsRegistry | None = None) -> dict:
     if smoke:
-        return dict(tenants=tenants, num_features=16, dim=1_000, levels=8,
-                    error_rate=0.15, passes=1, num_workers=2,
-                    max_workers=3, min_soak_s=0.75)
-    return dict(tenants=tenants, num_features=16, dim=2_000, levels=16,
-                error_rate=0.2, passes=2, num_workers=4, max_workers=6,
-                min_soak_s=3.0)
-
-
-def bench_gateway_sweep(frame_batches, registry=None, **kw) -> dict:
-    """Gateway soak at frame batch 1 plus batched SUBMIT_BATCH re-runs.
-
-    The unbatched run (always executed, with its sub-legs) is the base
-    record; each ``frame_batch > 1`` re-runs the full soak — same
-    attack-and-recover, same per-entry bit-identity and zero-shed
-    assertions — over a credited batching client, and lands under
-    ``record["batched"][str(frame_batch)]`` with its speedup over the
-    unbatched base.
-    """
-    sizes = sorted({int(f) for f in frame_batches})
-    if sizes and sizes[0] < 1:
-        raise ValueError(f"frame batches must be >= 1, got {sizes}")
-    record = bench_gateway(**kw, registry=registry)
-    batched = {}
-    for fb in sizes:
-        if fb == 1:
-            continue
-        rec = bench_gateway(**kw, frame_batch=fb, sub_legs=False,
-                            registry=registry)
-        batched[str(fb)] = {
-            "frame_batch": fb,
-            "duration_s": rec["duration_s"],
-            "requests_served": rec["requests_served"],
-            "requests_per_s": rec["requests_per_s"],
-            "speedup_vs_unbatched": (
-                rec["requests_per_s"] / record["requests_per_s"]
-            ),
-            "credit": rec["credit"],
-            "admission": rec["admission"],
-            "recovery": rec["recovery"],
-        }
-    if batched:
-        record["batched"] = batched
-    return record
-
-
-def run(smoke: bool, telemetry: bool = False,
-        registry: MetricsRegistry | None = None,
-        shards: int | None = None, gateway: bool = False,
-        tenants: int = 2, frame_batches=(1, 8, 32)) -> dict:
-    if smoke:
-        shards = shards or 2
+        shards = 2
         throughput_kw = dict(
             num_classes=6, num_features=16, dim=1_024, levels=8,
             queries_per_request=4, requests=512,
@@ -947,10 +637,11 @@ def run(smoke: bool, telemetry: bool = False,
                           worker_counts=(shards,))
         word_shard_kw = dict(dim=4_096, num_classes=6, num_shards=shards,
                              queries_per_request=4, requests=64, repeats=1)
-        recovery_kw = dict(num_classes=4, num_features=16, dim=1_000,
-                           levels=8, error_rate=0.15, passes=1)
+        gateway_kw = dict(tenants=2, num_features=16, dim=1_000, levels=8,
+                          error_rate=0.15, passes=1, num_workers=2,
+                          max_workers=3, min_soak_s=0.75)
     else:
-        shards = shards or 4
+        shards = 4
         throughput_kw = dict(
             num_classes=26, num_features=32, dim=10_000, levels=32,
             queries_per_request=4, requests=4_096,
@@ -960,44 +651,29 @@ def run(smoke: bool, telemetry: bool = False,
         word_shard_kw = dict(dim=1_000_000, num_classes=26,
                              num_shards=shards, queries_per_request=4,
                              requests=256, repeats=2)
-        recovery_kw = dict(num_classes=5, num_features=16, dim=2_000,
-                           levels=16, error_rate=0.2, passes=2)
-    throughput = bench_throughput(**throughput_kw, telemetry=telemetry,
-                                  registry=registry)
+        gateway_kw = dict(tenants=2, num_features=16, dim=2_000, levels=16,
+                          error_rate=0.2, passes=2, num_workers=4,
+                          max_workers=6, min_soak_s=3.0)
+    throughput = bench_throughput(**throughput_kw, registry=registry)
     # Same workload, class-sharded: each worker owns a row slice of the
     # model and large frames amortise dispatch, so the comparison against
     # the unsharded run at the same worker count is apples-to-apples.
-    sharded = bench_throughput(**sharded_kw, telemetry=telemetry,
-                               registry=registry, num_shards=shards,
-                               frame_requests=256)
-    unsharded_same_workers = throughput["workers"].get(str(shards))
-    if unsharded_same_workers is not None:
-        sharded["speedup_vs_unsharded_same_workers"] = (
-            sharded["workers"][str(shards)]["requests_per_s"]
-            / unsharded_same_workers["requests_per_s"]
-        )
-    results = {
-        "schema": 5,
+    sharded = bench_throughput(**sharded_kw, registry=registry,
+                               num_shards=shards, frame_requests=256)
+    sharded["speedup_vs_unsharded_same_workers"] = (
+        sharded["workers"][str(shards)]["requests_per_s"]
+        / throughput["workers"][str(shards)]["requests_per_s"]
+    )
+    return {
+        "schema": 6,
         "generated_by": "benchmarks/bench_serve.py"
-        + (" --smoke" if smoke else "")
-        + (" --telemetry" if telemetry else "")
-        + (" --gateway" if gateway else ""),
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "cpus": len(__import__("os").sched_getaffinity(0)),
-        "kernel_backend": kernels.active_backend().name,
+        + (" --smoke" if smoke else ""),
+        **host(),
         "throughput": throughput,
         "throughput_class_sharded": sharded,
         "throughput_word_sharded": bench_word_shard_scale(**word_shard_kw),
-        "gpu_roofline": bench_gpu_roofline(smoke=smoke),
-        "live_recovery": bench_live_recovery(**recovery_kw),
+        "gateway": bench_gateway(**gateway_kw, registry=registry),
     }
-    if gateway:
-        results["gateway"] = bench_gateway_sweep(
-            frame_batches, **gateway_kwargs(smoke, tenants),
-            registry=registry,
-        )
-    return results
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1008,76 +684,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", type=Path, default=None,
                         help=f"where to write the JSON "
                              f"(default: {DEFAULT_OUTPUT})")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="scrape worker telemetry slabs and record "
-                             "fleet batch-latency percentiles "
-                             "(p50/p95/p99) per worker count")
     parser.add_argument("--prom-output", type=Path, default=None,
                         help="also write the scraped fleet metrics in "
-                             "Prometheus text format (implies "
-                             "--telemetry)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard count for the sharded legs "
-                             "(default: 2 smoke, 4 full)")
-    parser.add_argument("--gateway", action="store_true",
-                        help="also run the multi-tenant TCP gateway soak "
-                             "(admission + autoscaling + concurrent "
-                             "recovery on one tenant)")
-    parser.add_argument("--tenants", type=int, default=2,
-                        help="tenant count for the gateway leg "
-                             "(default: 2)")
-    parser.add_argument("--frame-batch", default="1,8,32",
-                        help="comma-separated SUBMIT_BATCH sizes for "
-                             "the gateway leg; 1 is the unbatched base "
-                             "run, always executed (default: 1,8,32)")
-    parser.add_argument("--gateway-only", action="store_true",
-                        help="run just the gateway leg and merge its "
-                             "record into the existing output JSON")
+                             "Prometheus text format")
     args = parser.parse_args(argv)
-    if args.output is not None and args.output.name == FORBIDDEN_OUTPUT:
-        parser.error(
-            f"{FORBIDDEN_OUTPUT} belongs to benchmarks/bench_serving.py; "
-            f"this script writes {DEFAULT_OUTPUT.name}"
-        )
-    if args.shards is not None and args.shards < 2:
-        parser.error("--shards must be >= 2")
-    if args.tenants < 2:
-        parser.error("--tenants must be >= 2")
-    try:
-        frame_batches = tuple(
-            int(part) for part in args.frame_batch.split(",") if part
-        )
-    except ValueError:
-        parser.error(f"--frame-batch must be comma-separated integers, "
-                     f"got {args.frame_batch!r}")
-    if any(fb < 1 for fb in frame_batches):
-        parser.error("--frame-batch sizes must be >= 1")
-    telemetry = args.telemetry or args.prom_output is not None
 
     registry = MetricsRegistry() if args.prom_output is not None else None
-    if args.gateway_only:
-        record = bench_gateway_sweep(
-            frame_batches, **gateway_kwargs(args.smoke, args.tenants),
-            registry=registry,
-        )
-        output = args.output or (None if args.smoke else DEFAULT_OUTPUT)
-        results = {}
-        if output is not None and output.exists():
-            results = json.loads(output.read_text())
-        results["schema"] = 5
-        results["gateway"] = record
-        print(json.dumps(record, indent=2))
-    else:
-        results = run(args.smoke, telemetry=telemetry, registry=registry,
-                      shards=args.shards, gateway=args.gateway,
-                      tenants=args.tenants, frame_batches=frame_batches)
-        output = args.output
-        if output is None and not args.smoke:
-            output = DEFAULT_OUTPUT
-        print(json.dumps(results, indent=2))
-    if output is not None:
-        output.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"\nwrote {output}", file=sys.stderr)
+    write_record(run(args.smoke, registry),
+                 args.output or (None if args.smoke else DEFAULT_OUTPUT))
     if args.prom_output is not None:
         write_prometheus(registry, args.prom_output)
         print(f"wrote {args.prom_output}", file=sys.stderr)

@@ -21,8 +21,7 @@ This module puts both behind a :class:`KernelBackend` contract so the
 computation can move between substrates without the callers changing:
 
 * :class:`NumpyPackedBackend` — the vectorised CPU path: row-blocked
-  XOR + ``np.bitwise_count`` (or the 16-bit LUT decomposition on NumPy
-  1.x / under ``REPRO_FORCE_POP16_LUT=1``) with reused scratch buffers,
+  XOR + ``np.bitwise_count`` with reused scratch buffers,
   per-word counts summed per chunk, and the
   ``bit_plane_sum``/``bit_plane_ge`` adder tree over gathered word
   arrays for encoding.  The only path on hosts without a C compiler.
@@ -36,16 +35,11 @@ computation can move between substrates without the callers changing:
   carry-save majority encoder, each one pass with no table-sized
   intermediates and the GIL released for the duration.
 
-:func:`roofline_validation` compares a backend's measured distance
-throughput against the analytic :class:`repro.pim.gpu.GPUModel`
-roofline.
-
 Backends are *stateless* over immutable inputs, so one instance is
 shared process-wide.  The active backend is resolved in this order:
 an explicit :func:`set_kernel_backend` call, the
 ``REPRO_KERNEL_BACKEND`` environment variable, then ``"native"`` when
-the C kernels compiled on this host (and ``REPRO_FORCE_POP16_LUT``
-is unset), falling back to ``"numpy"``.
+the C kernels compiled on this host, falling back to ``"numpy"``.
 Every distance computed through :meth:`PackedModel.distances
 <repro.core.packed.PackedModel.distances>`,
 :meth:`PackedModel.chunk_distances
@@ -71,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import os
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -90,7 +83,6 @@ __all__ = [
     "get_backend",
     "set_kernel_backend",
     "use_kernel_backend",
-    "roofline_validation",
 ]
 
 # Cache-sized row blocking for the CPU path: a query block is read from
@@ -290,12 +282,7 @@ class NumpyPackedBackend(KernelBackend):
     summed per chunk.  Word-aligned chunks sum a reshaped block of
     counts; otherwise whole words are summed through a running count
     and each chunk's edge words are counted under the chunk's bit mask.
-    Population counts use ``np.bitwise_count`` when NumPy exposes it
-    and the 16-bit lookup-table decomposition otherwise; the switch is
-    read from :mod:`repro.core.packed` *at call time* so the LUT path
-    can be forced for testing (monkeypatching
-    ``repro.core.packed._HAS_BITWISE_COUNT`` or exporting
-    ``REPRO_FORCE_POP16_LUT=1`` before import).  Encoding gathers each
+    Population counts are ``np.bitwise_count``.  Encoding gathers each
     feature's bound rows and reduces them with the word-wide carry-save
     adder tree of :func:`~repro.core.packed.bit_plane_sum`, then
     thresholds the count planes with
@@ -343,7 +330,7 @@ class NumpyPackedBackend(KernelBackend):
             n = min(rows, b - lo)
             xor = np.bitwise_xor(queries[lo : lo + n, None, :],
                                  model[None, :, :], out=xor_buf[:n])
-            counts = _packed._word_popcounts(xor, out=count_buf[:n])
+            counts = np.bitwise_count(xor, out=count_buf[:n])
             if not chunk_bits % 64:
                 per = counts[..., : num_chunks * span].reshape(
                     n, k, num_chunks, span
@@ -352,8 +339,8 @@ class NumpyPackedBackend(KernelBackend):
                 running = np.zeros((n, k, words + 1), dtype=acc)
                 np.cumsum(counts, axis=-1, dtype=acc, out=running[..., 1:])
                 per = running[..., whole_hi] - running[..., whole_lo]
-                per += _packed._word_popcounts(xor[..., first] & head)
-                per += _packed._word_popcounts(xor[..., last] & tail)
+                per += np.bitwise_count(xor[..., first] & head)
+                per += np.bitwise_count(xor[..., last] & tail)
             out[lo : lo + n] = per.transpose(0, 2, 1)
         return out
 
@@ -812,13 +799,8 @@ def _default_backend_name() -> str:
     """Default resolution when nothing is selected explicitly.
 
     The native C kernels when they compiled on this host, else the
-    NumPy path.  ``REPRO_FORCE_POP16_LUT`` pins the default to NumPy —
-    the whole point of that flag is to exercise the LUT popcount, which
-    the native kernels would bypass; it also keeps the NumPy encode
-    tree under test.
+    NumPy path.
     """
-    if os.environ.get("REPRO_FORCE_POP16_LUT"):
-        return "numpy"
     if NativeCpuBackend.available():
         return "native"
     return "numpy"
@@ -844,50 +826,3 @@ def use_kernel_backend(backend: KernelBackend | str) -> Iterator[KernelBackend]:
         yield active_backend()
     finally:
         _ACTIVE = previous
-
-
-def roofline_validation(
-    backend: KernelBackend,
-    *,
-    dim: int = 10_000,
-    num_classes: int = 26,
-    batch: int = 2_048,
-    repeats: int = 3,
-    gpu_model=None,
-    seed: int = 0,
-) -> dict:
-    """Measured backend throughput vs the analytic GPU roofline.
-
-    Runs ``backend.distance_table`` on a synthetic packed workload and
-    divides the measured queries/s by the prediction of
-    :meth:`repro.pim.gpu.GPUModel.packed_classify_qps` — the cross-link
-    between the analytic Figure 2 cost model and a real kernel backend.
-    Returns a dict (recorded verbatim in ``BENCH_serve.json``) with the
-    measured and predicted rates and their ratio; a ratio near 1 means
-    the roofline calibration describes the real substrate.
-    """
-    if gpu_model is None:
-        from repro.pim.gpu import GPUModel
-
-        gpu_model = GPUModel()
-    rng = np.random.default_rng(seed)
-    words = -(-dim // 64)
-    model = rng.integers(0, 1 << 63, (num_classes, words), dtype=np.uint64)
-    queries = rng.integers(0, 1 << 63, (batch, words), dtype=np.uint64)
-    backend.distance_table(queries[:8], model)  # warm-up / JIT / transfer
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        backend.distance_table(queries, model)
-        best = min(best, time.perf_counter() - start)
-    measured_qps = batch / best
-    predicted_qps = gpu_model.packed_classify_qps(dim, num_classes)
-    return {
-        "backend": backend.name,
-        "dim": dim,
-        "num_classes": num_classes,
-        "batch": batch,
-        "measured_queries_per_s": measured_qps,
-        "roofline_queries_per_s": predicted_qps,
-        "measured_over_roofline": measured_qps / predicted_qps,
-    }

@@ -319,32 +319,6 @@ class HDCModel:
         """
         return np.argmax(self.similarities(queries), axis=1)
 
-    def predict_packed(self, queries: np.ndarray) -> np.ndarray:
-        """Fast-path prediction via the bit-packed backend (1-bit only).
-
-        Classifies by minimum packed Hamming distance — identical labels
-        to :meth:`predict` (including argmax tie order).  The model-side
-        words come from the version-stamped :meth:`packed` cache, so
-        repeated calls pack the model once and only the queries per call.
-        """
-        if self.bits != 1:
-            raise ValueError("predict_packed requires a 1-bit model")
-        queries = np.atleast_2d(queries)
-        if queries.shape[1] != self.dim:
-            raise ValueError(
-                f"query dim {queries.shape[1]} != model dim {self.dim}"
-            )
-        if ((queries != 0) & (queries != 1)).any():
-            raise ValueError("queries must be binary (0/1)")
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.inc("model.similarity_batches_packed")
-            metrics.inc("model.queries_served", queries.shape[0])
-        distances = self.packed().distances(
-            _pack_bits(queries.astype(np.uint8, copy=False))
-        )
-        return np.argmin(distances, axis=1)
-
 
 class HDCClassifier:
     """End-to-end HDC learner: encoder + class-hypervector training.

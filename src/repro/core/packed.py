@@ -13,8 +13,8 @@ noisy-chunk detector (:mod:`repro.core.chunks`) through it, with
 bit-identical results to the float reference (for a 1-bit model the
 centred-weight dot product is exactly ``D/2 - hamming``, and both sides
 are exact in float64).  Equivalence is guaranteed by property tests
-(``tests/core/test_packed.py``) and the speedup measured by
-``benchmarks/bench_serving.py`` (written to ``BENCH_serving.json``).
+(``tests/core/test_packed.py``); ``benchmarks/bench_obs.py`` times the
+packed predict and recovery paths (``BENCH_obs.json``).
 
 Conventions: dimension ``i`` lives in word ``i // 64``, bit ``i % 64``
 (little-endian within the word).  Vectors whose dimensionality is not a
@@ -24,8 +24,8 @@ distances because both operands carry identical zero pads.  Packing is
 on a big-endian host the words are byte-swapped so the convention above
 holds everywhere.
 
-Population counts use ``np.bitwise_count`` (NumPy >= 2) when available
-and fall back to a 16-bit lookup table otherwise.
+Population counts use ``np.bitwise_count`` (NumPy >= 2, the floor in
+``pyproject.toml``).
 
 The backend can be disabled globally — e.g. to A/B the float reference
 against the packed engine in tests or benchmarks — via
@@ -34,7 +34,6 @@ against the packed engine in tests or benchmarks — via
 
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -62,18 +61,6 @@ __all__ = [
 
 _WORD = 64
 _BIG_ENDIAN = sys.byteorder == "big"
-# REPRO_FORCE_POP16_LUT=1 forces the 16-bit LUT fallback even on
-# NumPy >= 2 — CI uses it to keep the NumPy 1.x popcount path
-# equivalence-tested instead of dead code.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count") and not os.environ.get(
-    "REPRO_FORCE_POP16_LUT"
-)
-# 16-bit popcount lookup table: popcount(w) decomposes into four table
-# lookups per 64-bit word, the fastest portable formulation on NumPy 1.x
-# (NumPy >= 2 exposes the hardware popcount as ``np.bitwise_count``).
-_POP16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
 
 # Global backend switch.  True routes every 1-bit hot path (model
 # similarities, chunk detection) through the packed engine; False forces
@@ -153,27 +140,12 @@ def unpack(packed: "PackedHypervectors") -> np.ndarray:
     return flat[0] if packed.single else flat
 
 
-def _word_popcounts(
-    words: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-word population counts (uint8) of a uint64 word array.
-
-    ``np.bitwise_count`` where NumPy has it, else four 16-bit table
-    lookups per word; the switch is read at call time.
-    """
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words, out=out)
-    words = np.ascontiguousarray(words)
-    halves = words.view(np.uint16).reshape(*words.shape, 4)
-    return _POP16[halves].sum(axis=-1, dtype=np.uint8, out=out)
-
-
 def packed_popcount(words: np.ndarray) -> np.ndarray:
     """Population count summed over the last axis of a uint64 word array."""
     w = np.asarray(words)
     if w.dtype != np.uint64:
         raise ValueError(f"expected uint64 words, got {w.dtype}")
-    return _word_popcounts(w).sum(axis=-1, dtype=np.int64)
+    return np.bitwise_count(w).sum(axis=-1, dtype=np.int64)
 
 
 def packed_bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:

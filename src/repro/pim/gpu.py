@@ -98,33 +98,3 @@ class GPUModel:
         if min(num_features, dim, num_classes) < 1:
             raise ValueError("workload sizes must be >= 1")
         return float(num_features * dim + 2 * num_classes * dim)
-
-    def hdc_packed_classify_ops(self, dim: int, num_classes: int) -> float:
-        """Word-level op count of one bit-packed classify step.
-
-        The packed serving engine (:mod:`repro.core.packed`) executes
-        ``ceil(dim / 64)`` 64-bit words per class: one XOR and one
-        popcount per word (``packed_popcount`` is a single hardware
-        instruction per word on any machine this runs on).  Dividing a
-        measured ``BENCH_serving.json`` throughput into this count gives
-        effective word-ops/s, comparable against the roofline the dense
-        ``hdc_ops`` baseline implies.
-        """
-        if min(dim, num_classes) < 1:
-            raise ValueError("workload sizes must be >= 1")
-        words = -(-dim // 64)
-        return float(2 * num_classes * words)
-
-    def packed_classify_qps(self, dim: int, num_classes: int) -> float:
-        """Predicted queries/s of the bit-packed classify kernel.
-
-        The roofline counterpart of a real kernel backend's measured
-        ``distance_table`` throughput: word ops from
-        :meth:`hdc_packed_classify_ops`, model bytes from the packed
-        word matrix.  ``repro.core.kernels.roofline_validation``
-        divides a measured rate by this prediction — that ratio is the
-        cross-link between this analytic model and the real substrate.
-        """
-        ops = self.hdc_packed_classify_ops(dim, num_classes)
-        model_bytes = num_classes * (-(-dim // 64)) * 8
-        return 1.0 / self.inference_latency_s(ops, model_bytes)

@@ -7,12 +7,10 @@ zeroed pad bits, chunks that start and end inside a word, and
 word-column slices (the word-shard cases).
 """
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.core import kernels, packed
+from repro.core import kernels
 from repro.core.packed import pack
 
 RNG = np.random.default_rng(71)
@@ -76,15 +74,6 @@ class TestEquivalence:
             np.zeros((2, 0), np.uint64), np.zeros((3, 0), np.uint64)
         )
         assert zero_w.shape == (2, 3) and not zero_w.any()
-
-    def test_numpy_lut_fallback_matches(self, monkeypatch):
-        """The NumPy backend under the 16-bit LUT popcount (NumPy 1.x
-        compatibility / REPRO_FORCE_POP16_LUT) is bit-identical."""
-        backend = kernels.get_backend("numpy")
-        queries, model = random_words(40, 19), random_words(11, 19)
-        expected = backend.distance_table(queries, model)
-        monkeypatch.setattr(packed, "_HAS_BITWISE_COUNT", False)
-        assert (backend.distance_table(queries, model) == expected).all()
 
 
 # Chunk widths on, inside and straddling word boundaries.
@@ -166,16 +155,6 @@ class TestChunkDistanceTable:
                 num_chunks, chunk_bits,
             )
             assert (got == want).all()
-
-    @pytest.mark.parametrize("chunk_bits", CHUNK_BITS)
-    def test_numpy_lut_popcount(self, monkeypatch, chunk_bits):
-        backend = kernels.get_backend("numpy")
-        queries, model = padded_words(5, 4 * chunk_bits), padded_words(
-            3, 4 * chunk_bits)
-        monkeypatch.setattr(packed, "_HAS_BITWISE_COUNT", False)
-        got = backend.chunk_distance_table(queries, model, 4, chunk_bits)
-        assert (got == direct_chunk_distances(queries, model, 4,
-                                              chunk_bits)).all()
 
     @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
     @pytest.mark.parametrize("b,k,w", SHAPES)
@@ -411,15 +390,10 @@ class TestRegistry:
 
     def test_default_prefers_native_when_available(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_FORCE_POP16_LUT", raising=False)
         expected = (
             "native" if kernels.NativeCpuBackend.available() else "numpy"
         )
         assert kernels._default_backend_name() == expected
-
-    def test_lut_flag_pins_default_to_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_POP16_LUT", "1")
-        assert kernels._default_backend_name() == "numpy"
 
     def test_use_kernel_backend_restores(self):
         before = kernels.active_backend().name
@@ -464,29 +438,3 @@ class TestNativeBackend:
             kernels.NativeCpuBackend().encode_words(
                 random_codebook(2, 2, 1), np.zeros((1, 2), np.int64)
             )
-
-
-class TestRoofline:
-    def test_roofline_validation_record(self):
-        record = kernels.roofline_validation(
-            kernels.get_backend("numpy"), dim=512, num_classes=6,
-            batch=64, repeats=1,
-        )
-        assert record["backend"] == "numpy"
-        assert record["measured_queries_per_s"] > 0
-        assert record["roofline_queries_per_s"] > 0
-        assert record["measured_over_roofline"] == pytest.approx(
-            record["measured_queries_per_s"]
-            / record["roofline_queries_per_s"]
-        )
-
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_FORCE_POP16_LUT"),
-    reason="LUT-forcing env leg only",
-)
-def test_forced_lut_env_is_in_effect():
-    """Under REPRO_FORCE_POP16_LUT=1 the import-time switch is off and
-    the default backend is the NumPy/LUT path (the CI matrix leg)."""
-    assert packed._HAS_BITWISE_COUNT is False
-    assert kernels._default_backend_name() == "numpy"

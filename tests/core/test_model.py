@@ -100,19 +100,6 @@ class TestHDCModel:
         with pytest.raises(ValueError, match="dim"):
             m.predict(np.zeros((1, 9), dtype=np.uint8))
 
-    def test_predict_packed_matches_predict(self):
-        rng = np.random.default_rng(6)
-        m = HDCModel(
-            class_hv=rng.integers(0, 2, (5, 300), dtype=np.uint8), bits=1
-        )
-        queries = rng.integers(0, 2, (40, 300), dtype=np.uint8)
-        assert (m.predict_packed(queries) == m.predict(queries)).all()
-
-    def test_predict_packed_rejects_multibit(self):
-        m = HDCModel(class_hv=np.zeros((2, 64), dtype=np.uint8), bits=2)
-        with pytest.raises(ValueError, match="1-bit"):
-            m.predict_packed(np.zeros((1, 64), dtype=np.uint8))
-
 
 class TestPackedModelCache:
     def _model_and_queries(self):
@@ -121,7 +108,7 @@ class TestPackedModelCache:
         queries = rng.integers(0, 2, (12, 300), dtype=np.uint8)
         return m, queries
 
-    def test_predict_packed_packs_model_once(self, monkeypatch):
+    def test_predict_packs_model_once(self, monkeypatch):
         """Two consecutive calls must reuse one packed snapshot."""
         import repro.core.model as model_mod
 
@@ -134,8 +121,8 @@ class TestPackedModelCache:
             return real(batch)
 
         monkeypatch.setattr(model_mod, "_pack_bits", counting_pack)
-        m.predict_packed(queries)
-        m.predict_packed(queries)
+        m.predict(queries)
+        m.predict(queries)
         model_packs = [s for s in packed_shapes if s == m.class_hv.shape]
         assert len(model_packs) == 1
 
@@ -149,7 +136,9 @@ class TestPackedModelCache:
         assert after is not before
         assert after.version > before.version
         # The refreshed snapshot serves the mutated bits.
-        assert (m.predict_packed(queries) == m.predict(queries)).all()
+        with float_backend():
+            expected = m.predict(queries)
+        assert (m.predict(queries) == expected).all()
 
     def test_bump_version_is_explicit_contract(self):
         m, _ = self._model_and_queries()
@@ -165,8 +154,10 @@ class TestPackedModelCache:
         c = m.copy()
         with c.writable() as hv:
             hv[:, :10] ^= 1
-        assert (m.predict_packed(queries) == m.predict(queries)).all()
-        assert (c.predict_packed(queries) == c.predict(queries)).all()
+        for model in (m, c):
+            with float_backend():
+                expected = model.predict(queries)
+            assert (model.predict(queries) == expected).all()
 
     def test_packed_rejects_multibit(self):
         m = HDCModel(class_hv=np.zeros((2, 64), dtype=np.uint8), bits=2)

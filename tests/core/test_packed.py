@@ -9,7 +9,6 @@ from repro.core.chunks import chunk_similarities_batch
 from repro.core.hypervector import bind, hamming_distance
 from repro.core.model import HDCModel
 from repro.core.packed import (
-    _POP16,
     PackedHypervectors,
     bit_plane_ge,
     bit_plane_sum,
@@ -186,7 +185,6 @@ class TestBackendEquivalence:
         with float_backend():
             float_preds = model.predict(queries)
         assert (packed_preds == float_preds).all()
-        assert (model.predict_packed(queries) == float_preds).all()
 
     @given(model_and_queries(), st.integers(min_value=1, max_value=4))
     @settings(deadline=None)
@@ -234,56 +232,11 @@ class TestBackendToggle:
 
 class TestPopcountFastPath:
     def test_matches_lookup_table(self):
-        """The hardware popcount and the 16-bit LUT fallback agree."""
+        """``np.bitwise_count`` agrees with a per-word string-count oracle."""
         rng = np.random.default_rng(11)
-        words = rng.integers(0, 2**63, (8, 5), dtype=np.uint64)
-        lut = _POP16[words.view(np.uint16).reshape(8, 5, 4)].sum(
-            axis=(-1, -2), dtype=np.int64
-        )
-        assert (packed_popcount(words) == lut).all()
-
-
-class TestForcedLutFallback:
-    """The NumPy 1.x path: ``_HAS_BITWISE_COUNT`` off forces the 16-bit
-    LUT popcount.  The switch is read at call time, so monkeypatching it
-    (as ``REPRO_FORCE_POP16_LUT=1`` does at import) reroutes every
-    popcount — and nothing downstream may notice."""
-
-    def _force_lut(self, monkeypatch):
-        from repro.core import packed as packed_mod
-
-        monkeypatch.setattr(packed_mod, "_HAS_BITWISE_COUNT", False)
-
-    def test_popcount_routes_through_lut(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        words = rng.integers(0, 2**63, (6, 9), dtype=np.uint64)
-        fast = packed_popcount(words)
-        self._force_lut(monkeypatch)
-        assert (packed_popcount(words) == fast).all()
-
-    def test_distances_bit_identical_under_lut(self, monkeypatch):
-        rng = np.random.default_rng(24)
-        model = HDCModel(rng.integers(0, 2, (5, 321), dtype=np.uint8))
-        queries = rng.integers(0, 2, (17, 321), dtype=np.uint8)
-        fast_sims = model.similarities(queries)
-        fast_preds = model.predict(queries)
-        self._force_lut(monkeypatch)
-        model_lut = HDCModel(model.class_hv.copy())
-        assert (model_lut.similarities(queries) == fast_sims).all()
-        assert (model_lut.predict(queries) == fast_preds).all()
-
-    def test_kernel_backend_honours_lut_switch(self, monkeypatch):
-        """The extracted numpy kernel backend reads the switch at call
-        time too — no import-order trap."""
-        from repro.core import kernels
-
-        rng = np.random.default_rng(25)
-        q = rng.integers(0, 2**63, (12, 7), dtype=np.uint64)
-        m = rng.integers(0, 2**63, (4, 7), dtype=np.uint64)
-        backend = kernels.get_backend("numpy")
-        fast = backend.distance_table(q, m)
-        self._force_lut(monkeypatch)
-        assert (backend.distance_table(q, m) == fast).all()
+        words = rng.integers(0, 2**64, (8, 5), dtype=np.uint64)
+        oracle = [sum(bin(int(w)).count("1") for w in row) for row in words]
+        assert (packed_popcount(words) == np.array(oracle)).all()
 
 
 class TestPackedModel:

@@ -142,7 +142,7 @@ class TestWriterReader:
         """A slab frozen mid-update (seq odd) still scrapes, flagged torn."""
         writer, reader = make_pair()
         record(writer)
-        writer._a[0] += np.uint64(1)  # SIGKILL mid-update: seq stuck odd
+        writer._w[0] += 1  # SIGKILL mid-update: seq stuck odd
         snap = reader.scrape(max_retries=10)
         assert snap.torn
         assert snap.counters["batches"] == 1

@@ -173,30 +173,56 @@ class TestGatewayServing:
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)
 
-    def test_hot_swap_one_tenant_leaves_other_untouched(self, stack):
-        """Publishing generations for beta never perturbs alpha."""
+    @pytest.mark.parametrize("wire", ["frames", "credited_batch"])
+    def test_hot_swap_one_tenant_leaves_other_untouched(self, stack, wire):
+        """Publishing generations for beta never perturbs alpha, whether
+        alpha's requests arrive as single frames or as SUBMIT_BATCH
+        entries over a credited connection, and nothing is shed."""
         server = stack["server"]
         engine = stack["engine"]
         task_a, clf_a = stack["alpha"]
         task_b, clf_b = stack["beta"]
         words_a = clf_a.encoder.encode_packed(task_a.test_x[:8]).words
         ref_a = clf_a.predict(task_a.test_x[:8])
+        words_b = clf_b.encoder.encode_packed(task_b.test_x[:8]).words
         publisher = engine.publisher_for("beta")
         model_b = clf_b._require_model()
-        with GatewayClient("127.0.0.1", server.port) as client:
-            for _ in range(3):
-                publisher.publish(model_b)  # hot-swap beta repeatedly
-                np.testing.assert_array_equal(
-                    client.predict(words_a, tenant="alpha"), ref_a
-                )
-            # Beta itself still serves correctly on its newest snapshot.
-            words_b = clf_b.encoder.encode_packed(task_b.test_x[:8]).words
-            np.testing.assert_array_equal(
-                client.predict(words_b, tenant="beta"),
-                clf_b.predict(task_b.test_x[:8]),
+        generation = publisher.generation
+        shed = server.admission.shed_total
+
+        async def credited_batches():
+            client = await AsyncGatewayClient.connect(
+                "127.0.0.1", server.port, credited=True
             )
+            try:
+                assert client.credited
+                for _ in range(3):
+                    publisher.publish(model_b)  # hot-swap beta repeatedly
+                    for got in await client.submit_batch(
+                        [words_a] * 8, tenant="alpha"
+                    ):
+                        np.testing.assert_array_equal(got, ref_a)
+                return await client.submit_batch([words_b], tenant="beta")
+            finally:
+                await client.close()
+
+        if wire == "frames":
+            with GatewayClient("127.0.0.1", server.port) as client:
+                for _ in range(3):
+                    publisher.publish(model_b)  # hot-swap beta repeatedly
+                    np.testing.assert_array_equal(
+                        client.predict(words_a, tenant="alpha"), ref_a
+                    )
+                served_b = client.predict(words_b, tenant="beta")
+        else:
+            (served_b,) = asyncio.run(credited_batches())
+        # Beta itself still serves correctly on its newest snapshot.
+        np.testing.assert_array_equal(
+            served_b, clf_b.predict(task_b.test_x[:8])
+        )
         assert engine.publisher_for("alpha").generation == 1
-        assert publisher.generation > 1
+        assert publisher.generation == generation + 3
+        assert server.admission.shed_total == shed
 
 
 class TestShedding:
@@ -674,7 +700,7 @@ class TestHttpIngress:
         finally:
             conn.close()
 
-    def test_predict_packed_and_features(self, http_stack):
+    def test_predict_from_packed_words_and_features(self, http_stack):
         port = http_stack["server"].http_port
         task, clf = http_stack["alpha"]
         words = clf.encoder.encode_packed(task.test_x[:4]).words
