@@ -46,7 +46,11 @@ import numpy as np
 from _common import host, write_record
 
 from repro.core import kernels
-from repro.core.encoder import Encoder, clear_codebook_cache
+from repro.core.encoder import (
+    ENCODE_BLOCK_BYTES,
+    Encoder,
+    clear_codebook_cache,
+)
 from repro.core.hypervector import class_bundle_counts
 from repro.core.model import (
     HDCClassifier,
@@ -94,7 +98,7 @@ def bench_encode(num_features: int, dim: int, levels: int, batch: int,
         "dim": dim,
         "levels": levels,
         "batch": batch,
-        "block_bytes": enc.block_bytes(),
+        "block_bytes": ENCODE_BLOCK_BYTES,
         "rows_per_block_packed": enc.rows_per_block(packed=True),
         "rows_per_block_reference": enc.rows_per_block(packed=False),
         "bound_codebook_bytes": int(codebook.words.nbytes),

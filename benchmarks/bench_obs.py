@@ -157,19 +157,19 @@ def bench_recovery(dim: int, num_classes: int, num_chunks: int, stream: int,
                    rounds: int) -> dict:
     model, queries, _ = _make_workload(dim, num_classes, stream, noise=0.2,
                                        seed=2)
-    config = RecoveryConfig(num_chunks=num_chunks)
+    config = RecoveryConfig(num_chunks=num_chunks, block_size=256)
 
     def run(with_trace: bool):
         attacked, _ = attack(model, 0.05, "random", np.random.default_rng(3))
-        rec = RobustHDRecovery(attacked, config, seed=7, block_size=256)
+        rec = RobustHDRecovery(attacked, config, seed=7)
         if not with_trace:
             # Bypass the wrapper's always-on trace to measure the
             # bare engine: block calls with no trace argument.
             from repro.core.recovery import recover_block
 
             preds = np.empty(queries.shape[0], dtype=np.int64)
-            for lo in range(0, queries.shape[0], rec.block_size):
-                hi = lo + rec.block_size
+            for lo in range(0, queries.shape[0], config.block_size):
+                hi = lo + config.block_size
                 preds[lo:hi] = recover_block(
                     rec.model, queries[lo:hi], config, rec.rng
                 )

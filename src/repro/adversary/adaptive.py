@@ -332,7 +332,6 @@ def run_adaptive_scenario(
     adversary: AdaptiveAdversary | None = None,
     passes: int = 3,
     seed: int = 0,
-    block_size: int | None = None,
     publisher: ModelPublisher | None = None,
     trace: CampaignTrace | None = None,
 ) -> AdaptiveOutcome:
@@ -375,10 +374,7 @@ def run_adaptive_scenario(
     probe = PublishProbe(inner=publisher)
     probe.prime(attacked)
     recovery = (
-        RobustHDRecovery(
-            attacked, config, seed=seed + 1, block_size=block_size,
-            publisher=probe,
-        )
+        RobustHDRecovery(attacked, config, seed=seed + 1, publisher=probe)
         if recovery_enabled
         else None
     )

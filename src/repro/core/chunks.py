@@ -195,12 +195,7 @@ def detect_faulty_chunks_batch(
     best = sims.max(axis=2)  # (b, m)
     own = sims[np.arange(num_queries), :, predicted]  # (b, m)
     chunk_size = model.dim // num_chunks
-    faulty = (best - own) > margin * chunk_size
-    metrics = _metrics()
-    if metrics.enabled:
-        metrics.inc("chunks.queries_checked", num_queries)
-        metrics.inc("chunks.flagged", int(np.count_nonzero(faulty)))
-    return faulty
+    return (best - own) > margin * chunk_size
 
 
 def chunk_accuracy_profile(

@@ -40,16 +40,14 @@ Two bit-identical implementations serve :meth:`Encoder.encode_batch`:
 stack (:class:`~repro.core.model.HDCModel`, the recovery pipeline)
 consumes with zero pack/unpack round-trips.
 
-Both paths block their working set by :attr:`Encoder.encode_block_bytes`
-(``REPRO_ENCODE_BLOCK_BYTES`` overrides the default budget), and base /
-level codebooks are shared across encoder instances with identical
-``(num_features, dim, levels, seed)`` so parameter sweeps stop
+Both paths block their working set by :data:`ENCODE_BLOCK_BYTES`, and
+base / level codebooks are shared across encoder instances with
+identical ``(num_features, dim, levels, seed)`` so parameter sweeps stop
 regenerating identical tables.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -70,6 +68,7 @@ from repro.core.packed import (
 from repro.obs.metrics import current as _metrics
 
 __all__ = [
+    "ENCODE_BLOCK_BYTES",
     "Encoder",
     "PackedCodebook",
     "clear_codebook_cache",
@@ -77,12 +76,9 @@ __all__ = [
     "quantize_features",
 ]
 
-# Default working-set budget for blocked encoding.  Matches the seed's
-# hard-coded ``max_cells = 64_000_000`` uint8 cells (= 64 MB) so default
-# behaviour is unchanged; override per encoder via ``encode_block_bytes``
-# or globally via the environment variable below.
-_DEFAULT_BLOCK_BYTES = 64_000_000
-_BLOCK_BYTES_ENV = "REPRO_ENCODE_BLOCK_BYTES"
+# Working-set budget (bytes) for blocked encoding: the seed's
+# ``max_cells = 64_000_000`` uint8 cells (= 64 MB).
+ENCODE_BLOCK_BYTES = 64_000_000
 
 # Base/level codebooks shared across Encoder instances.  Sweeps and
 # experiment grids construct many encoders with identical parameters;
@@ -247,9 +243,6 @@ class Encoder:
         Seed for the base/level hypervector tables.  Two encoders built
         with the same parameters and seed are identical, which is what
         lets train- and test-time encoding agree.
-    encode_block_bytes:
-        Working-set budget (bytes) for blocked batch encoding; ``None``
-        reads ``REPRO_ENCODE_BLOCK_BYTES`` and falls back to 64 MB.
 
     The encoder owns two codebooks resolved at construction (shared,
     read-only, across instances with identical parameters):
@@ -272,7 +265,6 @@ class Encoder:
     low: float = 0.0
     high: float = 1.0
     seed: int = 0
-    encode_block_bytes: int | None = None
     base: np.ndarray = field(init=False, repr=False)
     level: np.ndarray = field(init=False, repr=False)
     _codebook_version: int = field(default=0, init=False, repr=False)
@@ -285,10 +277,6 @@ class Encoder:
             raise ValueError(f"num_features must be >= 1, got {self.num_features}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.encode_block_bytes is not None and self.encode_block_bytes < 1:
-            raise ValueError(
-                f"encode_block_bytes must be >= 1, got {self.encode_block_bytes}"
-            )
         self.base, self.level = _shared_codebooks(
             self.num_features, self.dim, self.levels, self.seed
         )
@@ -334,28 +322,8 @@ class Encoder:
     # Block-size policy
     # ------------------------------------------------------------------
 
-    def block_bytes(self) -> int:
-        """Resolved working-set budget for blocked encoding (bytes)."""
-        if self.encode_block_bytes is not None:
-            return self.encode_block_bytes
-        env = os.environ.get(_BLOCK_BYTES_ENV)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{_BLOCK_BYTES_ENV} must be an integer byte count, "
-                    f"got {env!r}"
-                ) from exc
-            if value < 1:
-                raise ValueError(
-                    f"{_BLOCK_BYTES_ENV} must be >= 1, got {value}"
-                )
-            return value
-        return _DEFAULT_BLOCK_BYTES
-
     def rows_per_block(self, packed: bool = True) -> int:
-        """Samples encoded per block under the current byte budget.
+        """Samples encoded per block under :data:`ENCODE_BLOCK_BYTES`.
 
         The reference path holds a ``(rows, n, D)`` uint8 bound tensor
         (``n * D`` bytes per row); the packed path holds the gathered
@@ -368,7 +336,7 @@ class Encoder:
             per_row = 2 * self.num_features * words * 8
         else:
             per_row = self.num_features * self.dim
-        return max(1, self.block_bytes() // per_row)
+        return max(1, ENCODE_BLOCK_BYTES // per_row)
 
     # ------------------------------------------------------------------
     # Encoding
@@ -449,7 +417,7 @@ class Encoder:
 
         Kept as the ground truth the packed engine is property-tested
         against, and as the ``float_backend()`` A/B path.  Blocked by the
-        same :meth:`block_bytes` budget as the packed engine.
+        same :data:`ENCODE_BLOCK_BYTES` budget as the packed engine.
         """
         idx = self._validated_indices(features)
         metrics = _metrics()

@@ -15,13 +15,13 @@ particular its packed-cache version starts at 0 by contract).
 
 Format history
 --------------
-* **v1** — model bits + encoder parameters.  Did *not* persist
-  ``Encoder.encode_block_bytes``, so a loaded classifier silently
-  reverted to the default blocking budget.
-* **v2** — adds ``encode_block_bytes`` (``-1`` encodes ``None``, i.e.
-  "resolve from ``REPRO_ENCODE_BLOCK_BYTES`` / the 64 MB default").
-  v1 files still load, with ``encode_block_bytes=None`` — the documented
-  default, and the only behaviour v1 files ever had.
+* **v1** — model bits + encoder parameters.  New files are written as
+  v1.
+* **v2** — v1 plus an ``encode_block_bytes`` field, from when the
+  encoder's blocking budget was a per-encoder option.  The budget is
+  now the constant :data:`repro.core.encoder.ENCODE_BLOCK_BYTES`, so v2
+  files still load and their stored budget is ignored (it never changed
+  an encoding, only how many rows were encoded at a time).
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from repro.core.model import HDCClassifier, HDCModel
 
 __all__ = ["save_classifier", "load_classifier"]
 
-_FORMAT_VERSION = 2
-# encode_block_bytes is int-or-None; .npz stores homogeneous arrays, so
-# None travels as this sentinel (real budgets are >= 1).
-_BLOCK_BYTES_NONE = -1
+_FORMAT_VERSION = 1
+_READABLE_VERSIONS = (1, 2)
 
 
 def save_classifier(path: str | Path, classifier: HDCClassifier) -> None:
@@ -47,7 +45,6 @@ def save_classifier(path: str | Path, classifier: HDCClassifier) -> None:
     if model is None:
         raise ValueError("classifier is not fitted; nothing to save")
     encoder = classifier.encoder
-    block_bytes = encoder.encode_block_bytes
     np.savez_compressed(
         Path(path),
         format_version=_FORMAT_VERSION,
@@ -59,9 +56,6 @@ def save_classifier(path: str | Path, classifier: HDCClassifier) -> None:
         low=encoder.low,
         high=encoder.high,
         encoder_seed=encoder.seed,
-        encode_block_bytes=(
-            _BLOCK_BYTES_NONE if block_bytes is None else int(block_bytes)
-        ),
         num_classes=classifier.num_classes,
         epochs=classifier.epochs,
         classifier_seed=classifier.seed,
@@ -73,23 +67,17 @@ def load_classifier(path: str | Path) -> HDCClassifier:
 
     The encoder codebooks are regenerated from the stored parameters and
     seed, so encodings produced by the loaded classifier are bit-for-bit
-    identical to the original's.  Reads v1 and v2 files; v1 predates the
-    ``encode_block_bytes`` field and loads with ``None`` (the default
-    budget — see the module docstring).
+    identical to the original's.  Reads v1 and v2 files (see the module
+    docstring); a v2 file's stored blocking budget is ignored.
     """
     path = Path(path)
     with np.load(path) as data:
         version = int(data["format_version"])
-        if version not in (1, _FORMAT_VERSION):
+        if version not in _READABLE_VERSIONS:
             raise ValueError(
                 f"unsupported model format version {version} "
-                f"(this build reads versions 1..{_FORMAT_VERSION})"
+                "(this build reads versions 1 and 2)"
             )
-        if version >= 2:
-            stored = int(data["encode_block_bytes"])
-            block_bytes = None if stored == _BLOCK_BYTES_NONE else stored
-        else:
-            block_bytes = None
         encoder = Encoder(
             num_features=int(data["num_features"]),
             dim=int(data["dim"]),
@@ -97,7 +85,6 @@ def load_classifier(path: str | Path) -> HDCClassifier:
             low=float(data["low"]),
             high=float(data["high"]),
             seed=int(data["encoder_seed"]),
-            encode_block_bytes=block_bytes,
         )
         model = HDCModel(
             class_hv=np.ascontiguousarray(data["class_hv"]),

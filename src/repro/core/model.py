@@ -237,22 +237,6 @@ class HDCModel:
             _metrics().inc("model.pack_rebuilds")
         return cache
 
-    def export_packed(self, buffer) -> int:
-        """Copy the current packed snapshot into ``buffer``; returns its version.
-
-        ``buffer`` is any writable buffer-protocol object of at least
-        ``packed().nbytes`` bytes — typically a
-        ``multiprocessing.shared_memory`` block.  This is the model side
-        of the cross-process serving export: a publisher calls it after
-        every recovery write (the :meth:`writable` / :meth:`bump_version`
-        contract guarantees the snapshot is fresh), and serving workers
-        re-materialise the snapshot zero-copy with
-        :meth:`~repro.core.packed.PackedModel.from_buffer`.
-        """
-        packed = self.packed()
-        packed.export_words(buffer)
-        return packed.version
-
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------

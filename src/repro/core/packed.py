@@ -446,18 +446,6 @@ class PackedModel:
         """Size of the word matrix — what a shared-memory export needs."""
         return self.words.nbytes
 
-    def export_words(self, buffer) -> None:
-        """Copy the word matrix into a writable buffer.
-
-        ``buffer`` is anything the buffer protocol accepts with at least
-        :attr:`nbytes` bytes — in particular a
-        ``multiprocessing.shared_memory.SharedMemory.buf``.  This is the
-        publish half of the cross-process serving protocol; the attach
-        half is :meth:`from_buffer`.
-        """
-        dst = np.ndarray(self.words.shape, dtype=np.uint64, buffer=buffer)
-        np.copyto(dst, self.words)
-
     @classmethod
     def from_buffer(
         cls, buffer, num_classes: int, dim: int, version: int = 0

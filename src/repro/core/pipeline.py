@@ -178,7 +178,6 @@ class RecoveryExperiment:
         passes: int = 3,
         mode: str = "random",
         seed: int = 0,
-        block_size: int | None = None,
         publisher: ModelPublisher | None = None,
         **attack_kwargs,
     ) -> RecoveryOutcome:
@@ -189,11 +188,9 @@ class RecoveryExperiment:
         approximates a longer deployment window).  The accuracy trace is
         sampled after every pass for the Figure 3 dynamics.
 
-        The stream is served in blocks of ``block_size`` queries through
-        the vectorised recovery engine
-        (:func:`repro.core.recovery.recover_block`); ``None`` falls back
-        to ``config.block_size``, mirroring
-        :class:`~repro.core.recovery.RobustHDRecovery`.  Results are
+        The stream is served in blocks of ``config.block_size`` queries
+        through the vectorised recovery engine
+        (:func:`repro.core.recovery.recover_block`).  Results are
         identical to the query-at-a-time loop for any block size, and
         identical between the packed and float serving backends (see
         ``repro.core.packed``).
@@ -219,8 +216,7 @@ class RecoveryExperiment:
             )
             attacked_accuracy = self._score(attacked)
             recovery = RobustHDRecovery(
-                attacked, config, seed=seed + 1, block_size=block_size,
-                publisher=publisher,
+                attacked, config, seed=seed + 1, publisher=publisher
             )
             accuracy_trace = []
             order_rng = np.random.default_rng(seed + 2)

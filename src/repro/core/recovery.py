@@ -47,7 +47,7 @@ from repro.core.packed import (
     unpack,
 )
 from repro.obs.metrics import current as _metrics
-from repro.obs.trace import RecoveryBlockEvent, RecoveryTrace, _as_nested_tuple
+from repro.obs.trace import RecoveryBlockEvent, RecoveryTrace
 
 __all__ = [
     "ModelPublisher",
@@ -125,13 +125,14 @@ class RecoveryConfig:
     temperature:
         Temperature for the confidence computation.
     block_size:
-        Default serving block size for :class:`RobustHDRecovery` and the
-        pipeline's ``attack_and_recover`` — how many queries the batched
-        engine gates at once per :func:`recover_block` call, and how
-        often a publisher sees a new generation.  Never changes the
-        results (the block engine exactly replays the sequential loop),
-        and a model write does not invalidate batched work: it patches
-        one class's similarities for the rows still ahead.
+        How many queries :class:`RobustHDRecovery` (and everything
+        built on it: the pipeline's ``attack_and_recover``, the
+        adversary's scenarios) hands :func:`recover_block` at once, and
+        so how often a publisher sees a new generation.  The one place
+        the block size is set.  Never changes the results (the block
+        engine exactly replays the sequential loop), and a model write
+        does not invalidate batched work: it patches one class's
+        similarities for the rows still ahead.
     """
 
     confidence_threshold: float = 0.85
@@ -166,9 +167,13 @@ class RecoveryConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryStats:
-    """Counters accumulated across recovery steps."""
+    """Cumulative counters of a recovery run, read off its trace.
+
+    A view, not a second record: :meth:`from_trace` builds it from the
+    :class:`~repro.obs.trace.RecoveryTrace` the engine wrote.
+    """
 
     queries_seen: int = 0
     queries_trusted: int = 0
@@ -176,6 +181,17 @@ class RecoveryStats:
     chunks_repaired: int = 0
     bits_substituted: int = 0
     confidence_trace: list[float] = field(default_factory=list)
+
+    @classmethod
+    def from_trace(cls, trace: RecoveryTrace) -> "RecoveryStats":
+        return cls(
+            queries_seen=trace.queries_seen,
+            queries_trusted=trace.queries_trusted,
+            chunks_checked=trace.chunks_checked,
+            chunks_repaired=trace.chunks_flagged,
+            bits_substituted=trace.bits_substituted,
+            confidence_trace=trace.confidence_trace(),
+        )
 
     @property
     def trust_rate(self) -> float:
@@ -257,15 +273,14 @@ def _substitute_faulty(
     model: HDCModel,
     query: np.ndarray,
     predicted: int,
-    faulty: np.ndarray,
+    chunks: np.ndarray,
     config: RecoveryConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Repair the flagged chunks of one class in place.
+    """Repair chunks ``chunks`` of class ``predicted`` in place.
 
-    Returns the bits actually changed per flagged chunk, aligned with
-    ``np.flatnonzero(faulty)`` (callers sum for the total and scatter
-    into per-chunk trace cells).
+    Returns the bits actually changed per chunk, aligned with
+    ``chunks``.
     """
     with model.writable() as class_hv:
         class_chunks = as_chunks(class_hv[predicted], config.num_chunks)
@@ -275,7 +290,7 @@ def _substitute_faulty(
                 class_chunks[j], query_chunks[j],
                 config.substitution_rate, rng,
             )
-            for j in np.flatnonzero(faulty)
+            for j in chunks
         ], dtype=np.int64)
     return changed
 
@@ -285,7 +300,6 @@ def recover_step(
     query: np.ndarray,
     config: RecoveryConfig,
     rng: np.random.Generator,
-    stats: RecoveryStats | None = None,
     trace: RecoveryTrace | None = None,
 ) -> int:
     """Run one RobustHD recovery step on a single query, in place.
@@ -300,7 +314,7 @@ def recover_step(
             f"query must be a 1-D vector of length {model.dim}"
         )
     return int(
-        recover_block(model, query[None, :], config, rng, stats, trace)[0]
+        recover_block(model, query[None, :], config, rng, trace)[0]
     )
 
 
@@ -309,18 +323,17 @@ def recover_block(
     queries: np.ndarray | PackedHypervectors,
     config: RecoveryConfig,
     rng: np.random.Generator,
-    stats: RecoveryStats | None = None,
     trace: RecoveryTrace | None = None,
 ) -> np.ndarray:
     """Run RobustHD recovery over a block of queries, in place.
 
     Semantically identical to calling :func:`recover_step` on each query
-    in order — same predictions, same stats, same random draws — but the
-    confidence gate runs once, vectorised over the whole block.  The
-    rows are then walked in order: each trusted row is checked by the
-    chunk-vote detector against the model as it stands at that row (one
-    packed kernel call).  A substitution rewrites chunks of one class
-    only, so afterwards only that class's similarity column is
+    in order — same predictions, same trace totals, same random draws —
+    but the confidence gate runs once, vectorised over the whole block.
+    The rows are then walked in order: each trusted row is checked by
+    the chunk-vote detector against the model as it stands at that row
+    (one packed kernel call).  A substitution rewrites chunks of one
+    class only, so afterwards only that class's similarity column is
     recomputed for the rows still ahead, and those rows are re-gated
     from the patched similarities.  Every similarity is an exact integer
     count, so the patched values equal a fresh gate; nothing else is
@@ -337,10 +350,15 @@ def recover_block(
     comes from the float reference.  Results are bit-identical either
     way.
 
-    If a ``trace`` is supplied, one
-    :class:`~repro.obs.trace.RecoveryBlockEvent` is appended per call.
-    Neither stats, trace, nor metrics recording ever draws from ``rng``,
-    so observed and unobserved runs are bit-identical.
+    The walk records each row once: its faulty-chunk mask, and the bits
+    it repaired per (class, chunk).  A row's gate values are final once
+    the walk has passed it, so the block's totals — trusted rows per
+    class, chunk flags, bits substituted — are derived from those two
+    arrays after the walk, and both the ``recovery.*`` metrics and (if
+    a ``trace`` is supplied) one
+    :class:`~repro.obs.trace.RecoveryBlockEvent` are built from them.
+    Neither trace nor metrics recording ever draws from ``rng``, so
+    observed and unobserved runs are bit-identical.
 
     Returns the ``(b,)`` predicted labels.
     """
@@ -370,62 +388,34 @@ def recover_block(
         )
     packed_rows = isinstance(queries, PackedHypervectors)
     num_queries = len(queries)
+    num_classes, num_chunks = model.num_classes, config.num_chunks
     metrics = _metrics()
     version_before = model.version
-    total_trusted = 0
-    total_flagged = 0
-    total_bits = 0
-    if trace is not None:
-        ev_confidences: list[float] = []
-        ev_trusted_per_class = np.zeros(model.num_classes, dtype=np.int64)
-        ev_chunk_flags = np.zeros(
-            (model.num_classes, config.num_chunks), dtype=np.int64
-        )
-        ev_chunk_repair_bits = np.zeros_like(ev_chunk_flags)
+    faulty = np.zeros((num_queries, num_chunks), dtype=bool)
+    repair_bits = np.zeros((num_classes, num_chunks), dtype=np.int64)
     with metrics.timer("recovery.recover_block"):
         sims = model.similarities(queries)  # (b, k)
         preds, conf = _gate(model, sims, config)
         for j in range(num_queries):
-            if stats is not None:
-                stats.queries_seen += 1
-                stats.confidence_trace.append(float(conf[j]))
-            if trace is not None:
-                ev_confidences.append(float(conf[j]))
             if conf[j] < config.confidence_threshold:
                 continue
-            predicted = int(preds[j])
-            faulty = detect_faulty_chunks_batch(
+            faulty[j] = detect_faulty_chunks_batch(
                 model,
                 queries[j : j + 1],
                 preds[j : j + 1],
-                config.num_chunks,
+                num_chunks,
                 config.detection_margin,
-            )[0]  # (m,)
-            total_trusted += 1
-            flagged = int(faulty.sum())
-            total_flagged += flagged
-            if stats is not None:
-                stats.queries_trusted += 1
-                stats.chunks_checked += config.num_chunks
-                stats.chunks_repaired += flagged
-            if trace is not None:
-                ev_trusted_per_class[predicted] += 1
-                ev_chunk_flags[predicted] += faulty
-            if not flagged:
+            )[0]
+            chunks = np.flatnonzero(faulty[j])
+            if not chunks.size:
                 continue
+            predicted = int(preds[j])
             query_bits = unpack(queries[j]) if packed_rows else queries[j]
-            per_chunk = _substitute_faulty(
-                model, query_bits, predicted, faulty, config, rng
+            changed = _substitute_faulty(
+                model, query_bits, predicted, chunks, config, rng
             )
-            substituted = int(per_chunk.sum())
-            total_bits += substituted
-            if stats is not None:
-                stats.bits_substituted += substituted
-            if trace is not None:
-                ev_chunk_repair_bits[predicted, np.flatnonzero(faulty)] += (
-                    per_chunk
-                )
-            if substituted and j + 1 < num_queries:
+            repair_bits[predicted, chunks] += changed
+            if changed.any() and j + 1 < num_queries:
                 # Only class ``predicted`` changed: patch its column for
                 # the rows ahead and re-gate them.
                 rest = slice(j + 1, None)
@@ -433,29 +423,39 @@ def recover_block(
                     model, queries[rest], predicted
                 )
                 preds[rest], conf[rest] = _gate(model, sims[rest], config)
+    trusted = ~(conf < config.confidence_threshold)
+    num_trusted = int(np.count_nonzero(trusted))
+    bits_substituted = int(repair_bits.sum())
     if trace is not None:
+        # Each flagged chunk counts once in its row's (class, chunk) cell.
+        cells = preds[:, None] * num_chunks + np.arange(num_chunks)
+        chunk_flags = np.bincount(
+            cells[faulty], minlength=num_classes * num_chunks
+        ).reshape(num_classes, num_chunks)
         trace.record(RecoveryBlockEvent(
-            block_index=trace.next_block_index(),
+            block_index=trace.next_index(),
             queries=num_queries,
-            trusted=total_trusted,
-            confidences=tuple(ev_confidences),
-            trusted_per_class=tuple(int(t) for t in ev_trusted_per_class),
-            num_chunks=config.num_chunks,
-            chunk_flags=_as_nested_tuple(ev_chunk_flags),
-            chunk_repair_bits=_as_nested_tuple(ev_chunk_repair_bits),
-            bits_substituted=total_bits,
+            trusted=num_trusted,
+            confidences=tuple(conf.tolist()),
+            trusted_per_class=tuple(
+                np.bincount(preds[trusted], minlength=num_classes).tolist()
+            ),
+            num_chunks=num_chunks,
+            chunk_flags=tuple(map(tuple, chunk_flags.tolist())),
+            chunk_repair_bits=tuple(map(tuple, repair_bits.tolist())),
+            bits_substituted=bits_substituted,
             model_version_before=version_before,
             model_version_after=model.version,
         ))
     if metrics.enabled:
         metrics.inc("recovery.blocks")
         metrics.inc("recovery.queries", num_queries)
-        metrics.inc("recovery.queries_trusted", total_trusted)
-        metrics.inc("recovery.chunks_flagged", total_flagged)
-        metrics.inc("recovery.bits_substituted", total_bits)
+        metrics.inc("recovery.queries_trusted", num_trusted)
+        metrics.inc("recovery.chunks_flagged", int(np.count_nonzero(faulty)))
+        metrics.inc("recovery.bits_substituted", bits_substituted)
         metrics.inc("recovery.model_writes", model.version - version_before)
         metrics.observe("recovery.block_trust_rate",
-                        total_trusted / max(1, num_queries))
+                        num_trusted / max(1, num_queries))
     return preds
 
 
@@ -476,7 +476,6 @@ class RobustHDRecovery:
         model: HDCModel,
         config: RecoveryConfig | None = None,
         seed: int = 0,
-        block_size: int | None = None,
         publisher: ModelPublisher | None = None,
     ) -> None:
         self.config = config or RecoveryConfig()
@@ -487,35 +486,16 @@ class RobustHDRecovery:
             )
         if model.bits != 1:
             raise ValueError("RobustHD recovery requires a 1-bit model")
-        if block_size is None:
-            block_size = self.config.block_size
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.model = model
         self.rng = np.random.default_rng(seed)
         self.trace = RecoveryTrace()
-        self.block_size = block_size
         self.publisher = publisher
-        # One entry per generation publish announcement: block index,
-        # generation, model version, and — when the publisher echoes one
-        # (see GenerationPublisher.trace_source) — the serve trace id the
-        # publish was stamped with.  The recovery-side half of the
-        # repro.obs.telemetry.correlate join.
-        self.publish_log: list[dict] = []
         self._published_version: int | None = None
 
     @property
     def stats(self) -> RecoveryStats:
         """Cumulative counters, derived from :attr:`trace` on access."""
-        trace = self.trace
-        return RecoveryStats(
-            queries_seen=trace.queries_seen,
-            queries_trusted=trace.queries_trusted,
-            chunks_checked=trace.chunks_checked,
-            chunks_repaired=trace.chunks_flagged,
-            bits_substituted=trace.bits_substituted,
-            confidence_trace=trace.confidence_trace(),
-        )
+        return RecoveryStats.from_trace(self.trace)
 
     @property
     def last_trace(self) -> RecoveryBlockEvent | None:
@@ -530,10 +510,10 @@ class RobustHDRecovery:
         Queries are processed sequentially — each repair changes the model
         the next query sees, which is exactly the online dynamic the paper
         studies.  Internally the stream is served in blocks of
-        ``block_size`` through :func:`recover_block`, which gates each
-        block in one vectorised pass while producing results identical
-        to the one-query-at-a-time loop (``block_size`` sets the publish
-        cadence; it never changes the results).
+        ``config.block_size`` through :func:`recover_block`, which gates
+        each block in one vectorised pass while producing results
+        identical to the one-query-at-a-time loop (the block size sets
+        the publish cadence; it never changes the results).
 
         Accepts the packed stream ``Encoder.encode_packed`` emits — the
         words flow through the gate and the detector unmodified (see
@@ -546,14 +526,16 @@ class RobustHDRecovery:
         draws from no RNG and reads the model through the version-stamped
         packed cache, so published and unpublished runs stay
         bit-identical — the property the serve tier's sequential-vs-
-        concurrent equivalence tests pin.
+        concurrent equivalence tests pin.  The publisher keeps the record
+        of what it published (``GenerationPublisher.publish_log``).
         """
         if not isinstance(queries, PackedHypervectors):
             queries = np.atleast_2d(queries)
         num_queries = len(queries)
+        block_size = self.config.block_size
         preds = np.empty(num_queries, dtype=np.int64)
-        for lo in range(0, num_queries, self.block_size):
-            hi = lo + self.block_size
+        for lo in range(0, num_queries, block_size):
+            hi = lo + block_size
             preds[lo:hi] = recover_block(
                 self.model, queries[lo:hi], self.config, self.rng,
                 trace=self.trace,
@@ -568,20 +550,7 @@ class RobustHDRecovery:
             return
         version = self.model.version
         if version != self._published_version:
-            generation = self.publisher.publish(self.model)
+            self.publisher.publish(self.model)
             self._published_version = version
-            entry = {
-                "block_index": len(self.trace) - 1,
-                "generation": int(generation)
-                if generation is not None else len(self.publish_log) + 1,
-                "model_version": version,
-            }
-            # Publishers that stamp trace ids (GenerationPublisher with
-            # a trace_source) echo the latest serve trace id; plain
-            # publishers simply omit the field.
-            trace_id = getattr(self.publisher, "last_publish_trace_id", None)
-            if trace_id is not None:
-                entry["trace_id"] = int(trace_id)
-            self.publish_log.append(entry)
         else:
             self.publisher.touch()

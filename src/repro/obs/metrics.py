@@ -170,10 +170,6 @@ class MetricsRegistry:
         """Current value of counter ``name`` (0 if never incremented)."""
         return self.counters.get(name, 0)
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        """Latest value of gauge ``name`` (``default`` if never set)."""
-        return self.gauges.get(name, default)
-
     def snapshot(self) -> dict:
         """JSON-able view of everything recorded so far."""
         return {

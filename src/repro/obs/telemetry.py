@@ -606,7 +606,7 @@ class FlightRecorder:
 
 
 def _publish_entries(source) -> list[dict]:
-    """Publish announcements from a log list, publisher, or recovery."""
+    """Publish announcements from a log list or a publisher."""
     if source is None:
         return []
     log = getattr(source, "publish_log", source)
@@ -619,9 +619,9 @@ def correlate(serve_trace: Iterable, recovery_source=None) -> list[dict]:
     ``serve_trace`` is a :class:`~repro.obs.trace.ServeTrace` (or any
     iterable of :class:`~repro.obs.trace.ServeBatchEvent`);
     ``recovery_source`` is a publish log — a list of announcement dicts,
-    or any object with a ``publish_log`` attribute
-    (:class:`~repro.serve.shm.GenerationPublisher`,
-    :class:`~repro.core.recovery.RobustHDRecovery`).
+    or any object with a ``publish_log`` attribute.  The
+    :class:`~repro.serve.shm.GenerationPublisher`'s log is the one
+    record of each publish.
 
     Returns one row per model generation that served traffic: how many
     batches/queries ran under it, their latency profile, degraded and
@@ -651,9 +651,8 @@ def correlate(serve_trace: Iterable, recovery_source=None) -> list[dict]:
         phase["degraded_batches"] += int(event.degraded)
         phase["adoptions"] += int(event.adopted)
         phase["durations"].append(event.duration_s)
-        trace_id = getattr(event, "trace_id", -1)
-        if trace_id >= 0:
-            phase["trace_ids"].append(trace_id)
+        if event.trace_id >= 0:
+            phase["trace_ids"].append(event.trace_id)
     rows = []
     for generation in sorted(phases):
         phase = phases[generation]

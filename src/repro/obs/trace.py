@@ -22,18 +22,78 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 __all__ = [
     "CampaignEvent",
     "CampaignTrace",
+    "EventLog",
     "RecoveryBlockEvent",
     "RecoveryTrace",
     "ServeBatchEvent",
     "ServeTrace",
 ]
+
+E = TypeVar("E")
+
+
+@dataclass
+class EventLog(Generic[E]):
+    """An append-only log of plain-data events with exact JSONL round-trip.
+
+    The one container behind :class:`RecoveryTrace`, :class:`ServeTrace`
+    and :class:`CampaignTrace`: each subclass names its event type in
+    :attr:`event_type` (decoded through its ``from_dict``) and adds only
+    its aggregates and ``summary_table``.
+    """
+
+    event_type: ClassVar[type]
+
+    events: list[E] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __iter__(self) -> Iterator[E]:
+        return iter(self.events)
+
+    @property
+    def last(self) -> E | None:
+        return self.events[-1] if self.events else None
+
+    def record(self, event: E) -> None:
+        self.events.append(event)
+
+    def next_index(self) -> int:
+        """0-based position the next recorded event will take."""
+        return len(self.events)
+
+    def to_jsonl(self) -> str:
+        """One compact JSON object per line, one line per event."""
+        return "\n".join(
+            json.dumps(e.to_dict(), separators=(",", ":"))
+            for e in self.events
+        )
+
+    def write_jsonl(self, path: str | Path) -> Path:
+        path = Path(path)
+        text = self.to_jsonl()
+        path.write_text(text + "\n" if text else "")
+        return path
+
+    @classmethod
+    def from_jsonl(cls, text: str):
+        return cls(events=[
+            cls.event_type.from_dict(json.loads(line))
+            for line in text.splitlines()
+            if line.strip()
+        ])
+
+    @classmethod
+    def read_jsonl(cls, path: str | Path):
+        return cls.from_jsonl(Path(path).read_text())
 
 
 @dataclass(frozen=True)
@@ -126,27 +186,10 @@ class RecoveryBlockEvent:
         )
 
 
-@dataclass
-class RecoveryTrace:
+class RecoveryTrace(EventLog[RecoveryBlockEvent]):
     """An append-only log of :class:`RecoveryBlockEvent` records."""
 
-    events: list[RecoveryBlockEvent] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    @property
-    def last(self) -> RecoveryBlockEvent | None:
-        return self.events[-1] if self.events else None
-
-    def record(self, event: RecoveryBlockEvent) -> None:
-        self.events.append(event)
-
-    def next_block_index(self) -> int:
-        return len(self.events)
+    event_type = RecoveryBlockEvent
 
     # -- aggregates ----------------------------------------------------
 
@@ -203,34 +246,6 @@ class RecoveryTrace:
         """``(k, m)`` bool — chunks the detector flagged at least once."""
         return self.flag_counts() > 0
 
-    # -- serialisation -------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One compact JSON object per line, one line per event."""
-        return "\n".join(
-            json.dumps(e.to_dict(), separators=(",", ":"))
-            for e in self.events
-        )
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        text = self.to_jsonl()
-        path.write_text(text + "\n" if text else "")
-        return path
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "RecoveryTrace":
-        events = [
-            RecoveryBlockEvent.from_dict(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls(events=events)
-
-    @classmethod
-    def read_jsonl(cls, path: str | Path) -> "RecoveryTrace":
-        return cls.from_jsonl(Path(path).read_text())
-
     # -- rendering -----------------------------------------------------
 
     def summary_table(self) -> str:
@@ -266,11 +281,6 @@ class RecoveryTrace:
             rows,
             title="Recovery trace",
         )
-
-
-def _as_nested_tuple(array: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Helper for builders converting (k, m) arrays into event fields."""
-    return tuple(tuple(int(v) for v in row) for row in array)
 
 
 @dataclass(frozen=True)
@@ -318,10 +328,19 @@ class ServeBatchEvent:
         Worker wall time from batch assembly to results posted.
     trace_id:
         Lowest request trace id coalesced into the batch — the join key
-        against recovery publish announcements (see
-        :func:`repro.obs.telemetry.correlate`).  ``-1`` for events
-        recorded before trace correlation existed (pre-trace_id JSONL
-        decodes to ``-1``).
+        against the publisher's publish log (see
+        :func:`repro.obs.telemetry.correlate`).
+    shard:
+        The model shard the worker serves (0 under a one-shard plan).
+    dispatch_wait_s:
+        How long the worker sat waiting for dispatch before this batch.
+    bytes_scanned:
+        Model bytes the batch's queries streamed.
+    tenants:
+        Distinct tenants served in the batch.
+
+    Every field is required: the engine builds each event straight from
+    its worker's batch record, and JSONL decodes only complete records.
     """
 
     worker_id: int
@@ -337,65 +356,24 @@ class ServeBatchEvent:
     degraded: bool
     queue_depth: int
     duration_s: float
-    trace_id: int = -1
-    # Sharded-serving diagnostics (PR 7): which model shard the worker
-    # serves (0 under a one-shard plan; -1 only on records made before
-    # sharding existed), how long it sat waiting for dispatch before
-    # this batch, and how many model bytes the batch's queries streamed.
-    shard: int = -1
-    dispatch_wait_s: float = 0.0
-    bytes_scanned: int = 0
-    # Multi-tenant serving (PR 8): distinct tenants served in the batch.
-    tenants: int = 1
+    trace_id: int
+    shard: int
+    dispatch_wait_s: float
+    bytes_scanned: int
+    tenants: int
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServeBatchEvent":
-        return cls(
-            worker_id=int(data["worker_id"]),
-            batch_index=int(data["batch_index"]),
-            requests=int(data["requests"]),
-            queries=int(data["queries"]),
-            expired=int(data["expired"]),
-            generation=int(data["generation"]),
-            model_version=int(data["model_version"]),
-            adopted=bool(data["adopted"]),
-            adoption_lag_s=float(data["adoption_lag_s"]),
-            staleness_s=float(data["staleness_s"]),
-            degraded=bool(data["degraded"]),
-            queue_depth=int(data["queue_depth"]),
-            duration_s=float(data["duration_s"]),
-            # Back-compat: events recorded before trace correlation have
-            # no trace_id; decode them with the -1 sentinel.  Likewise
-            # the shard diagnostics predate sharded serving.
-            trace_id=int(data.get("trace_id", -1)),
-            shard=int(data.get("shard", -1)),
-            dispatch_wait_s=float(data.get("dispatch_wait_s", 0.0)),
-            bytes_scanned=int(data.get("bytes_scanned", 0)),
-            tenants=int(data.get("tenants", 1)),
-        )
+        return cls(**data)
 
 
-@dataclass
-class ServeTrace:
+class ServeTrace(EventLog[ServeBatchEvent]):
     """An append-only log of :class:`ServeBatchEvent` records."""
 
-    events: list[ServeBatchEvent] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    @property
-    def last(self) -> ServeBatchEvent | None:
-        return self.events[-1] if self.events else None
-
-    def record(self, event: ServeBatchEvent) -> None:
-        self.events.append(event)
+    event_type = ServeBatchEvent
 
     # -- aggregates ----------------------------------------------------
 
@@ -418,41 +396,6 @@ class ServeTrace:
     @property
     def adoptions(self) -> int:
         return sum(1 for e in self.events if e.adopted)
-
-    def generations_served(self) -> dict[int, int]:
-        """Queries served per model generation (staleness distribution)."""
-        out: dict[int, int] = {}
-        for e in self.events:
-            out[e.generation] = out.get(e.generation, 0) + e.queries
-        return out
-
-    # -- serialisation -------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One compact JSON object per line, one line per event."""
-        return "\n".join(
-            json.dumps(e.to_dict(), separators=(",", ":"))
-            for e in self.events
-        )
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        text = self.to_jsonl()
-        path.write_text(text + "\n" if text else "")
-        return path
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "ServeTrace":
-        events = [
-            ServeBatchEvent.from_dict(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls(events=events)
-
-    @classmethod
-    def read_jsonl(cls, path: str | Path) -> "ServeTrace":
-        return cls.from_jsonl(Path(path).read_text())
 
     # -- rendering -----------------------------------------------------
 
@@ -553,27 +496,10 @@ class CampaignEvent:
         )
 
 
-@dataclass
-class CampaignTrace:
+class CampaignTrace(EventLog[CampaignEvent]):
     """An append-only log of :class:`CampaignEvent` records."""
 
-    events: list[CampaignEvent] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    @property
-    def last(self) -> CampaignEvent | None:
-        return self.events[-1] if self.events else None
-
-    def record(self, event: CampaignEvent) -> None:
-        self.events.append(event)
-
-    def next_index(self) -> int:
-        return len(self.events)
+    event_type = CampaignEvent
 
     # -- aggregates ----------------------------------------------------
 
@@ -602,34 +528,6 @@ class CampaignTrace:
             e.accuracy for e in self.by_scenario(scenario)
             if e.kind == "adaptive-pass" and e.accuracy is not None
         ]
-
-    # -- serialisation -------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One compact JSON object per line, one line per event."""
-        return "\n".join(
-            json.dumps(e.to_dict(), separators=(",", ":"))
-            for e in self.events
-        )
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        text = self.to_jsonl()
-        path.write_text(text + "\n" if text else "")
-        return path
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "CampaignTrace":
-        events = [
-            CampaignEvent.from_dict(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        ]
-        return cls(events=events)
-
-    @classmethod
-    def read_jsonl(cls, path: str | Path) -> "CampaignTrace":
-        return cls.from_jsonl(Path(path).read_text())
 
     # -- rendering -----------------------------------------------------
 

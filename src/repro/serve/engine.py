@@ -405,8 +405,6 @@ class ServingEngine:
         Per-worker shared-memory telemetry slabs (see
         :mod:`repro.obs.telemetry`); recording is RNG-free and
         batch-granular, so telemetry on vs off is bit-identical.
-    mp_context:
-        ``multiprocessing`` start-method name (default ``"fork"``).
     shard_plan:
         Optional :class:`~repro.serve.shard.ShardPlan` (single-tenant
         engines only).  Worker ``w`` serves shard ``w % num_shards``.
@@ -432,7 +430,6 @@ class ServingEngine:
         stall_timeout: float = 2.0,
         telemetry: bool = True,
         flight_slots: int = 256,
-        mp_context: str = "fork",
         shard_plan: ShardPlan | None = None,
         min_workers: int = 1,
         max_workers: int | None = None,
@@ -582,7 +579,7 @@ class ServingEngine:
             max_workers=max_workers,
         )
 
-        self._ctx = mp.get_context(mp_context)
+        self._ctx = mp.get_context("fork")
         # One private request queue per worker: frames are round-robined
         # across them and a dead worker's unserved frames re-routed to
         # survivors.  A shared queue would let a SIGKILLed worker die
@@ -1009,9 +1006,7 @@ class ServingEngine:
         Runs after the batch's requests have resolved: ``queue_depth``
         is the count of requests still live.
         """
-        event = ServeBatchEvent.from_dict(
-            {**event_dict, "queue_depth": len(self._pending)}
-        )
+        event = ServeBatchEvent(**event_dict, queue_depth=len(self._pending))
         self.trace.record(event)
         if not metrics.enabled:
             return

@@ -344,13 +344,15 @@ class GenerationPublisher:
     block can still attach the segment it names (readers also retry via
     a fresh control read if they lose that race).
 
+    :attr:`publish_log` is the one record of every publish: its
+    generation, model version, publish time and trace id.
     ``trace_source`` is the trace-correlation hook: a zero-argument
     callable returning the latest serve ``trace_id`` assigned so far
-    (the engine wires its submit counter in).  Every publish is echoed
-    into :attr:`publish_log` stamped with that id — every request
-    submitted with a later trace id is served on this generation or
-    newer, which is what lets :func:`repro.obs.telemetry.correlate`
-    join slow batches to the repair generation published under them.
+    (the engine wires its submit counter in).  Each publish is stamped
+    with that id — every request submitted with a later trace id is
+    served on this generation or newer, which is what lets
+    :func:`repro.obs.telemetry.correlate` join slow batches to the
+    repair generation published under them.
     """
 
     def __init__(
@@ -370,7 +372,6 @@ class GenerationPublisher:
         self.trace_source = trace_source
         self.shard_plan = shard_plan
         self.publish_log: list[dict] = []
-        self.last_publish_trace_id: int | None = None
         self._segments: dict[int, list[ShmArray]] = {}
 
     def publish(self, model: HDCModel) -> int:
@@ -406,16 +407,14 @@ class GenerationPublisher:
         )
         self._segments[generation] = segments
         self.generation = generation
-        trace_id = (
-            int(self.trace_source())
-            if self.trace_source is not None
-            else None
-        )
-        self.last_publish_trace_id = trace_id
         self.publish_log.append({
             "generation": generation,
             "model_version": packed.version,
-            "trace_id": trace_id,
+            "trace_id": (
+                int(self.trace_source())
+                if self.trace_source is not None
+                else None
+            ),
             "publish_ns": now,
         })
         retired = generation - self.retire_lag

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.encoder as encoder_module
 from repro.core.encoder import (
+    ENCODE_BLOCK_BYTES,
     Encoder,
     clear_codebook_cache,
+    encode_words_from_codebook,
     quantize_features,
 )
 from repro.core.hypervector import hamming_distance
@@ -210,58 +213,30 @@ class TestPackedEncodingEquivalence:
         assert (enc.encode_batch(x)[0] == expected).all()
 
     def test_blocked_equals_unblocked(self):
-        enc_small = Encoder(
-            num_features=6, dim=130, seed=2, encode_block_bytes=1
-        )
-        enc_big = Encoder(num_features=6, dim=130, seed=2)
+        enc = Encoder(num_features=6, dim=130, seed=2)
         batch = np.random.default_rng(0).random((40, 6))
-        assert (enc_small.encode_batch(batch) == enc_big.encode_batch(batch)).all()
+        idx = quantize_features(batch, enc.levels, enc.low, enc.high)
+        blocked = encode_words_from_codebook(
+            enc.packed_codebook().words, idx, rows_per_block=1
+        )
+        assert (blocked == enc.encode_packed(batch).words).all()
         assert (
-            unpack(enc_small.encode_packed(batch))
-            == unpack(enc_big.encode_packed(batch))
+            unpack(PackedHypervectors(words=blocked, dim=enc.dim))
+            == enc.encode_batch(batch)
         ).all()
 
 
 class TestBlockBytes:
     def test_default_matches_seed_heuristic(self):
         enc = Encoder(num_features=64, dim=10_000, seed=0)
-        assert enc.block_bytes() == 64_000_000
+        assert ENCODE_BLOCK_BYTES == 64_000_000
         # Reference path: identical blocking to the old hard-coded
         # max_cells // (n * dim) heuristic.
         assert enc.rows_per_block(packed=False) == 64_000_000 // (64 * 10_000)
 
-    def test_field_override(self):
-        enc = Encoder(num_features=4, dim=64, seed=0, encode_block_bytes=1024)
-        assert enc.block_bytes() == 1024
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_BLOCK_BYTES", "2048")
-        enc = Encoder(num_features=4, dim=64, seed=0)
-        assert enc.block_bytes() == 2048
-
-    def test_field_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_BLOCK_BYTES", "2048")
-        enc = Encoder(num_features=4, dim=64, seed=0, encode_block_bytes=512)
-        assert enc.block_bytes() == 512
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_BLOCK_BYTES", "lots")
-        enc = Encoder(num_features=4, dim=64, seed=0)
-        with pytest.raises(ValueError, match="REPRO_ENCODE_BLOCK_BYTES"):
-            enc.block_bytes()
-
-    def test_bad_env_negative(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_BLOCK_BYTES", "0")
-        enc = Encoder(num_features=4, dim=64, seed=0)
-        with pytest.raises(ValueError, match=">= 1"):
-            enc.block_bytes()
-
-    def test_bad_field(self):
-        with pytest.raises(ValueError, match="encode_block_bytes"):
-            Encoder(num_features=4, dim=64, seed=0, encode_block_bytes=0)
-
-    def test_rows_always_positive(self):
-        enc = Encoder(num_features=500, dim=10_000, seed=0, encode_block_bytes=1)
+    def test_rows_always_positive(self, monkeypatch):
+        monkeypatch.setattr(encoder_module, "ENCODE_BLOCK_BYTES", 1)
+        enc = Encoder(num_features=500, dim=10_000, seed=0)
         assert enc.rows_per_block(packed=True) == 1
         assert enc.rows_per_block(packed=False) == 1
 

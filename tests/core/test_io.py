@@ -75,39 +75,33 @@ class TestSaveLoad:
 
 
 class TestEncodeBlockBytesPersistence:
-    """Regression: v1 silently dropped ``Encoder.encode_block_bytes``."""
+    """The blocking budget is a constant: new files are v1 and carry
+    none, and a v2 file's stored budget is read past."""
 
-    def test_explicit_budget_round_trips(self, tmp_path):
-        encoder = Encoder(num_features=8, dim=256, levels=8, seed=3,
-                          encode_block_bytes=12_345)
-        clf = HDCClassifier(encoder, num_classes=2, epochs=0).fit(
-            np.random.default_rng(0).random((20, 8)),
-            np.random.default_rng(1).integers(0, 2, 20),
-        )
+    @pytest.mark.parametrize("stored", [-1, 12_345])
+    def test_v2_stored_budget_ignored(self, fitted, tmp_path, stored):
+        task, clf = fitted
         path = tmp_path / "m.npz"
         save_classifier(path, clf)
+        data = dict(np.load(path))
+        # Rewrite the artefact as a v2 file: v1 plus the budget field
+        # (-1 stood for "the default").
+        data["format_version"] = np.int64(2)
+        data["encode_block_bytes"] = np.int64(stored)
+        np.savez_compressed(path, **data)
         loaded = load_classifier(path)
-        assert loaded.encoder.encode_block_bytes == 12_345
-        assert loaded.encoder.block_bytes() == 12_345
-
-    def test_default_budget_round_trips_as_none(self, fitted, tmp_path):
-        _, clf = fitted
-        assert clf.encoder.encode_block_bytes is None
-        path = tmp_path / "m.npz"
-        save_classifier(path, clf)
-        assert load_classifier(path).encoder.encode_block_bytes is None
+        assert repr(loaded.encoder) == repr(clf.encoder)
+        assert (loaded.predict(task.test_x) == clf.predict(task.test_x)).all()
 
     def test_v1_file_loads_with_documented_default(self, fitted, tmp_path):
         _, clf = fitted
         path = tmp_path / "m.npz"
         save_classifier(path, clf)
-        data = dict(np.load(path))
-        # Rewrite the artefact as a v1 file: no block-bytes field.
-        data["format_version"] = np.int64(1)
-        del data["encode_block_bytes"]
-        np.savez_compressed(path, **data)
+        with np.load(path) as data:
+            assert int(data["format_version"]) == 1
+            assert "encode_block_bytes" not in data
         loaded = load_classifier(path)
-        assert loaded.encoder.encode_block_bytes is None
+        assert repr(loaded.encoder) == repr(clf.encoder)
         assert (loaded.model.class_hv == clf.model.class_hv).all()
 
 

@@ -98,9 +98,11 @@ class TestAttackAndRecover:
         )
 
     def test_block_size_does_not_change_outcome(self, experiment):
-        serial = experiment.attack_and_recover(0.10, passes=1, seed=7,
-                                               block_size=1)
-        batched = experiment.attack_and_recover(0.10, passes=1, seed=7,
-                                                block_size=64)
+        serial = experiment.attack_and_recover(
+            0.10, RecoveryConfig(block_size=1), passes=1, seed=7
+        )
+        batched = experiment.attack_and_recover(
+            0.10, RecoveryConfig(block_size=64), passes=1, seed=7
+        )
         assert serial.recovered_accuracy == batched.recovered_accuracy
         assert serial.stats.bits_substituted == batched.stats.bits_substituted

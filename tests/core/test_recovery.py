@@ -12,6 +12,7 @@ from repro.core.recovery import (
     RecoveryConfig,
     RecoveryStats,
     RobustHDRecovery,
+    _gate,
     probabilistic_substitution,
     recover_block,
     recover_step,
@@ -115,12 +116,12 @@ class TestRecoverStep:
         model, queries, _ = fitted
         work = model.copy()
         config = RecoveryConfig(confidence_threshold=1.0, num_chunks=20)
-        stats = RecoveryStats()
+        trace = RecoveryTrace()
         for q in queries[:20]:
-            recover_step(work, q, config, np.random.default_rng(0), stats)
+            recover_step(work, q, config, np.random.default_rng(0), trace)
         assert (work.class_hv == model.class_hv).all()
-        assert stats.queries_trusted == 0
-        assert stats.queries_seen == 20
+        assert trace.queries_trusted == 0
+        assert trace.queries_seen == 20
 
     def test_clean_model_barely_touched(self, fitted):
         """On an unattacked model the margin gate keeps repair volume tiny."""
@@ -128,11 +129,12 @@ class TestRecoverStep:
         work = model.copy()
         config = RecoveryConfig(num_chunks=20)
         rng = np.random.default_rng(1)
-        stats = RecoveryStats()
+        trace = RecoveryTrace()
         for q in queries[:50]:
-            recover_step(work, q, config, rng, stats)
+            recover_step(work, q, config, rng, trace)
         changed = np.mean(work.class_hv != model.class_hv)
         assert changed < 0.02
+        assert trace.queries_seen == 50
 
     def test_multibit_model_rejected(self, fitted):
         model, queries, _ = fitted
@@ -156,10 +158,12 @@ class TestRecoverStep:
         attacked, _ = attack(model, 0.10, "random",
                              np.random.default_rng(2))
         config = RecoveryConfig(confidence_threshold=0.5, num_chunks=20)
-        stats = RecoveryStats()
+        trace = RecoveryTrace()
         rng = np.random.default_rng(3)
         for q in queries[:30]:
-            recover_step(attacked, q, config, rng, stats)
+            recover_step(attacked, q, config, rng, trace)
+        assert len(trace) == 30
+        stats = RecoveryStats.from_trace(trace)
         assert stats.queries_seen == 30
         assert stats.queries_trusted > 0
         assert stats.chunks_checked == stats.queries_trusted * 20
@@ -182,41 +186,45 @@ class TestRecoverBlock:
         work = model.copy()
         config = RecoveryConfig(confidence_threshold=0.5, num_chunks=20)
         rng = np.random.default_rng(7)
-        stats = RecoveryStats()
+        trace = RecoveryTrace()
         preds = []
         for lo in range(0, queries.shape[0], block_size):
             preds.append(
                 recover_block(
-                    work, queries[lo : lo + block_size], config, rng, stats
+                    work, queries[lo : lo + block_size], config, rng, trace
                 )
             )
-        return work, np.concatenate(preds), stats
+        return work, np.concatenate(preds), trace
 
     def test_block_size_order_equivalent(self, fitted):
-        """Any block size gives the same predictions, model, and stats as
-        the one-query-at-a-time stream (identical RNG draw order)."""
+        """Any block size gives the same predictions, model, and trace
+        totals as the one-query-at-a-time stream (identical RNG draw
+        order)."""
         attacked, queries = self._attacked(fitted)
-        ref_model, ref_preds, ref_stats = self._run(attacked, queries[:60], 1)
+        ref_model, ref_preds, ref_trace = self._run(attacked, queries[:60], 1)
+        ref_stats = RecoveryStats.from_trace(ref_trace)
         for block_size in (7, 60):
-            work, preds, stats = self._run(attacked, queries[:60], block_size)
+            work, preds, trace = self._run(attacked, queries[:60], block_size)
             assert (preds == ref_preds).all()
             assert (work.class_hv == ref_model.class_hv).all()
-            assert stats.bits_substituted == ref_stats.bits_substituted
-            assert stats.chunks_repaired == ref_stats.chunks_repaired
-            assert stats.confidence_trace == ref_stats.confidence_trace
+            assert RecoveryStats.from_trace(trace) == ref_stats
+            assert (trace.flag_counts() == ref_trace.flag_counts()).all()
+            assert (
+                trace.repair_bit_counts() == ref_trace.repair_bit_counts()
+            ).all()
 
     def test_packed_and_float_backends_identical(self, fitted):
         attacked, queries = self._attacked(fitted)
-        packed_model, packed_preds, packed_stats = self._run(
+        packed_model, packed_preds, packed_trace = self._run(
             attacked, queries[:60], 16
         )
         with float_backend():
-            float_model, float_preds, float_stats = self._run(
+            float_model, float_preds, float_trace = self._run(
                 attacked, queries[:60], 16
             )
         assert (packed_preds == float_preds).all()
         assert (packed_model.class_hv == float_model.class_hv).all()
-        assert packed_stats.bits_substituted == float_stats.bits_substituted
+        assert packed_trace == float_trace
 
     def test_recover_step_is_block_of_one(self, fitted):
         attacked, queries = self._attacked(fitted)
@@ -310,24 +318,28 @@ class TestBlockEqualsSteps:
 
     @staticmethod
     def _block(model, queries, config, packed_input):
-        work, stats, trace = model.copy(), RecoveryStats(), RecoveryTrace()
+        work, trace = model.copy(), RecoveryTrace()
         preds = recover_block(
             work, pack(queries) if packed_input else queries, config,
-            np.random.default_rng(3), stats, trace,
+            np.random.default_rng(3), trace,
         )
-        return preds, work.class_hv, stats, trace.last
+        return preds, work.class_hv, RecoveryStats.from_trace(trace), trace.last
+
+    @staticmethod
+    def _steps(model, queries, config):
+        work, trace = model.copy(), RecoveryTrace()
+        rng = np.random.default_rng(3)
+        preds = np.array([
+            recover_step(work, q, config, rng, trace) for q in queries
+        ])
+        return (preds, work.class_hv, RecoveryStats.from_trace(trace),
+                _merged(list(trace)))
 
     @settings(max_examples=40)
     @given(damaged_streams())
     def test_block_replays_steps(self, case):
         model, queries, config, packed_input = case
-        work, stats, trace = model.copy(), RecoveryStats(), RecoveryTrace()
-        rng = np.random.default_rng(3)
-        step_preds = np.array([
-            recover_step(work, q, config, rng, stats, trace)
-            for q in queries
-        ])
-        expected = (step_preds, work.class_hv, stats, _merged(list(trace)))
+        expected = self._steps(model, queries, config)
         got = self._block(model, queries, config, packed_input)
         with float_backend():
             oracle = self._block(model, queries, config, packed_input)
@@ -336,6 +348,33 @@ class TestBlockEqualsSteps:
             assert (class_hv == expected[1]).all()
             assert block_stats == expected[2]
             assert event == expected[3]
+
+    def test_write_flips_later_rows(self, fitted):
+        """A block whose substitutions flip a later row's trust and
+        prediction — rows the first gate got wrong — still replays the
+        one-row-at-a-time stream exactly."""
+        model, queries, _ = fitted
+        attacked = attack(model, 0.10, "random", np.random.default_rng(4))[0]
+        config = RecoveryConfig(confidence_threshold=0.6, num_chunks=20)
+        block = queries[:150]
+        first_preds, first_conf = _gate(
+            attacked, attacked.similarities(block), config
+        )
+        preds, class_hv, stats, event = self._block(
+            attacked, block, config, packed_input=False
+        )
+        walked_conf = np.array(event.confidences)
+        trust_flips = np.count_nonzero(
+            (first_conf < config.confidence_threshold)
+            != (walked_conf < config.confidence_threshold)
+        )
+        pred_flips = np.count_nonzero(first_preds != preds)
+        assert trust_flips > 0 and pred_flips > 0
+        expected = self._steps(attacked, block, config)
+        assert (preds == expected[0]).all()
+        assert (class_hv == expected[1]).all()
+        assert stats == expected[2]
+        assert event == expected[3]
 
 
 class TestRobustHDRecovery:
@@ -348,8 +387,9 @@ class TestRobustHDRecovery:
         for block_size in (1, 32, 256):
             work = attacked.copy()
             rec = RobustHDRecovery(
-                work, RecoveryConfig(confidence_threshold=0.5),
-                seed=4, block_size=block_size,
+                work,
+                RecoveryConfig(confidence_threshold=0.5, block_size=block_size),
+                seed=4,
             )
             preds = rec.process(queries[:80])
             outs.append((preds, work.class_hv.copy(), rec.stats))
@@ -358,11 +398,38 @@ class TestRobustHDRecovery:
             assert (class_hv == outs[0][1]).all()
             assert stats.bits_substituted == outs[0][2].bits_substituted
 
-    def test_bad_block_size(self, fitted):
-        model, _, _ = fitted
+    def test_bad_block_size(self):
         with pytest.raises(ValueError, match="block_size"):
-            RobustHDRecovery(model.copy(), block_size=0)
+            RecoveryConfig(block_size=0)
 
+    def test_metrics_equal_trace_aggregates(self, fitted):
+        """The recovery.* counters and the trace come from one record."""
+        model, queries, _ = fitted
+        attacked, _ = attack(model, 0.10, "random",
+                             np.random.default_rng(12))
+        rec = RobustHDRecovery(
+            attacked,
+            RecoveryConfig(confidence_threshold=0.5, block_size=32),
+            seed=4,
+        )
+        with use_metrics(MetricsRegistry()) as registry:
+            rec.process(queries[:100])
+        trace = rec.trace
+        assert trace.bits_substituted > 0
+        assert registry.counter("recovery.blocks") == len(trace)
+        assert registry.counter("recovery.queries") == trace.queries_seen
+        assert registry.counter("recovery.queries_trusted") == (
+            trace.queries_trusted
+        )
+        assert registry.counter("recovery.chunks_flagged") == (
+            trace.chunks_flagged
+        )
+        assert registry.counter("recovery.bits_substituted") == (
+            trace.bits_substituted
+        )
+        assert registry.counter("recovery.model_writes") == sum(
+            e.model_writes for e in trace
+        )
 
     def test_recovery_improves_attacked_model(self, fitted):
         """The paper's core claim at unit scale: online unsupervised

@@ -280,7 +280,8 @@ def serve_event(generation, trace_id, duration_s=0.001, **overrides):
         worker_id=0, batch_index=0, requests=2, queries=8, expired=0,
         generation=generation, model_version=generation, adopted=False,
         adoption_lag_s=0.0, staleness_s=0.0, degraded=False,
-        queue_depth=0, duration_s=duration_s, trace_id=trace_id,
+        queue_depth=0, duration_s=duration_s, trace_id=trace_id, shard=0,
+        dispatch_wait_s=0.0, bytes_scanned=0, tenants=1,
     )
     base.update(overrides)
     return ServeBatchEvent(**base)

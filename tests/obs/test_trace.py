@@ -123,6 +123,10 @@ def make_serve_event(**overrides):
         queue_depth=6,
         duration_s=0.001,
         trace_id=42,
+        shard=0,
+        dispatch_wait_s=0.002,
+        bytes_scanned=4096,
+        tenants=1,
     )
     base.update(overrides)
     return ServeBatchEvent(**base)
@@ -144,15 +148,12 @@ class TestServeBatchEventSerde:
         assert back.events == trace.events
         assert [e.trace_id for e in back] == [0, 7]
 
-    def test_pre_trace_id_jsonl_decodes_with_sentinel(self):
-        """Records written before trace correlation still decode."""
-        legacy = make_serve_event().to_dict()
-        del legacy["trace_id"]
-        line = json.dumps(legacy, separators=(",", ":"))
-        back = ServeTrace.from_jsonl(line)
-        assert len(back) == 1
-        assert back.events[0].trace_id == -1
-        assert back.events[0].queries == 17
+    def test_incomplete_record_rejected(self):
+        """Every field is required: a record missing one does not decode."""
+        partial = make_serve_event().to_dict()
+        del partial["trace_id"]
+        with pytest.raises(TypeError, match="trace_id"):
+            ServeTrace.from_jsonl(json.dumps(partial))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +174,7 @@ class TestLiveTracing:
         model, queries = fitted
         attacked, _ = attack(model, 0.10, "random", np.random.default_rng(2))
         recovery = RobustHDRecovery(
-            attacked, RecoveryConfig(num_chunks=10), seed=3, block_size=50
+            attacked, RecoveryConfig(num_chunks=10, block_size=50), seed=3
         )
         recovery.process(queries)
         expected_blocks = -(-queries.shape[0] // 50)
@@ -184,22 +185,27 @@ class TestLiveTracing:
         )
 
     def test_stats_derived_from_trace(self, fitted):
-        """The wrapper's stats property reproduces the legacy inline stats."""
+        """The wrapper's stats are a view of the trace its blocks wrote."""
         model, queries = fitted
-        config = RecoveryConfig(num_chunks=10)
+        config = RecoveryConfig(num_chunks=10, block_size=64)
 
         attacked, _ = attack(model, 0.10, "random", np.random.default_rng(2))
-        recovery = RobustHDRecovery(attacked, config, seed=3, block_size=64)
+        recovery = RobustHDRecovery(attacked, config, seed=3)
         recovery.process(queries)
 
         reference, _ = attack(model, 0.10, "random", np.random.default_rng(2))
-        legacy = RecoveryStats()
+        trace = RecoveryTrace()
         rng = np.random.default_rng(3)
         for lo in range(0, queries.shape[0], 64):
-            recover_block(reference, queries[lo:lo + 64], config, rng, legacy)
+            recover_block(reference, queries[lo:lo + 64], config, rng, trace)
 
-        assert recovery.stats == legacy
-        assert recovery.trace.confidence_trace() == legacy.confidence_trace
+        assert recovery.trace == trace
+        stats = recovery.stats
+        assert stats == RecoveryStats.from_trace(trace)
+        assert stats.queries_seen == queries.shape[0]
+        assert stats.chunks_checked == stats.queries_trusted * 10
+        assert stats.bits_substituted == trace.repair_bit_counts().sum()
+        assert stats.confidence_trace == trace.confidence_trace()
 
     def test_trace_never_draws_rng(self, fitted):
         """Traced and untraced runs repair the model identically."""
@@ -221,7 +227,7 @@ class TestLiveTracing:
         model, queries = fitted
         attacked, _ = attack(model, 0.10, "random", np.random.default_rng(2))
         recovery = RobustHDRecovery(
-            attacked, RecoveryConfig(num_chunks=10), seed=3, block_size=40
+            attacked, RecoveryConfig(num_chunks=10, block_size=40), seed=3
         )
         recovery.process(queries)
         for e in recovery.trace:
