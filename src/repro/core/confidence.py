@@ -94,9 +94,14 @@ def prediction_confidence(
         gap = (top_two[:, 1] - top_two[:, 0]) / scale / temperature
         conf = 1.0 / (1.0 + np.exp(-gap))
         return preds, conf
-    std = sims.std(axis=1, keepdims=True)
+    # The float operations of ``sims.std`` and ``sims.mean`` along axis
+    # 1, bit for bit, with the row mean and the centred table computed
+    # once and shared by the deviation and the z-scores.
+    k = sims.shape[1]
+    centred = sims - np.add.reduce(sims, axis=1, keepdims=True) / k
+    std = np.sqrt(np.add.reduce(centred * centred, axis=1, keepdims=True) / k)
     std[std == 0] = 1.0
-    zscores = (sims - sims.mean(axis=1, keepdims=True)) / std
+    zscores = centred / std
     preds = np.argmax(zscores, axis=1)
     if method == "softmax":
         probs = softmax(zscores / temperature, axis=1)

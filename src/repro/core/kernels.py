@@ -1,7 +1,7 @@
 """Pluggable packed-kernel backends for encoding and serving.
 
-Every 1-bit hot path in this repo bottoms out in one of two primitives
-over packed uint64 words (64 dimensions per word):
+Every 1-bit hot path in this repo bottoms out in one of three
+primitives over packed uint64 words (64 dimensions per word):
 
 * ``chunk_distance_table(queries, model, num_chunks, chunk_bits)`` — the
   per-chunk Hamming distances ``(b, m, k)`` between query words
@@ -16,23 +16,33 @@ over packed uint64 words (64 dimensions per word):
   ``n`` bound-codebook rows ``codebook_words[k, idx[i, k]]``.  Every
   feature query is encoded through it before it can be predicted,
   detected or repaired.
+* ``repair_row(row, query, chunks, chunk_bits, draws, rate, ahead,
+  chunk_sims, sims)`` — one recovery write: probabilistic substitution
+  of a query's bits into the flagged chunks of one uint8 class row, and
+  the exact similarity change of every flipped bit added to that
+  class's column of the chunk and similarity tables of the rows still
+  ahead in the block, so the recovery walk never repacks the model or
+  recomputes a table.
 
-This module puts both behind a :class:`KernelBackend` contract so the
-computation can move between substrates without the callers changing:
+This module puts all three behind a :class:`KernelBackend` contract so
+the computation can move between substrates without the callers
+changing:
 
 * :class:`NumpyPackedBackend` — the vectorised CPU path: row-blocked
-  XOR + ``np.bitwise_count`` with reused scratch buffers,
-  per-word counts summed per chunk, and the
-  ``bit_plane_sum``/``bit_plane_ge`` adder tree over gathered word
-  arrays for encoding.  The only path on hosts without a C compiler.
+  XOR + ``np.bitwise_count`` with reused scratch buffers and per-word
+  counts summed per chunk; the ``bit_plane_sum``/``bit_plane_ge``
+  adder tree over gathered word arrays for encoding; per-chunk packed
+  flip masks for a repair.  The only path on hosts without a C
+  compiler.
 * :class:`ReferenceBackend` — the unpacked uint8 oracle: broadcast XOR
-  on raw bits, and a plain count of the unpacked bound rows.  Slow,
-  obviously correct, and the equivalence anchor the property tests pin
-  every other backend against.
+  on raw bits, a plain count of the unpacked bound rows, and a repair
+  that compares unpacked bits chunk by chunk.  Slow, obviously
+  correct, and the equivalence anchor the property tests pin every
+  other backend against.
 * :class:`NativeCpuBackend` — C kernels compiled on first use (cached
   per host) and the default wherever a C compiler is present: a fused
-  XOR+popcount+accumulate chunk distance table and a bit-sliced
-  carry-save majority encoder, each one pass with no table-sized
+  XOR+popcount+accumulate chunk distance table, a bit-sliced carry-save
+  majority encoder and a one-pass repair, each with no table-sized
   intermediates and the GIL released for the duration.
 
 Backends are *stateless* over immutable inputs, so one instance is
@@ -201,18 +211,83 @@ def check_encode_operands(codebook_words: np.ndarray, idx) -> np.ndarray:
     return idx
 
 
+def _repair_operands(
+    row, query, chunks, chunk_bits, draws, ahead, chunk_sims, sims
+) -> tuple[np.ndarray, ...]:
+    """Validate a repair call; returns ``(query, chunks, draws, ahead)``
+    C-contiguous, with ``chunks`` as int64.
+
+    A C kernel writes ``row`` and the two table columns through raw
+    pointers, so every shape, dtype and index is checked here.
+    """
+    if (
+        not isinstance(row, np.ndarray) or row.dtype != np.uint8
+        or row.ndim != 1 or not row.flags.writeable
+    ):
+        raise ValueError("expected a writeable 1-D uint8 class row")
+    words = -(-row.shape[0] // 64)
+    query = np.ascontiguousarray(query)
+    ahead = np.ascontiguousarray(ahead)
+    if (
+        query.dtype != np.uint64 or ahead.dtype != np.uint64
+        or query.shape != (words,) or ahead.ndim != 2
+        or ahead.shape[1] != words
+    ):
+        raise ValueError(
+            f"expected uint64 words: a ({words},) query and (r, {words}) "
+            f"rows ahead, got {query.dtype}{query.shape} and "
+            f"{ahead.dtype}{ahead.shape}"
+        )
+    rows = ahead.shape[0]
+    for name, table, ndim in (
+        ("chunk_sims", chunk_sims, 2), ("sims", sims, 1)
+    ):
+        if (
+            not isinstance(table, np.ndarray) or table.dtype != np.float64
+            or table.ndim != ndim or table.shape[0] != rows
+            or not table.flags.writeable or any(s % 8 for s in table.strides)
+        ):
+            raise ValueError(
+                f"{name} must be a writeable float64 {ndim}-D column with "
+                f"{rows} rows"
+            )
+    num_chunks = chunk_sims.shape[1]
+    if chunk_bits < 1 or num_chunks * chunk_bits > row.shape[0]:
+        raise ValueError(
+            f"{num_chunks} chunks of {chunk_bits} bits exceed the "
+            f"{row.shape[0]}-bit row"
+        )
+    chunks = np.ascontiguousarray(chunks, dtype=np.int64)
+    listed = chunks.tolist()  # a handful of indices: cheaper as a list
+    if chunks.ndim != 1 or listed != sorted(set(listed)) or (listed and (
+        listed[0] < 0 or listed[-1] >= num_chunks
+    )):
+        raise ValueError(
+            f"chunks must be ascending distinct indices in [0, {num_chunks})"
+        )
+    draws = np.ascontiguousarray(draws)
+    if draws.dtype != np.float64 or draws.shape != (chunks.size, chunk_bits):
+        raise ValueError(
+            f"expected ({chunks.size}, {chunk_bits}) float64 draws, got "
+            f"{draws.dtype}{draws.shape}"
+        )
+    return query, chunks, draws, ahead
+
+
 class KernelBackend:
     """Contract every packed-kernel backend implements.
 
-    A backend computes exact integer Hamming distances between packed
-    uint64 word arrays — per chunk, with the whole-row table as the
-    one-chunk case — and majority-bundles bound-codebook rows into
-    packed encodings.  Each backend implements one distance kernel,
-    :meth:`chunk_distance_table`; :meth:`distance_table` is defined
-    here on top of it.  Implementations must be bit-identical to
+    A backend implements three operations: it computes exact integer
+    Hamming distances between packed uint64 word arrays
+    (:meth:`chunk_distance_table` — per chunk, with the whole-row
+    :meth:`distance_table`, defined here on top of it, as the one-chunk
+    case), majority-bundles bound-codebook rows into packed encodings
+    (:meth:`encode_words`), and applies one recovery write
+    (:meth:`repair_row`).  Implementations must be bit-identical to
     :class:`ReferenceBackend` — the serving tier treats the table as
-    ground truth (argmin ties included), and the equivalence oracle in
-    ``tests/core/test_kernels.py`` holds every backend to it.
+    ground truth (argmin ties included), the recovery walk replays a
+    query-at-a-time loop from the patched tables, and the equivalence
+    oracle in ``tests/core/test_kernels.py`` holds every backend to it.
     """
 
     #: Registry key and the ``kernel_backend`` tag in BENCH artifacts.
@@ -271,6 +346,42 @@ class KernelBackend:
         """
         raise NotImplementedError
 
+    def repair_row(
+        self,
+        row: np.ndarray,
+        query: np.ndarray,
+        chunks: np.ndarray,
+        chunk_bits: int,
+        draws: np.ndarray,
+        rate: float,
+        ahead: np.ndarray,
+        chunk_sims: np.ndarray,
+        sims: np.ndarray,
+    ) -> np.ndarray:
+        """One recovery write; returns the bits changed per chunk ``(c,)``.
+
+        ``row`` is one class of a 1-bit model, ``(D,)`` uint8 0/1, and
+        is written in place; ``query`` the ``(W,)`` packed words of the
+        trusted query.  For each flagged chunk ``chunks[t]`` (ascending,
+        distinct, ``< m``; chunk ``j`` is the bits ``[j·d, (j+1)·d)``
+        with ``d = chunk_bits``) bit ``i`` of the row takes the query's
+        bit wherever ``draws[t, i - j·d] < rate`` — the substitution
+        ``p·Q | (1-p)·C`` — and the result counts, per chunk, the bits
+        that actually changed.
+
+        ``ahead`` holds the ``(r, W)`` packed words of the rows still
+        ahead in the block; ``chunk_sims`` ``(r, m)`` and ``sims``
+        ``(r,)`` are this class's columns of their chunk-similarity and
+        similarity tables (float64 views, any strides).  Every changed
+        bit moves a row's similarity by ``+1`` where that row's bit
+        equals the new model bit and ``-1`` where it does not; the
+        per-chunk sums are added to ``chunk_sims[:, chunks[t]]`` and
+        their total to ``sims``.  Similarities of a 1-bit model are
+        exact half-integers, so the patched columns equal a fresh
+        computation.
+        """
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"
 
@@ -287,7 +398,9 @@ class NumpyPackedBackend(KernelBackend):
     adder tree of :func:`~repro.core.packed.bit_plane_sum`, then
     thresholds the count planes with
     :func:`~repro.core.packed.bit_plane_ge` — about ``10·n`` word ops
-    per 64 dimensions, each a separate NumPy call over the batch.
+    per 64 dimensions, each a separate NumPy call over the batch.  A
+    repair gathers the drawn bits of every flagged chunk at once and
+    patches the rows ahead through one packed flip mask per chunk.
     """
 
     name = "numpy"
@@ -353,6 +466,46 @@ class NumpyPackedBackend(KernelBackend):
         planes = _packed.bit_plane_sum(operands)
         return _packed.bit_plane_ge(planes, n // 2 + 1)
 
+    def repair_row(
+        self,
+        row: np.ndarray,
+        query: np.ndarray,
+        chunks: np.ndarray,
+        chunk_bits: int,
+        draws: np.ndarray,
+        rate: float,
+        ahead: np.ndarray,
+        chunk_sims: np.ndarray,
+        sims: np.ndarray,
+    ) -> np.ndarray:
+        query, chunks, draws, ahead = _repair_operands(
+            row, query, chunks, chunk_bits, draws, ahead, chunk_sims, sims
+        )
+        # Row positions of the drawn bits, one line per flagged chunk.
+        pos = chunks[:, None] * chunk_bits + np.arange(chunk_bits)
+        bits = _unpack_bits(query)[pos]
+        flips = (draws < rate) & (row[pos] != bits)
+        changed = flips.sum(axis=1, dtype=np.int64)
+        row[pos[flips]] = bits[flips]
+        if not (len(ahead) and changed.any()):
+            return changed
+        # One packed mask of flipped bits per chunk; a row ahead agrees
+        # with the new model bit where it equals the query's bit.
+        masks = np.zeros((chunks.size, row.shape[0]), dtype=np.uint8)
+        masks[np.nonzero(flips)[0], pos[flips]] = 1
+        masks = _packed._pack_bits(masks)
+        first = (chunks * chunk_bits) >> 6
+        last = ((chunks + 1) * chunk_bits - 1) >> 6
+        for t in np.flatnonzero(changed):
+            span = slice(first[t], last[t] + 1)
+            agree = np.bitwise_count(
+                ~(ahead[:, span] ^ query[span]) & masks[t, span]
+            ).sum(axis=1, dtype=np.int64)
+            delta = 2 * agree - changed[t]
+            chunk_sims[:, chunks[t]] += delta
+            sims += delta
+        return changed
+
 
 def _unpack_bits(words: np.ndarray) -> np.ndarray:
     """``(..., W)`` uint64 words → ``(..., 64·W)`` uint8 bits, dimension
@@ -365,7 +518,7 @@ def _unpack_bits(words: np.ndarray) -> np.ndarray:
 
 
 class ReferenceBackend(KernelBackend):
-    """Unpacked uint8 oracle: XOR and majority on raw bits.
+    """Unpacked uint8 oracle: XOR, majority and repair on raw bits.
 
     Exact by construction and independent of every popcount and adder
     trick the fast paths use — the anchor all other backends are pinned
@@ -405,6 +558,38 @@ class ReferenceBackend(KernelBackend):
         out = majority.view(np.uint64).reshape(idx.shape[0], words)
         return out.byteswap() if _packed._BIG_ENDIAN else out
 
+    def repair_row(
+        self,
+        row: np.ndarray,
+        query: np.ndarray,
+        chunks: np.ndarray,
+        chunk_bits: int,
+        draws: np.ndarray,
+        rate: float,
+        ahead: np.ndarray,
+        chunk_sims: np.ndarray,
+        sims: np.ndarray,
+    ) -> np.ndarray:
+        query, chunks, draws, ahead = _repair_operands(
+            row, query, chunks, chunk_bits, draws, ahead, chunk_sims, sims
+        )
+        bits, ahead_bits = _unpack_bits(query), _unpack_bits(ahead)
+        changed = np.zeros(chunks.size, dtype=np.int64)
+        for t, chunk in enumerate(chunks):
+            lo = chunk * chunk_bits
+            span = slice(lo, lo + chunk_bits)
+            flipped = lo + np.flatnonzero(
+                (draws[t] < rate) & (row[span] != bits[span])
+            )
+            row[flipped] = bits[flipped]
+            changed[t] = flipped.size
+            delta = np.where(
+                ahead_bits[:, flipped] == bits[flipped], 1, -1
+            ).sum(axis=1, dtype=np.int64)
+            chunk_sims[:, chunk] += delta
+            sims += delta
+        return changed
+
 
 # The C kernels.  ``repro_chunk_distance_table`` is the fused
 # XOR+popcount+accumulate chunk distance table: one pass over the
@@ -419,6 +604,10 @@ class ReferenceBackend(KernelBackend):
 # planes are then compared MSB-first against n / 2 + 1.  The codebook is
 # read through its feature and level strides (in words), so a
 # word-column slice of a larger codebook is encoded in place.
+# ``repro_repair_row`` is one recovery write: the substitution into one
+# uint8 class row chunk by chunk, each chunk's flipped bits gathered
+# into a word mask, and one masked popcount per row ahead and chunk for
+# the similarity patch.
 # ``-march=native`` lets the compiler vectorise the popcount
 # (AVX512-VPOPCNTDQ where the host has it) and the BLK-word adder
 # loops; ``restrict`` is what licenses that vectorisation.
@@ -593,6 +782,56 @@ int repro_encode_words(const uint64_t *codebook, int64_t fs, int64_t ls,
     free(rows);
     return 0;
 }
+
+/* One recovery write (KernelBackend.repair_row).  For each flagged
+   chunk j = chunks[t], t < c, bit i of [j * d, (j + 1) * d) takes the
+   query's bit wherever draws[t * d + i - j * d] < rate; changed[t]
+   counts the bits that changed.  Each changed bit moves the similarity
+   of row s < r ahead by +1 where the row's bit equals the new model bit
+   (the query's), else -1: per chunk 2 * agree - changed[t], added to
+   chunk_sims[s * cs + j * cj] and to sims[s * ss] (strides in
+   elements).  Rows are w words long.  Returns 0, or -1 if the flip
+   mask could not be allocated. */
+int repro_repair_row(uint8_t *restrict row, const uint64_t *restrict query,
+                     const int64_t *restrict chunks, int64_t c, int64_t d,
+                     const double *restrict draws, double rate,
+                     const uint64_t *restrict ahead, int64_t r, int64_t w,
+                     double *chunk_sims, int64_t cs, int64_t cj,
+                     double *sims, int64_t ss, int64_t *restrict changed)
+{
+    uint64_t *flip = malloc(sizeof *flip * (size_t)(w ? w : 1));
+    if (flip == NULL)
+        return -1;
+    for (int64_t t = 0; t < c; t++) {
+        int64_t lo = chunks[t] * d, hi = lo + d;
+        int64_t first = lo >> 6, last = (hi - 1) >> 6;
+        const double *u = draws + t * d;
+        int64_t n = 0;
+        memset(flip + first, 0, sizeof *flip * (size_t)(last - first + 1));
+        for (int64_t i = lo; i < hi; i++) {
+            uint8_t q = (uint8_t)((query[i >> 6] >> (i & 63)) & 1);
+            if (u[i - lo] < rate && row[i] != q) {
+                row[i] = q;
+                flip[i >> 6] |= (uint64_t)1 << (i & 63);
+                n++;
+            }
+        }
+        changed[t] = n;
+        if (!n)
+            continue;
+        for (int64_t s = 0; s < r; s++) {
+            const uint64_t *a = ahead + s * w;
+            int64_t agree = 0;
+            for (int64_t x = first; x <= last; x++)
+                agree += __builtin_popcountll(~(a[x] ^ query[x]) & flip[x]);
+            double delta = (double)(2 * agree - n);
+            chunk_sims[s * cs + chunks[t] * cj] += delta;
+            sims[s * ss] += delta;
+        }
+    }
+    free(flip);
+    return 0;
+}
 """
 
 
@@ -650,11 +889,19 @@ def _build_native_kernel():
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
     ]
     lib.repro_encode_words.restype = ctypes.c_int
+    lib.repro_repair_row.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+    ]
+    lib.repro_repair_row.restype = ctypes.c_int
     return lib
 
 
 class NativeCpuBackend(KernelBackend):
-    """C kernels compiled on first use: distance table and encoder.
+    """C kernels compiled on first use: distance table, encoder, repair.
 
     The chunk distance table fuses XOR, popcount, and the word-axis
     accumulation in one loop nest, so no ``(b, k, W)`` intermediate is
@@ -662,7 +909,9 @@ class NativeCpuBackend(KernelBackend):
     faster than the blocked NumPy path.  The encoder keeps each row's
     count planes for one 8-word block in a local array while it adds the
     block's ``n`` bound words, instead of sweeping the whole batch once
-    per adder step as the NumPy tree does.  ``available()`` is simply
+    per adder step as the NumPy tree does.  A repair walks each flagged
+    chunk's bits once and patches the rows ahead with one masked
+    popcount per word of the chunk.  ``available()`` is simply
     "the kernels compiled here"; when they did not, :meth:`build_error`
     says why, and hosts without a toolchain fall back to
     :class:`NumpyPackedBackend` through the default resolution.  ctypes
@@ -738,6 +987,41 @@ class NativeCpuBackend(KernelBackend):
             ):
                 raise MemoryError("native encode: row table allocation")
         return out
+
+    def repair_row(
+        self,
+        row: np.ndarray,
+        query: np.ndarray,
+        chunks: np.ndarray,
+        chunk_bits: int,
+        draws: np.ndarray,
+        rate: float,
+        ahead: np.ndarray,
+        chunk_sims: np.ndarray,
+        sims: np.ndarray,
+    ) -> np.ndarray:
+        lib = self._require()
+        query, chunks, draws, ahead = _repair_operands(
+            row, query, chunks, chunk_bits, draws, ahead, chunk_sims, sims
+        )
+        changed = np.zeros(chunks.size, dtype=np.int64)
+        if not chunks.size:
+            return changed
+        # The kernel writes the row at unit stride; a strided row is
+        # repaired in a copy.
+        target = row if row.flags.c_contiguous else row.copy()
+        row_stride, chunk_stride = (s // 8 for s in chunk_sims.strides)
+        if lib.repro_repair_row(
+            target.ctypes.data, query.ctypes.data, chunks.ctypes.data,
+            chunks.size, chunk_bits, draws.ctypes.data, rate,
+            ahead.ctypes.data, len(ahead), query.shape[0],
+            chunk_sims.ctypes.data, row_stride, chunk_stride,
+            sims.ctypes.data, sims.strides[0] // 8, changed.ctypes.data,
+        ):
+            raise MemoryError("native repair: flip mask allocation")
+        if target is not row:
+            row[:] = target
+        return changed
 
 
 _BACKEND_CLASSES: dict[str, type[KernelBackend]] = {

@@ -36,16 +36,16 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.core import kernels
-from repro.core.chunks import detect_faulty_chunks_batch
-from repro.core.confidence import prediction_confidence
-from repro.core.hypervector import as_chunks
-from repro.core.model import HDCModel, _centered_weights, _is_binary
-from repro.core.packed import (
-    PackedHypervectors,
-    _pack_bits,
-    packed_backend_enabled,
-    unpack,
+# ``detect_faulty_chunks_batch`` is the detector's public batch form; the
+# walk applies its rule to the block's chunk table instead of calling it,
+# but it stays reachable here (perfbench/tracing.py wraps it by name).
+from repro.core.chunks import (
+    chunk_similarities_batch,
+    detect_faulty_chunks_batch,  # noqa: F401
 )
+from repro.core.confidence import prediction_confidence
+from repro.core.model import HDCModel, _is_binary
+from repro.core.packed import PackedHypervectors, _pack_bits
 from repro.obs.metrics import current as _metrics
 from repro.obs.trace import RecoveryBlockEvent, RecoveryTrace
 
@@ -212,7 +212,10 @@ def probabilistic_substitution(
     Returns the number of positions whose value actually changed (cloning
     an already-equal bit is a no-op and is not counted).  ``target`` and
     ``source`` must have the same shape; ``target`` is modified in place
-    because it is a view into the live model tensor.
+    because it is a view into the live model tensor.  This is the rule
+    for one chunk; :func:`recover_block` applies it to all of a row's
+    flagged chunks in one :meth:`~repro.core.kernels.KernelBackend.repair_row`
+    call, with the same draws.
     """
     if target.shape != source.shape:
         raise ValueError(
@@ -249,52 +252,6 @@ def _gate(
     return prediction_confidence(sims, config.temperature)
 
 
-def _class_similarities(
-    model: HDCModel, queries: np.ndarray | PackedHypervectors, c: int
-) -> np.ndarray:
-    """Similarities ``(b,)`` of queries to class ``c`` alone.
-
-    Column ``c`` of ``model.similarities(queries)``, computed the way it
-    would be for the query form — packed words through the active
-    kernel backend, uint8 rows through the float reference — but
-    against one class and without counting as served queries.
-    """
-    if isinstance(queries, PackedHypervectors):
-        class_words = model.packed().words[c : c + 1]
-        distances = kernels.active_backend().distance_table(
-            queries.words, class_words
-        )
-        return model.dim / 2.0 - distances[:, 0]
-    bipolar = queries.astype(np.float64) * 2.0 - 1.0
-    return bipolar @ _centered_weights(model.class_hv[c], model.bits)
-
-
-def _substitute_faulty(
-    model: HDCModel,
-    query: np.ndarray,
-    predicted: int,
-    chunks: np.ndarray,
-    config: RecoveryConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Repair chunks ``chunks`` of class ``predicted`` in place.
-
-    Returns the bits actually changed per chunk, aligned with
-    ``chunks``.
-    """
-    with model.writable() as class_hv:
-        class_chunks = as_chunks(class_hv[predicted], config.num_chunks)
-        query_chunks = as_chunks(query, config.num_chunks)
-        changed = np.array([
-            probabilistic_substitution(
-                class_chunks[j], query_chunks[j],
-                config.substitution_rate, rng,
-            )
-            for j in chunks
-        ], dtype=np.int64)
-    return changed
-
-
 def recover_step(
     model: HDCModel,
     query: np.ndarray,
@@ -318,6 +275,42 @@ def recover_step(
     )
 
 
+def _block_words(
+    model: HDCModel, queries: np.ndarray | PackedHypervectors
+) -> PackedHypervectors:
+    """The block as packed words, validated for a write into the model.
+
+    A repair copies query bits into the 1-bit model, so every value of
+    an unpacked block must be 0 or 1 (float 0.0/1.0 included); anything
+    else raises before the walk starts, naming the first offending
+    ``(row, dim)``.
+    """
+    if isinstance(queries, PackedHypervectors):
+        if queries.dim != model.dim:
+            raise ValueError(
+                f"queries must have dim {model.dim}, got {queries.dim}"
+            )
+        return queries
+    queries = np.atleast_2d(queries)
+    if queries.ndim != 2 or queries.shape[1] != model.dim:
+        raise ValueError(
+            f"queries must have dim {model.dim}, got shape {queries.shape}"
+        )
+    if not _is_binary(queries):
+        bad = np.argwhere((queries != 0) & (queries != 1))
+        if bad.size:
+            row, dim = (int(i) for i in bad[0])
+            raise ValueError(
+                f"query value {queries[row, dim].item()!r} at (row {row}, dim "
+                f"{dim}) is not 0 or 1: recovery writes query bits into "
+                "the 1-bit model"
+            )
+    return PackedHypervectors(
+        words=_pack_bits(queries.astype(np.uint8, copy=False)),
+        dim=model.dim,
+    )
+
+
 def recover_block(
     model: HDCModel,
     queries: np.ndarray | PackedHypervectors,
@@ -329,26 +322,33 @@ def recover_block(
 
     Semantically identical to calling :func:`recover_step` on each query
     in order — same predictions, same trace totals, same random draws —
-    but the confidence gate runs once, vectorised over the whole block.
-    The rows are then walked in order: each trusted row is checked by
-    the chunk-vote detector against the model as it stands at that row
-    (one packed kernel call).  A substitution rewrites chunks of one
-    class only, so afterwards only that class's similarity column is
-    recomputed for the rows still ahead, and those rows are re-gated
-    from the patched similarities.  Every similarity is an exact integer
-    count, so the patched values equal a fresh gate; nothing else is
-    recomputed and the sweep never restarts.
+    but the block's two tables are computed once: its similarities
+    ``(b, k)``, gated in one vectorised pass, and its chunk
+    similarities ``(b, m, k)`` (one packed kernel call).  The rows are
+    then walked in order.  A trusted row's faulty chunks are read off
+    its row of the chunk table by the detector's rule (a rival class
+    beats the prediction locally by more than the margin); no kernel
+    runs per row.  A row that flags chunks makes one model write: one
+    draw of ``rng.random((c, d))`` for its ``c`` flagged chunks, in
+    ascending chunk order (the stream per-chunk draws would give), and
+    one :meth:`~repro.core.kernels.KernelBackend.repair_row` call of the
+    active kernel backend.  That call substitutes the query's bits into
+    the predicted class's uint8 row and adds each flipped bit's
+    similarity change to that class's column of both tables for the
+    rows still ahead, which are then re-gated.  Similarities are exact
+    half-integers, so the patched tables equal a fresh computation;
+    the model version bumps once per write and nothing repacks the
+    model inside the walk.
 
     Queries may arrive as uint8 bit rows or already packed
     (:class:`~repro.core.packed.PackedHypervectors`, the
-    ``Encoder.encode_packed`` output).  Binary rows are packed once per
-    block; packed streams feed the gate and the detector word-for-word,
-    and only a trusted row that actually triggers a substitution is
-    unpacked (the repair writes individual bits into the uint8 model
-    tensor).  Under :func:`~repro.core.packed.float_backend`, or for
-    non-binary rows, every similarity — the per-write patch included —
-    comes from the float reference.  Results are bit-identical either
-    way.
+    ``Encoder.encode_packed`` output).  Unpacked rows must hold only 0s
+    and 1s (any dtype); anything else raises a ``ValueError`` before the
+    model is touched.  Rows are packed once per block, and the repair
+    reads the packed words.  Under
+    :func:`~repro.core.packed.float_backend` the two tables come from
+    the float reference instead; nothing else changes, and results are
+    bit-identical either way.
 
     The walk records each row once: its faulty-chunk mask, and the bits
     it repaired per (class, chunk).  A row's gate values are final once
@@ -367,62 +367,41 @@ def recover_block(
             "recovery requires a binary (1-bit) model; "
             f"got bits={model.bits}"
         )
-    if isinstance(queries, PackedHypervectors):
-        query_dim = queries.dim
-    else:
-        queries = np.atleast_2d(queries)
-        query_dim = queries.shape[1]
-    if query_dim != model.dim:
-        raise ValueError(
-            f"queries must have dim {model.dim}, got {query_dim}"
-        )
-    # One query form for the whole block: packed words wherever the
-    # packed engine would serve them, uint8 rows otherwise.
-    if isinstance(queries, PackedHypervectors):
-        if not packed_backend_enabled():
-            queries = np.atleast_2d(unpack(queries))
-    elif packed_backend_enabled() and _is_binary(queries):
-        queries = PackedHypervectors(
-            words=_pack_bits(queries.astype(np.uint8, copy=False)),
-            dim=model.dim,
-        )
-    packed_rows = isinstance(queries, PackedHypervectors)
-    num_queries = len(queries)
+    block = _block_words(model, queries)
+    words = block.words
+    num_queries = len(block)
     num_classes, num_chunks = model.num_classes, config.num_chunks
+    chunk_bits = model.dim // num_chunks
+    margin = config.detection_margin * chunk_bits
+    backend = kernels.active_backend()
     metrics = _metrics()
     version_before = model.version
     faulty = np.zeros((num_queries, num_chunks), dtype=bool)
     repair_bits = np.zeros((num_classes, num_chunks), dtype=np.int64)
     with metrics.timer("recovery.recover_block"):
-        sims = model.similarities(queries)  # (b, k)
+        sims = model.similarities(block)  # (b, k)
         preds, conf = _gate(model, sims, config)
+        table = chunk_similarities_batch(model, block, num_chunks)  # (b, m, k)
         for j in range(num_queries):
             if conf[j] < config.confidence_threshold:
                 continue
-            faulty[j] = detect_faulty_chunks_batch(
-                model,
-                queries[j : j + 1],
-                preds[j : j + 1],
-                num_chunks,
-                config.detection_margin,
-            )[0]
+            predicted = int(preds[j])
+            row = table[j]
+            faulty[j] = row.max(axis=1) - row[:, predicted] > margin
             chunks = np.flatnonzero(faulty[j])
             if not chunks.size:
                 continue
-            predicted = int(preds[j])
-            query_bits = unpack(queries[j]) if packed_rows else queries[j]
-            changed = _substitute_faulty(
-                model, query_bits, predicted, chunks, config, rng
-            )
+            draws = rng.random((chunks.size, chunk_bits))
+            ahead = slice(j + 1, None)
+            with model.writable() as class_hv:
+                changed = backend.repair_row(
+                    class_hv[predicted], words[j], chunks, chunk_bits,
+                    draws, config.substitution_rate, words[ahead],
+                    table[ahead, :, predicted], sims[ahead, predicted],
+                )
             repair_bits[predicted, chunks] += changed
             if changed.any() and j + 1 < num_queries:
-                # Only class ``predicted`` changed: patch its column for
-                # the rows ahead and re-gate them.
-                rest = slice(j + 1, None)
-                sims[rest, predicted] = _class_similarities(
-                    model, queries[rest], predicted
-                )
-                preds[rest], conf[rest] = _gate(model, sims[rest], config)
+                preds[ahead], conf[ahead] = _gate(model, sims[ahead], config)
     trusted = ~(conf < config.confidence_threshold)
     num_trusted = int(np.count_nonzero(trusted))
     bits_substituted = int(repair_bits.sum())

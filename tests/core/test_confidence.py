@@ -85,6 +85,49 @@ class TestPredictionConfidence:
             prediction_confidence(np.zeros((1, 1)))
 
 
+def standardised_reference(sims, temperature, method):
+    """The confidence written with ``np.std`` and ``np.mean``, as it
+    read before the row mean was computed once and shared."""
+    sims = np.atleast_2d(np.asarray(sims, dtype=np.float64))
+    std = sims.std(axis=1, keepdims=True)
+    std[std == 0] = 1.0
+    zscores = (sims - sims.mean(axis=1, keepdims=True)) / std
+    preds = np.argmax(zscores, axis=1)
+    if method == "softmax":
+        probs = softmax(zscores / temperature, axis=1)
+        return preds, probs[np.arange(probs.shape[0]), preds]
+    top_two = np.partition(zscores, -2, axis=1)[:, -2:]
+    gap = (top_two[:, 1] - top_two[:, 0]) / temperature
+    return preds, 1.0 / (1.0 + np.exp(-gap))
+
+
+@st.composite
+def half_integer_tables(draw):
+    """Similarity tables as a 1-bit model produces them: half-integers,
+    narrow ranges (ties) to wide ones, with some constant rows."""
+    b, k = draw(st.integers(1, 40)), draw(st.integers(2, 16))
+    span = draw(st.sampled_from([1, 3, 50, 5_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sims = rng.integers(-span, span + 1, (b, k)) + draw(
+        st.sampled_from([0.0, 0.5]))
+    sims[rng.random(b) < 0.2] = draw(st.sampled_from([0.0, -2.5, 7.5]))
+    return sims
+
+
+class TestStandardisationBitIdentity:
+    @given(half_integer_tables(), st.sampled_from(["margin", "softmax"]),
+           st.sampled_from([1.0, 0.5, 3.0]))
+    def test_equals_std_mean_formula(self, sims, method, temperature):
+        """The shared-mean standardisation runs the float operations of
+        ``np.std``/``np.mean``: predictions and confidences match the
+        old formula bit for bit, ties and constant rows included."""
+        preds, conf = prediction_confidence(sims, temperature, method)
+        want_preds, want_conf = standardised_reference(
+            sims, temperature, method)
+        assert (preds == want_preds).all()
+        assert conf.tobytes() == want_conf.tobytes()
+
+
 class TestConfidentMask:
     def test_mask_thresholding(self):
         sims = np.array([[100.0, 0.0, 0.0, 0.0], [1.0, 1.4, 0.2, 1.5]])

@@ -1,10 +1,11 @@
 """Kernel-backend contract tests.
 
 Every registered backend must produce chunk distance tables, distance
-tables and encodings bit-identical to :class:`ReferenceBackend` — the
-unpacked uint8 oracle — over random shapes, including operands with
-zeroed pad bits, chunks that start and end inside a word, and
-word-column slices (the word-shard cases).
+tables, encodings and recovery repairs bit-identical to
+:class:`ReferenceBackend` — the unpacked uint8 oracle — over random
+shapes, including operands with zeroed pad bits, chunks that start and
+end inside a word, word-column slices (the word-shard cases) and
+strided table columns.
 """
 
 import numpy as np
@@ -325,6 +326,176 @@ class TestEncodeValidation:
     def test_codebook_layout_rejected(self, backend, codebook):
         with pytest.raises(ValueError, match="unit word stride"):
             self.encode(backend, codebook, np.zeros((1, 4), np.int64))
+
+
+def similarity_tables(ahead, model, num_chunks, chunk_bits):
+    """Chunk ``(r, m, k)`` and whole-row ``(r, k)`` similarities of bit
+    rows to a 1-bit model, straight from the unpacked bits (a matching
+    bit counts +0.5, a differing one -0.5)."""
+    agree = np.where(ahead[:, None, :] == model[None, :, :], 0.5, -0.5)
+    span = num_chunks * chunk_bits
+    per_chunk = agree[..., :span].reshape(
+        len(ahead), len(model), num_chunks, chunk_bits
+    ).sum(axis=-1)
+    return per_chunk.transpose(0, 2, 1), agree.sum(axis=-1)
+
+
+class TestRepairRow:
+    """``repair_row`` on every backend against the reference: the row
+    takes the query's bits where the draw is below the rate, and the
+    patched table columns equal tables computed from scratch."""
+
+    K, CLASS = 5, 3
+
+    def run(self, name, chunk_bits, num_chunks, chunks, draws, rate,
+            rows, seed=0, layout="C", extra_bits=0):
+        backend = get_or_skip(name)
+        rng = np.random.default_rng(seed)
+        dim = num_chunks * chunk_bits + extra_bits
+        model = rng.integers(0, 2, (self.K, dim), dtype=np.uint8)
+        query = rng.integers(0, 2, dim, dtype=np.uint8)
+        ahead = rng.integers(0, 2, (rows, dim), dtype=np.uint8)
+        table, sims = similarity_tables(ahead, model, num_chunks, chunk_bits)
+        table = np.array(table, order=layout)
+        sims = np.array(sims, order=layout)
+        before = model.copy()
+        changed = backend.repair_row(
+            model[self.CLASS], pack(query).words[0], chunks, chunk_bits,
+            draws, rate, pack(ahead).words,
+            table[:, :, self.CLASS], sims[:, self.CLASS],
+        )
+        return before, model, query, ahead, table, sims, changed
+
+    def check(self, name, chunk_bits, num_chunks, chunks, draws, rate,
+              rows, **kwargs):
+        before, model, query, ahead, table, sims, changed = self.run(
+            name, chunk_bits, num_chunks, chunks, draws, rate, rows, **kwargs
+        )
+        # The substitution, position by position.
+        want = before.copy()
+        want_changed = []
+        for t, chunk in enumerate(chunks):
+            span = slice(chunk * chunk_bits, (chunk + 1) * chunk_bits)
+            take = draws[t] < rate
+            want_changed.append(
+                int(np.count_nonzero(take & (want[self.CLASS, span]
+                                             != query[span])))
+            )
+            want[self.CLASS, span][take] = query[span][take]
+        assert changed.dtype == np.int64
+        assert changed.tolist() == want_changed
+        assert (model == want).all()
+        # The patched columns equal a fresh computation; the other
+        # columns are untouched.
+        fresh_table, fresh_sims = similarity_tables(
+            ahead, model, num_chunks, chunk_bits)
+        assert (table == fresh_table).all()
+        assert (sims == fresh_sims).all()
+        # Bit-identical to the reference backend.
+        oracle = self.run("reference", chunk_bits, num_chunks, chunks, draws,
+                          rate, rows, **kwargs)
+        _, ref_model, _, _, ref_table, ref_sims, ref_changed = oracle
+        for got, ref in ((model, ref_model), (table, ref_table),
+                         (sims, ref_sims), (changed, ref_changed)):
+            assert got.dtype == ref.dtype and (got == ref).all()
+        return changed
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("chunk_bits", [64, 100, 250, 500])
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_matches_fresh_tables(self, name, chunk_bits, rows):
+        chunks = np.array([0, 2, 3, 5])
+        draws = np.random.default_rng(chunk_bits).random((4, chunk_bits))
+        changed = self.check(name, chunk_bits, 6, chunks, draws, 0.3, rows,
+                             seed=chunk_bits + rows)
+        assert changed.all()
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("chunk_bits", [64, 100, 250, 500])
+    def test_every_chunk_flagged(self, name, chunk_bits):
+        draws = np.random.default_rng(1).random((5, chunk_bits))
+        self.check(name, chunk_bits, 5, np.arange(5), draws, 0.5, 7)
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    def test_draws_that_flip_nothing(self, name):
+        """Draws at or above the rate leave row and tables untouched."""
+        draws = np.full((3, 100), 0.25)
+        changed = self.check(name, 100, 4, np.array([0, 1, 3]), draws,
+                             0.25, 6)
+        assert changed.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    def test_no_chunks_flagged(self, name):
+        changed = self.check(name, 100, 4, np.zeros(0, np.int64),
+                             np.zeros((0, 100)), 1.0, 3)
+        assert changed.shape == (0,)
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_strided_columns_and_unchunked_tail(self, name, layout):
+        """Table columns of either memory layout, and row bits past
+        ``m·d`` that no chunk covers (they count in the whole-row
+        similarity only)."""
+        draws = np.random.default_rng(2).random((2, 100))
+        self.check(name, 100, 3, np.array([0, 2]), draws, 0.6, 8,
+                   layout=layout, extra_bits=37)
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    def test_strided_row(self, name):
+        """A class row that is not contiguous is written in place."""
+        backend = get_or_skip(name)
+        rng = np.random.default_rng(3)
+        model = np.asfortranarray(rng.integers(0, 2, (4, 128), np.uint8))
+        query = rng.integers(0, 2, 128, dtype=np.uint8)
+        assert not model[1].flags.c_contiguous
+        backend.repair_row(
+            model[1], pack(query).words[0], np.array([1]), 64,
+            np.zeros((1, 64)), 1.0, np.zeros((0, 2), np.uint64),
+            np.zeros((0, 2)), np.zeros(0),
+        )
+        assert (model[1, 64:] == query[64:]).all()
+
+
+class TestRepairValidation:
+    @pytest.fixture(params=CPU_BACKENDS + ["reference"])
+    def backend(self, request):
+        return get_or_skip(request.param)
+
+    @staticmethod
+    def operands(**override):
+        ops = dict(
+            row=np.zeros(200, np.uint8), query=np.zeros(4, np.uint64),
+            chunks=np.array([0, 1]), chunk_bits=100,
+            draws=np.zeros((2, 100)), rate=0.5,
+            ahead=np.zeros((3, 4), np.uint64),
+            chunk_sims=np.zeros((3, 2)), sims=np.zeros(3),
+        )
+        ops.update(override)
+        return ops
+
+    @pytest.mark.parametrize("override,match", [
+        (dict(chunks=np.array([0, 2])), "chunks"),
+        (dict(chunks=np.array([-1, 0])), "chunks"),
+        (dict(chunks=np.array([1, 0])), "chunks"),
+        (dict(chunks=np.array([1, 1])), "chunks"),
+        (dict(draws=np.zeros((1, 100))), "draws"),
+        (dict(draws=np.zeros((2, 100), np.float32)), "draws"),
+        (dict(row=np.zeros(200, np.int8)), "uint8"),
+        (dict(query=np.zeros(3, np.uint64)), "words"),
+        (dict(ahead=np.zeros((3, 4), np.int64)), "words"),
+        (dict(chunk_sims=np.zeros((2, 2))), "chunk_sims"),
+        (dict(sims=np.zeros(3, np.float32)), "sims"),
+        (dict(chunk_bits=101), "exceed"),
+    ])
+    def test_rejected(self, backend, override, match):
+        with pytest.raises(ValueError, match=match):
+            backend.repair_row(**self.operands(**override))
+
+    def test_read_only_row_rejected(self, backend):
+        row = np.zeros(200, np.uint8)
+        row.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            backend.repair_row(**self.operands(row=row))
 
 
 class TestValidation:

@@ -1,13 +1,19 @@
 """Tests for probabilistic substitution and the recovery loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline
+import repro.core.recovery as recovery
+from repro.core import kernels
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.core.packed import float_backend, pack
+from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import (
     RecoveryConfig,
     RecoveryStats,
@@ -17,6 +23,7 @@ from repro.core.recovery import (
     recover_block,
     recover_step,
 )
+from repro.datasets import load
 from repro.datasets.synthetic import make_prototype_classification
 from repro.faults.api import attack
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -238,20 +245,86 @@ class TestRecoverBlock:
             assert p_step == p_block[0]
         assert (a.class_hv == b.class_hv).all()
 
-    def test_one_gate_per_row_and_packed_detection(self, fitted):
-        """At chunk size 100 (not a multiple of 64) a block gates every
-        row once and detects packed, model writes included."""
+    def test_one_table_per_block_and_one_repair_per_write(
+        self, fitted, monkeypatch
+    ):
+        """At chunk size 100 (not a multiple of 64) a block computes one
+        similarity table, one gate and one packed chunk table; each
+        model write is one RNG draw, one ``repair_row`` call and one
+        re-gate of the rows ahead; nothing repacks the model inside the
+        walk."""
         attacked, queries = self._attacked(fitted)
+        work = attacked.copy()
+        work.packed()  # warm cache: any rebuild below is the walk's
         config = RecoveryConfig(confidence_threshold=0.5, num_chunks=20)
+        gates, repairs, draws = [], [], []
+
+        def gate(*args):
+            gates.append(len(args[1]))
+            return _gate(*args)
+
+        backend = kernels.active_backend()
+        repair_row = backend.repair_row
+
+        def repair(row, query, chunks, chunk_bits, *args):
+            changed = repair_row(row, query, chunks, chunk_bits, *args)
+            repairs.append((len(chunks), len(args[2]), int(changed.sum())))
+            return changed
+
+        class CountingRng:
+            rng = np.random.default_rng(7)
+
+            def random(self, shape):
+                draws.append(shape)
+                return self.rng.random(shape)
+
+        monkeypatch.setattr(recovery, "_gate", gate)
+        monkeypatch.setattr(backend, "repair_row", repair)
         with use_metrics(MetricsRegistry()) as registry:
-            recover_block(attacked.copy(), queries[:60], config,
-                          np.random.default_rng(7))
-        assert registry.counter("recovery.model_writes") >= 1
+            recover_block(work, queries[:60], config, CountingRng())
+        writes = registry.counter("recovery.model_writes")
+        assert writes >= 2
         assert registry.counter("model.queries_served") == 60
         assert registry.counter("chunks.detect_batches_float") == 0
-        assert registry.counter("chunks.detect_batches_packed") == (
-            registry.counter("recovery.queries_trusted")
+        assert registry.counter("chunks.detect_batches_packed") == 1
+        assert registry.counter("model.pack_rebuilds") == 0
+        assert len(repairs) == len(draws) == writes
+        assert draws == [(chunks, 100) for chunks, _, _ in repairs]
+        # Every write here changed bits with rows ahead: one re-gate each,
+        # over exactly those rows.
+        assert all(bits and ahead for _, ahead, bits in repairs)
+        assert len(gates) == 1 + writes
+        assert gates == [60] + [ahead for _, ahead, _ in repairs]
+
+    def test_non_binary_rows_rejected_before_any_write(self):
+        """A float row holding 7.0 used to be copied into the 1-bit
+        model, leaving a uint8 row that its packed words contradict."""
+        rng = np.random.default_rng(0)
+        clean = rng.integers(0, 2, (4, 2_000), dtype=np.uint8)
+        model = HDCModel(clean.copy())
+        with model.writable() as class_hv:
+            class_hv[0, :100] ^= 1  # chunk 0 of class 0 damaged
+        queries = np.repeat(clean[:1].astype(np.float64), 50, axis=0)
+        queries[3:, :5] = 7.0
+        config = RecoveryConfig(
+            confidence_threshold=0.5, substitution_rate=1.0, num_chunks=20,
+            detection_margin=0.0,
         )
+        before, version = model.class_hv.copy(), model.version
+        with pytest.raises(ValueError, match=r"7\.0 at \(row 3, dim 0\)"):
+            recover_block(model, queries, config, np.random.default_rng(1))
+        assert (model.class_hv == before).all()
+        assert model.version == version
+        # Rows of 0.0 and 1.0 are bits: same walk as the uint8 rows.
+        queries[3:, :5] = clean[0, :5]
+        uint8_model = model.copy()
+        preds = recover_block(model, queries, config,
+                              np.random.default_rng(1))
+        want = recover_block(uint8_model, queries.astype(np.uint8), config,
+                             np.random.default_rng(1))
+        assert (preds == want).all()
+        assert (model.class_hv == uint8_model.class_hv).all()
+        assert model.class_hv.max() == 1
 
     def test_empty_block(self, fitted):
         model, queries, _ = fitted
@@ -285,29 +358,45 @@ def _merged(events: list[RecoveryBlockEvent]) -> RecoveryBlockEvent:
 
 
 @st.composite
-def damaged_streams(draw):
+def damaged_streams(draw, many_writes=False):
     """A small damaged 1-bit model, a noisy query stream near its clean
-    prototypes, and a recovery config that trusts and writes often."""
+    prototypes, and a recovery config that trusts and writes often.
+
+    ``many_writes`` fixes ``T_C = 0.5`` (every row trusted), ``S = 1.0``
+    and a zero margin on a longer stream, with every class damaged, so a
+    block makes many model writes, each one patching the tables of many
+    rows ahead.
+    """
     k = draw(st.integers(2, 6))
-    num_chunks = draw(st.integers(2, 8))
-    chunk_bits = draw(st.sampled_from([1, 37, 63, 64, 65, 100, 128]))
+    num_chunks = draw(st.integers(3 if many_writes else 2, 8))
+    chunk_bits = draw(st.sampled_from(
+        [37, 63, 64, 65, 100, 128] if many_writes
+        else [1, 37, 63, 64, 65, 100, 128]
+    ))
     dim = num_chunks * chunk_bits
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     prototypes = rng.integers(0, 2, (k, dim), dtype=np.uint8)
-    labels = rng.integers(0, k, draw(st.integers(8, 40)))
+    rows = (30, 80) if many_writes else (8, 40)
+    labels = rng.integers(0, k, draw(st.integers(*rows)))
     queries = prototypes[labels]
     queries[rng.random(queries.shape) < 0.15] ^= 1
     damaged = prototypes.copy()
-    # Clustered damage: about a third of each class's chunks get 70% of
-    # their bits flipped, so the detector flags and substitution writes.
-    hit = rng.random((k, num_chunks)) < 0.35
+    # Clustered damage: about a third (with many_writes, half and at
+    # least one) of each class's chunks get 70% of their bits flipped,
+    # so the detector flags and substitution writes.
+    hit = rng.random((k, num_chunks)) < (0.5 if many_writes else 0.35)
+    if many_writes:
+        hit[np.arange(k), rng.integers(0, num_chunks, k)] = True
     flips = rng.random((k, num_chunks, chunk_bits)) < 0.7
     damaged ^= (flips & hit[:, :, None]).reshape(k, dim).astype(np.uint8)
     config = RecoveryConfig(
-        confidence_threshold=draw(st.sampled_from([0.5, 0.55, 0.6])),
-        substitution_rate=draw(st.sampled_from([0.2, 0.5, 1.0])),
+        confidence_threshold=0.5 if many_writes else draw(
+            st.sampled_from([0.5, 0.55, 0.6])),
+        substitution_rate=1.0 if many_writes else draw(
+            st.sampled_from([0.2, 0.5, 1.0])),
         num_chunks=num_chunks,
-        detection_margin=draw(st.sampled_from([0.0, 0.02])),
+        detection_margin=0.0 if many_writes else draw(
+            st.sampled_from([0.0, 0.02])),
     )
     return HDCModel(damaged), queries, config, draw(st.booleans())
 
@@ -335,10 +424,7 @@ class TestBlockEqualsSteps:
         return (preds, work.class_hv, RecoveryStats.from_trace(trace),
                 _merged(list(trace)))
 
-    @settings(max_examples=40)
-    @given(damaged_streams())
-    def test_block_replays_steps(self, case):
-        model, queries, config, packed_input = case
+    def _check(self, model, queries, config, packed_input):
         expected = self._steps(model, queries, config)
         got = self._block(model, queries, config, packed_input)
         with float_backend():
@@ -348,6 +434,21 @@ class TestBlockEqualsSteps:
             assert (class_hv == expected[1]).all()
             assert block_stats == expected[2]
             assert event == expected[3]
+        return got[3]
+
+    @settings(max_examples=40)
+    @given(damaged_streams())
+    def test_block_replays_steps(self, case):
+        self._check(*case)
+
+    @settings(max_examples=25)
+    @given(damaged_streams(many_writes=True))
+    def test_many_writes_per_block_replay_steps(self, case):
+        """Every write's table patch and re-gate feeds the rows after
+        it: with a write on most trusted rows, a wrong patch or a
+        missing re-gate shows up as a different walk."""
+        event = self._check(*case)
+        assume(event.model_writes >= 3)
 
     def test_write_flips_later_rows(self, fitted):
         """A block whose substitutions flip a later row's trust and
@@ -375,6 +476,56 @@ class TestBlockEqualsSteps:
         assert (class_hv == expected[1]).all()
         assert stats == expected[2]
         assert event == expected[3]
+
+
+# Six seeded clustered-damage episodes at dim 2,000, summarised as
+# (model digest, trusted rows, chunks flagged, bits substituted, model
+# writes).  Computed with the query-at-a-time walk's results; the
+# packed, numpy and reference kernels and the float reference all give
+# these.
+GOLDEN_EPISODES = {
+    101: ("8efe67b27d5352f4", 60, 45, 145, 25),
+    102: ("1aec828577500acd", 130, 251, 1136, 95),
+    103: ("8c907c1c45da3f03", 68, 135, 591, 44),
+    104: ("3b40f96bac6b5068", 58, 5, 13, 4),
+    105: ("b8aec94324453bb4", 63, 14, 65, 9),
+    106: ("f2382c299dff2d9a", 59, 70, 282, 31),
+}
+
+
+class TestGoldenEpisodes:
+    """A walk that changes any repair fails here, in tier-1, and not
+    only in a benchmark's episode replay.  Confidences are not pinned:
+    ``np.exp`` may differ by an ulp across CPUs."""
+
+    @pytest.fixture(scope="class")
+    def experiment(self):
+        return RecoveryExperiment(dataset=load("ucihar", 600, 400), dim=2_000)
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_EPISODES))
+    def test_episode_summary(self, experiment, seed, monkeypatch):
+        attacked = []
+
+        def keep(*args, **kwargs):
+            model, mask = attack(*args, **kwargs)
+            attacked.append(model)
+            return model, mask
+
+        monkeypatch.setattr(pipeline, "attack", keep)
+        config = RecoveryConfig(
+            confidence_threshold=0.7, substitution_rate=0.2, block_size=64,
+        )
+        trace = experiment.attack_and_recover(
+            0.10, config, passes=2, mode="clustered", seed=seed,
+            cluster_bits=256,
+        ).trace
+        digest = hashlib.sha256(
+            attacked[0].packed().words.tobytes()
+        ).hexdigest()[:16]
+        summary = (digest, trace.queries_trusted, trace.chunks_flagged,
+                   trace.bits_substituted,
+                   sum(e.model_writes for e in trace))
+        assert summary == GOLDEN_EPISODES[seed]
 
 
 class TestRobustHDRecovery:
