@@ -241,7 +241,8 @@ def bench_gateway_live_adversary(smoke: bool) -> dict:
             adversary=AdaptiveAdversary(
                 rate=0.02, num_chunks=config.num_chunks, seed=11 + 3,
             ),
-            passes=passes, seed=11, publisher=engine.publisher,
+            passes=passes, seed=11,
+            publisher=engine.publisher_for(engine.tenants[0]),
         )
     finally:
         stop.set()
@@ -250,7 +251,7 @@ def bench_gateway_live_adversary(smoke: bool) -> dict:
     with GatewayClient("127.0.0.1", server.port) as client:
         served = gateway_predict(client)
     adoptions = engine.trace.adoptions
-    generations = engine.publisher.generation
+    generations = engine.publisher_for(engine.tenants[0]).generation
     server.stop()
     engine.stop()
 

@@ -115,7 +115,6 @@ class GatewayError(RuntimeError):
 
 def _request_frame(
     payload: np.ndarray,
-    *,
     tenant: str,
     features: bool,
     deadline: float | None,
@@ -131,6 +130,10 @@ def _request_frame(
     ))
 
 
+def _ping_frame(flags: int, trace_id: int) -> bytes:
+    return encode_frame(Frame(FrameKind.PING, trace_id=trace_id, flags=flags))
+
+
 def _decode_reply(frame: Frame) -> np.ndarray:
     if frame.kind == FrameKind.RESPONSE:
         return decode_predictions(frame.payload)
@@ -143,12 +146,10 @@ def _decode_reply(frame: Frame) -> np.ndarray:
 
 def _batch_frame(
     payloads,
-    *,
     tenant: str,
     features: bool,
     deadline: float | None,
     trace_id: int,
-    flags: int = 0,
 ) -> bytes:
     return encode_frame(Frame(
         FrameKind.SUBMIT_BATCH,
@@ -156,7 +157,6 @@ def _batch_frame(
         trace_id=trace_id,
         deadline_ns=int(deadline * 1e9) if deadline else 0,
         payload=encode_submit_batch(payloads, features=features),
-        flags=flags,
     ))
 
 
@@ -219,20 +219,9 @@ class GatewayClient:
         deadline: float | None = None,
     ) -> np.ndarray:
         """One request, one reply; raises the typed gateway exceptions."""
-        with self._lock:
-            trace_id = self._next_trace
-            self._next_trace += 1
-            self._sock.sendall(_request_frame(
-                payload,
-                tenant=tenant,
-                features=features,
-                deadline=deadline,
-                trace_id=trace_id,
-            ))
-            frame = self._read_frame()
-        if frame.trace_id != trace_id and frame.kind == FrameKind.PONG:
-            raise ProtocolError("interleaved PONG on a sync connection")
-        return _decode_reply(frame)
+        return _decode_reply(self._round_trip(
+            _request_frame, payload, tenant, features, deadline
+        ))
 
     def submit_batch(
         self,
@@ -250,28 +239,29 @@ class GatewayClient:
         ``return_exceptions`` is set — then the exception object holds
         that entry's slot and the rest of the batch still comes back.
         """
-        with self._lock:
-            trace_id = self._next_trace
-            self._next_trace += 1
-            self._sock.sendall(_batch_frame(
-                payloads,
-                tenant=tenant,
-                features=features,
-                deadline=deadline,
-                trace_id=trace_id,
-            ))
-            frame = self._read_frame()
+        frame = self._round_trip(
+            _batch_frame, payloads, tenant, features, deadline
+        )
         return _unpack_batch_reply(frame, len(payloads), return_exceptions)
 
     def ping(self) -> None:
         """Round-trip a PING (liveness check)."""
-        with self._lock:
-            self._sock.sendall(encode_frame(Frame(FrameKind.PING)))
-            frame = self._read_frame()
+        frame = self._round_trip(_ping_frame, 0)
         if frame.kind != FrameKind.PONG:
             raise ProtocolError(
                 f"expected PONG, got {frame.kind.name}"
             )
+
+    def _round_trip(self, encode, *args) -> Frame:
+        """Send ``encode(*args, trace_id)``; read its reply."""
+        with self._lock:
+            trace_id = self._next_trace
+            self._next_trace += 1
+            self._sock.sendall(encode(*args, trace_id))
+            frame = self._read_frame()
+        if frame.trace_id != trace_id and frame.kind == FrameKind.PONG:
+            raise ProtocolError("interleaved PONG on a sync connection")
+        return frame
 
     def _read_frame(self) -> Frame:
         while True:
@@ -407,27 +397,9 @@ class AsyncGatewayClient:
         Raises :class:`GatewayRejected` / :class:`GatewayError` with the
         server's typed code, mirroring the sync client.
         """
-        if self._closed:
-            raise ConnectionError("client is closed")
-        await self._take_credits(1)
-        loop = asyncio.get_running_loop()
-        trace_id = self._next_trace
-        self._next_trace += 1
-        future: asyncio.Future = loop.create_future()
-        self._waiters[trace_id] = future
-        try:
-            self._writer.write(_request_frame(
-                payload,
-                tenant=tenant,
-                features=features,
-                deadline=deadline,
-                trace_id=trace_id,
-            ))
-            await self._writer.drain()
-            frame = await future
-        finally:
-            self._waiters.pop(trace_id, None)
-        return _decode_reply(frame)
+        return _decode_reply(await self._round_trip(
+            1, _request_frame, payload, tenant, features, deadline
+        ))
 
     async def submit_batch(
         self,
@@ -444,47 +416,38 @@ class AsyncGatewayClient:
         (so the batch must fit the window).  Result semantics match
         :meth:`GatewayClient.submit_batch`.
         """
-        if self._closed:
-            raise ConnectionError("client is closed")
         count = len(payloads)
-        await self._take_credits(count)
-        loop = asyncio.get_running_loop()
-        trace_id = self._next_trace
-        self._next_trace += 1
-        future: asyncio.Future = loop.create_future()
-        self._waiters[trace_id] = future
-        try:
-            self._writer.write(_batch_frame(
-                payloads,
-                tenant=tenant,
-                features=features,
-                deadline=deadline,
-                trace_id=trace_id,
-            ))
-            await self._writer.drain()
-            frame = await future
-        finally:
-            self._waiters.pop(trace_id, None)
+        frame = await self._round_trip(
+            count, _batch_frame, payloads, tenant, features, deadline
+        )
         return _unpack_batch_reply(frame, count, return_exceptions)
 
     async def ping(self, *, flags: int = 0) -> None:
-        if self._closed:
-            raise ConnectionError("client is closed")
-        loop = asyncio.get_running_loop()
-        trace_id = self._next_trace
-        self._next_trace += 1
-        future: asyncio.Future = loop.create_future()
-        self._waiters[trace_id] = future
-        try:
-            self._writer.write(encode_frame(Frame(
-                FrameKind.PING, trace_id=trace_id, flags=flags
-            )))
-            await self._writer.drain()
-            frame = await future
-        finally:
-            self._waiters.pop(trace_id, None)
+        frame = await self._round_trip(0, _ping_frame, flags)
         if frame.kind != FrameKind.PONG:
             raise ProtocolError(f"expected PONG, got {frame.kind.name}")
+
+    async def _round_trip(self, credits: int, encode, *args) -> Frame:
+        """One frame out, the reply with its trace id back.
+
+        Takes ``credits`` from the window first (on a credited
+        connection), then sends ``encode(*args, trace_id)`` and awaits
+        the reply the read loop matches to it.
+        """
+        if self._closed:
+            raise ConnectionError("client is closed")
+        if credits:
+            await self._take_credits(credits)
+        trace_id = self._next_trace
+        self._next_trace += 1
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._waiters[trace_id] = future
+        try:
+            self._writer.write(encode(*args, trace_id))
+            await self._writer.drain()
+            return await future
+        finally:
+            self._waiters.pop(trace_id, None)
 
     async def _read_loop(self) -> None:
         try:

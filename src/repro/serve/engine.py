@@ -37,8 +37,8 @@ independent model with its own control block and
 (:meth:`ServingEngine.publisher_for`), so a live recovery pass
 hot-swaps one tenant's generations without touching any other tenant's
 snapshots.  A bare model still works — it becomes the single
-``"default"`` tenant, and :attr:`ServingEngine.publisher` keeps meaning
-that tenant's publisher.
+``"default"`` tenant, whose publisher is
+``publisher_for(engine.tenants[0])``.
 
 Live recovery plugs in through those publishers (each satisfies
 :class:`repro.core.recovery.ModelPublisher`): pass one to
@@ -652,11 +652,6 @@ class ServingEngine:
     # Tenants
     # ------------------------------------------------------------------
 
-    @property
-    def publisher(self) -> GenerationPublisher:
-        """The first tenant's publisher (single-tenant back-compat)."""
-        return self._publishers[0]
-
     def publisher_for(self, tenant: str) -> GenerationPublisher:
         """The :class:`GenerationPublisher` of one tenant's stream.
 
@@ -875,23 +870,46 @@ class ServingEngine:
         the same slots.  A shard with no live replica fails the frame's
         requests at once.
         """
+        sends: list[tuple[int, list, int]] = []
         with self._lock:
-            targets: dict[int, int] = {}
-            for shard in self._replicas:
-                worker = self._pick_replica(shard)
-                if worker is None:
-                    self._fail_requests([entry[0] for entry in frame])
-                    return
-                targets[shard] = worker
             frame_seq = self._next_frame_seq
             self._next_frame_seq += 1
-            for worker in targets.values():
-                self._depth[worker] += len(frame)
-            self._frames[frame_seq] = {
-                "entries": frame, "workers": targets, "replies": {},
+            tracked = self._frames[frame_seq] = {
+                "entries": frame, "workers": {}, "replies": {},
             }
-        for worker in targets.values():
-            self._queues[worker].put((frame_seq, frame))
+            self._route_locked(frame_seq, tracked, self._replicas, sends)
+        self._send(sends)
+
+    def _route_locked(
+        self, frame_seq: int, frame: dict, shards, sends: list
+    ) -> bool:
+        """Route tracked frame ``frame_seq`` to a live replica per shard.
+
+        Runs under the engine lock.  The one routing rule behind a first
+        dispatch, a stale-generation retry and a dead worker's re-route:
+        each shard's least-loaded live replica is charged the frame's
+        entries and gets ``(frame_seq, entries, worker)`` appended to
+        ``sends``, which the caller puts on the worker queues outside
+        the lock.  A shard with no live replica means the frame can
+        never combine: its requests fail at once, the frame is forgotten
+        and False is returned.
+        """
+        entries = frame["entries"]
+        workers = [self._pick_replica(shard) for shard in shards]
+        if None in workers:
+            self._fail_requests([entry[0] for entry in entries])
+            del self._frames[frame_seq]
+            return False
+        for shard, worker in zip(shards, workers):
+            frame["workers"][shard] = worker
+            self._depth[worker] += len(entries)
+            sends.append((frame_seq, entries, worker))
+        return True
+
+    def _send(self, sends) -> None:
+        """Put routed frames on their workers' queues (lock not held)."""
+        for frame_seq, entries, worker in sends:
+            self._queues[worker].put((frame_seq, entries))
 
     def _pick_replica(self, shard: int) -> int | None:
         """Least-loaded live replica of a shard (caller holds the lock).
@@ -997,8 +1015,7 @@ class ServingEngine:
                             )
                     offset = end
                 self._record_batch_locked(event_dict, metrics)
-            for frame_seq, entries, worker in refire:
-                self._queues[worker].put((frame_seq, entries))
+            self._send(refire)
 
     def _record_batch_locked(self, event_dict: dict, metrics) -> None:
         """Trace and meter one worker batch (caller holds the lock).
@@ -1036,19 +1053,10 @@ class ServingEngine:
         newest = max(reply[0] for reply in replies.values())
         stale = [s for s, reply in replies.items() if reply[0] < newest]
         if stale:
-            workers = [self._pick_replica(shard) for shard in stale]
-            if None in workers:
-                # A shard lost its last replica: the frame can never
-                # complete.
-                self._fail_requests([entry[0] for entry in entries])
-                del self._frames[frame_seq]
-                return
-            for shard, worker in zip(stale, workers):
+            for shard in stale:
                 del replies[shard]
-                frame["workers"][shard] = worker
-                self._depth[worker] += len(entries)
-                refire.append((frame_seq, entries, worker))
-            if metrics.enabled:
+            if (self._route_locked(frame_seq, frame, stale, refire)
+                    and metrics.enabled):
                 metrics.inc("serve.shard_redispatches", len(stale))
             return
         shards = sorted(replies)
@@ -1240,19 +1248,10 @@ class ServingEngine:
         refire: list[tuple[int, list, int]] = []
         with self._lock:
             for frame_seq, frame in list(self._frames.items()):
-                if (frame["workers"][shard] != worker_idx
-                        or shard in frame["replies"]):
-                    continue
-                replacement = self._pick_replica(shard)
-                if replacement is None:
-                    self._fail_requests([e[0] for e in frame["entries"]])
-                    del self._frames[frame_seq]
-                    continue
-                frame["workers"][shard] = replacement
-                self._depth[replacement] += len(frame["entries"])
-                refire.append((frame_seq, frame["entries"], replacement))
-        for frame_seq, entries, worker in refire:
-            self._queues[worker].put((frame_seq, entries))
+                if (frame["workers"][shard] == worker_idx
+                        and shard not in frame["replies"]):
+                    self._route_locked(frame_seq, frame, (shard,), refire)
+        self._send(refire)
 
     def scrape_telemetry(self, registry=None) -> dict:
         """Scrape every worker slab into ``registry`` (default: installed).

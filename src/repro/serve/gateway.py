@@ -9,6 +9,11 @@ ride :class:`~repro.serve.engine.ServeFuture` done-callbacks back onto
 the event loop, so a slow engine never blocks the acceptor and one
 connection's stall never delays another's responses.
 
+**One request path.**  A single frame, a ``SUBMIT_BATCH`` frame and an
+HTTP ``/v1/predict`` each become one :class:`_Reply`, which admits,
+submits and settles their entries; the ingresses only decode requests
+and render replies.
+
 The server hosts its own event loop on a daemon thread —
 ``start()``/``stop()`` are plain synchronous calls, usable from tests,
 benchmarks and ``with`` blocks, while everything network-facing stays
@@ -74,8 +79,7 @@ import math
 import socket
 import threading
 import time
-
-import numpy as np
+from functools import partial
 
 from repro.obs.metrics import current as _metrics
 from repro.serve.engine import Backpressure, ServeRequest, ServingEngine
@@ -90,7 +94,6 @@ from repro.serve.protocol import (
     RejectCode,
     decode_array,
     decode_submit_batch,
-    encode_array,  # noqa: F401  (re-exported for gateway users)
     encode_credit,
     encode_frame,
     encode_predictions,
@@ -381,80 +384,220 @@ class _Connection:
         self.outbox.put_nowait(reply)
 
 
-class _BatchReply:
-    """Accumulates one SUBMIT_BATCH's results; fires the reply when full.
+# Statuses (RESPONSE_BATCH vocabulary) the one path records itself.
+_EXPIRED = int(ErrorCode.EXPIRED)
+_EXPIRED_DETAIL = "deadline passed before the engine served the request"
+_OVERLOADED = BATCH_REJECT_BASE + RejectCode.OVERLOADED
+_SHUTTING_DOWN = BATCH_REJECT_BASE + RejectCode.SHUTTING_DOWN
 
-    Done-callbacks land on engine collector threads (possibly several,
-    concurrently); each settles one merged *run* of adjacent entries
-    (slicing the run's prediction rows back per entry), and the last
-    one to decrement ``_remaining`` encodes the whole
-    ``RESPONSE_BATCH`` *off-loop* before hopping onto the loop to
-    enqueue it — the event loop only ever sees one finished bytes
-    object per batch.
+
+class _Reply:
+    """The outcome record of one ingress unit, settled once per entry.
+
+    A unit is what one ingress hands the gateway: a TCP single frame or
+    an HTTP ``/v1/predict`` is one entry, a ``SUBMIT_BATCH`` frame one
+    entry per request.  Each entry ends in one status of the
+    ``RESPONSE_BATCH`` vocabulary (0 OK with its ``predictions``, an
+    :class:`ErrorCode`, or ``BATCH_REJECT_BASE + RejectCode``);
+    ``detail`` says why the unit's last failing entry failed.
+
+    :meth:`serve` is the gateway's one request path.  Every admitted
+    entry holds one admission token, returned exactly once: by the
+    done-callback of the engine request serving it (:meth:`settle`) or
+    when the engine refuses the submit.  Once the last entry settles,
+    ``render(reply)`` builds the ingress's reply and
+    ``deliver(reply, entries)`` takes it — on the settling collector
+    thread the render runs off the event loop and the delivery makes one
+    ``call_soon_threadsafe`` hop; a unit the engine never took is
+    rendered and delivered on the loop at once.
     """
 
-    __slots__ = ("_conn", "_gateway", "_lock", "_loop", "_remaining",
-                 "predictions", "reserved", "statuses", "tenant",
-                 "trace_id", "trace_ids")
+    __slots__ = ("_deliver", "_lock", "_loop", "_render", "_runs",
+                 "admission", "detail", "offsets", "predictions",
+                 "reserved", "statuses", "tenant", "trace_id", "trace_ids")
+    # Set only where read, keeping a single frame's record small:
+    # ``detail`` with each failing status, ``_runs`` with ``_lock``, and
+    # ``offsets`` (per-entry row offsets, splitting a merged request's
+    # predictions) and ``trace_ids`` (per-entry client trace ids) for
+    # batches.
 
     def __init__(
-        self, gateway: "GatewayServer", conn: _Connection,
-        loop: asyncio.AbstractEventLoop, *, tenant: str, trace_id: int,
-        trace_ids, statuses, predictions, remaining: int, reserved: bool,
+        self, admission: AdmissionController,
+        loop: asyncio.AbstractEventLoop, render, deliver, entries: int,
+        tenant: str, trace_id: int, reserved: bool,
     ) -> None:
-        self._gateway = gateway
-        self._conn = conn
+        self.admission = admission
         self._loop = loop
+        self._render = render
+        self._deliver = deliver
+        self.statuses = [0] * entries
+        self.predictions: list = [None] * entries
         self.tenant = tenant
         self.trace_id = trace_id
-        self.trace_ids = trace_ids
-        self.statuses = statuses
-        self.predictions = predictions
-        self._remaining = remaining
         self.reserved = reserved
-        self._lock = threading.Lock()
+        self._lock: threading.Lock | None = None
 
-    def callback_for(self, indices: list[int], rows: list[int]):
-        """Done-callback settling the run of entries ``indices``.
+    def serve(self, codes, submit, *args) -> bool:
+        """Admit, submit and settle the unit; True if the engine took it.
 
-        The run was served as one engine request whose prediction rows
-        are the entries' rows back to back (``rows[k]`` each); expiry
-        marks the whole run (one shared deadline) EXPIRED.
+        ``codes`` holds each entry's admission outcome (None when
+        admitted).  ``submit(reply, *args)`` submits the admitted
+        entries and returns one ``(first, stop, future)`` per engine
+        request, which serves entries ``first:stop``.
         """
-        def _on_done(result) -> None:
-            self._gateway.admission.release(
-                reserved=self.reserved, count=len(indices)
-            )
-            if result.predictions is not None:
-                preds = result.predictions
-                offset = 0
-                for index, n in zip(indices, rows):
-                    self.predictions[index] = preds[offset:offset + n]
-                    offset += n
+        statuses = self.statuses
+        admitted = codes.count(None)
+        if admitted < len(statuses):
+            for i, code in enumerate(codes):
+                if code is not None:
+                    statuses[i] = BATCH_REJECT_BASE + code
+                    self.detail = code.name
+        if admitted:
+            try:
+                runs = submit(self, *args)
+            except (ProtocolError, ValueError) as exc:
+                status, detail = int(ErrorCode.BAD_REQUEST), str(exc)
+            except Backpressure as exc:
+                # Not expected (the in-flight cap <= ring slots), but the
+                # engine may be shared with non-gateway submitters.
+                status, detail = _OVERLOADED, str(exc)
+            except RuntimeError as exc:  # engine stopped underneath us
+                status, detail = _SHUTTING_DOWN, str(exc)
             else:
-                self.statuses[indices] = int(ErrorCode.EXPIRED)
-            with self._lock:
-                self._remaining -= len(indices)
-                last = self._remaining == 0
-            if last:
-                self.fire()
-        return _on_done
+                if len(runs) > 1:
+                    # Collector threads may settle runs concurrently.
+                    self._lock = threading.Lock()
+                    self._runs = len(runs)
+                for first, stop, future in runs:
+                    future.add_done_callback(
+                        partial(self.settle, first, stop)
+                    )
+                return True
+            # Submits are all-or-nothing: no admitted entry got in.
+            self.admission.release(reserved=self.reserved, count=admitted)
+            for i, code in enumerate(codes):
+                if code is None:
+                    statuses[i] = status
+            self.detail = detail
+        self._deliver(self._render(self), len(statuses))
+        return False
 
-    def fire(self) -> None:
-        reply = encode_frame(Frame(
-            FrameKind.RESPONSE_BATCH,
-            tenant=self.tenant,
-            trace_id=self.trace_id,
-            payload=encode_response_batch(
-                self.trace_ids, self.statuses, self.predictions
-            ),
-        ))
+    def settle(self, first: int, stop: int, result) -> None:
+        """Done-callback of the engine request serving ``first:stop``.
+
+        Runs on an engine collector thread.  A merged request's
+        prediction rows are its entries' rows back to back; an expired
+        one (one shared deadline) expires every entry it carried.
+        """
+        self.admission.release(reserved=self.reserved, count=stop - first)
+        predictions = result.predictions
+        if predictions is None:
+            for i in range(first, stop):
+                self.statuses[i] = _EXPIRED
+            self.detail = _EXPIRED_DETAIL
+        elif stop - first == 1:
+            self.predictions[first] = predictions
+        else:
+            offsets = self.offsets
+            base = offsets[first]
+            for i in range(first, stop):
+                self.predictions[i] = predictions[
+                    offsets[i] - base:offsets[i + 1] - base
+                ]
+        if self._lock is not None:
+            with self._lock:
+                self._runs -= 1
+                if self._runs:
+                    return
+        reply = self._render(self)
         try:
             self._loop.call_soon_threadsafe(
-                self._conn.deliver, reply, len(self.predictions)
+                self._deliver, reply, len(self.statuses)
             )
         except RuntimeError:
             pass  # loop already closed (connection torn down)
+
+
+def _submit_single(reply: _Reply, engine: ServingEngine, frame: Frame):
+    request = ServeRequest(
+        decode_array(frame.kind, frame.payload),
+        features=frame.kind == FrameKind.FEATURES,
+        deadline=frame.deadline_ns / 1e9 if frame.deadline_ns else None,
+        tenant=reply.tenant,
+        trace_id=frame.trace_id,
+    )
+    # Left in the engine's frame buffer: the read loop flushes once per
+    # read chunk.
+    return ((0, 1, engine.submit(request, flush=False)),)
+
+
+def _submit_batch(reply: _Reply, engine: ServingEngine, batch, deadline):
+    """Fold adjacent admitted entries into merged engine requests.
+
+    A run's rows are already contiguous in the batch block, so one
+    zero-copy slice serves the whole run as a single engine request
+    (bounded by the engine's per-request query cap); a shed entry ends
+    the run.
+    """
+    cap = max(1, engine.max_queries_per_request)
+    offsets = reply.offsets
+    spans: list[tuple[int, int]] = []
+    first = None
+    for i, status in enumerate(reply.statuses):
+        if first is not None and (
+            status or offsets[i + 1] - offsets[first] > cap
+        ):
+            spans.append((first, i))
+            first = None
+        if first is None and not status:
+            first = i
+    if first is not None:
+        spans.append((first, len(reply.statuses)))
+    futures = engine.submit_many([
+        ServeRequest(
+            batch.block[offsets[a]:offsets[b]],
+            features=batch.features,
+            deadline=deadline,
+            tenant=reply.tenant,
+            trace_id=int(batch.trace_ids[a]),
+        )
+        for a, b in spans
+    ])
+    return [(a, b, future) for (a, b), future in zip(spans, futures)]
+
+
+def _render_frame(reply: _Reply) -> bytes:
+    """A single frame's reply: RESPONSE, REJECT or ERROR."""
+    status = reply.statuses[0]
+    if status == 0:
+        kind = FrameKind.RESPONSE
+        payload = encode_predictions(reply.predictions[0])
+    elif status >= BATCH_REJECT_BASE:
+        code = status - BATCH_REJECT_BASE
+        retry = (
+            reply.admission.retry_after_ms(reply.tenant)
+            if code == RejectCode.RATE_LIMITED else None
+        )
+        kind = FrameKind.REJECT
+        payload = encode_reject(code, reply.detail, retry)
+    else:
+        kind = FrameKind.ERROR
+        payload = encode_status(status, reply.detail)
+    return encode_frame(Frame(
+        kind, tenant=reply.tenant, trace_id=reply.trace_id, payload=payload
+    ))
+
+
+def _render_batch(reply: _Reply) -> bytes:
+    """A ``SUBMIT_BATCH`` frame's reply: one ``RESPONSE_BATCH``."""
+    return encode_frame(Frame(
+        FrameKind.RESPONSE_BATCH,
+        tenant=reply.tenant,
+        trace_id=reply.trace_id,
+        payload=encode_response_batch(
+            reply.trace_ids, reply.statuses, reply.predictions
+        ),
+    ))
 
 
 class GatewayServer:
@@ -764,110 +907,42 @@ class GatewayServer:
             FrameKind.PONG, trace_id=frame.trace_id
         )))
 
-    def _reject_frame(
-        self, frame: Frame, tenant: str, code: RejectCode
-    ) -> bytes:
-        retry = (
-            self.admission.retry_after_ms(tenant)
-            if code == RejectCode.RATE_LIMITED else None
-        )
-        return encode_frame(Frame(
-            FrameKind.REJECT,
-            tenant=tenant,
-            trace_id=frame.trace_id,
-            payload=encode_reject(code, code.name, retry),
-        ))
+    def _charge(
+        self, frame: Frame, conn: _Connection, tenant: str, credits: int
+    ) -> bool:
+        """Charge ``credits`` to a cooperative connection; False on overrun.
+
+        A frame that would overrun its connection's window gets a typed
+        ``OVERLOADED`` reject with its credits refunded, and the
+        connection survives — a client that respects its grants never
+        lands here.
+        """
+        if conn.inflight + credits > conn.window:
+            conn.outbox.put_nowait(encode_frame(Frame(
+                FrameKind.CREDIT, payload=encode_credit(credits)
+            )) + encode_frame(Frame(
+                FrameKind.REJECT,
+                tenant=tenant,
+                trace_id=frame.trace_id,
+                payload=encode_reject(RejectCode.OVERLOADED, "OVERLOADED"),
+            )))
+            return False
+        conn.charge(credits)
+        return True
 
     def _handle_single(self, frame: Frame, conn: _Connection) -> bool:
         tenant = frame.tenant or self.engine.tenants[0]
-        if conn.cooperative:
-            if conn.inflight + 1 > conn.window:
-                # Window overrun: typed reject, credit refunded — the
-                # client that respects its grants never lands here.
-                conn.outbox.put_nowait(encode_frame(Frame(
-                    FrameKind.CREDIT, payload=encode_credit(1)
-                )) + self._reject_frame(
-                    frame, tenant, RejectCode.OVERLOADED
-                ))
-                return False
-            conn.charge(1)
-        code = self.admission.admit(tenant, reserved=conn.cooperative)
-        if code is not None:
-            conn.deliver(self._reject_frame(frame, tenant, code), 1)
+        if conn.cooperative and not self._charge(frame, conn, tenant, 1):
             return False
-        loop = asyncio.get_running_loop()
-        trace_id = frame.trace_id
         reserved = conn.cooperative
-        try:
-            payload = decode_array(frame.kind, frame.payload)
-            request = ServeRequest(
-                payload,
-                features=frame.kind == FrameKind.FEATURES,
-                deadline=(
-                    frame.deadline_ns / 1e9 if frame.deadline_ns else None
-                ),
-                tenant=tenant,
-                trace_id=trace_id,
-            )
-            future = self.engine.submit(request, flush=False)
-        except (ProtocolError, ValueError) as exc:
-            self.admission.release(reserved=reserved)
-            conn.deliver(encode_frame(Frame(
-                FrameKind.ERROR,
-                tenant=tenant,
-                trace_id=trace_id,
-                payload=encode_status(ErrorCode.BAD_REQUEST, str(exc)),
-            )), 1)
-            return False
-        except Backpressure as exc:
-            # Should not happen (the in-flight cap <= ring slots), but
-            # the engine may be shared with non-gateway submitters.
-            self.admission.release(reserved=reserved)
-            conn.deliver(encode_frame(Frame(
-                FrameKind.REJECT,
-                tenant=tenant,
-                trace_id=trace_id,
-                payload=encode_status(RejectCode.OVERLOADED, str(exc)),
-            )), 1)
-            return False
-        except RuntimeError as exc:  # engine stopped underneath us
-            self.admission.release(reserved=reserved)
-            conn.deliver(encode_frame(Frame(
-                FrameKind.REJECT,
-                tenant=tenant,
-                trace_id=trace_id,
-                payload=encode_status(RejectCode.SHUTTING_DOWN, str(exc)),
-            )), 1)
-            return False
-
-        def _on_done(result) -> None:
-            # Runs on an engine collector thread: hop onto the loop.
-            self.admission.release(reserved=reserved)
-            if result.predictions is not None:
-                reply = encode_frame(Frame(
-                    FrameKind.RESPONSE,
-                    tenant=tenant,
-                    trace_id=trace_id,
-                    payload=encode_predictions(result.predictions),
-                ))
-            else:
-                reply = encode_frame(Frame(
-                    FrameKind.ERROR,
-                    tenant=tenant,
-                    trace_id=trace_id,
-                    payload=encode_status(
-                        ErrorCode.EXPIRED,
-                        "deadline passed before the engine served the "
-                        "request",
-                    ),
-                ))
-            try:
-                loop.call_soon_threadsafe(conn.deliver, reply, 1)
-            except RuntimeError:
-                pass  # loop already closed (connection torn down)
-
-        future.add_done_callback(_on_done)
-        return True
+        reply = _Reply(
+            self.admission, self.loop, _render_frame, conn.deliver, 1,
+            tenant, frame.trace_id, reserved,
+        )
+        return reply.serve(
+            [self.admission.admit(tenant, reserved=reserved)],
+            _submit_single, self.engine, frame,
+        )
 
     def _handle_batch(self, frame: Frame, conn: _Connection) -> None:
         tenant = frame.tenant or self.engine.tenants[0]
@@ -882,100 +957,19 @@ class GatewayServer:
             )))
             return
         count = len(batch)
-        if conn.cooperative:
-            if conn.inflight + count > conn.window:
-                conn.outbox.put_nowait(encode_frame(Frame(
-                    FrameKind.CREDIT, payload=encode_credit(count)
-                )) + self._reject_frame(
-                    frame, tenant, RejectCode.OVERLOADED
-                ))
-                return
-            conn.charge(count)
+        if conn.cooperative and not self._charge(
+            frame, conn, tenant, count
+        ):
+            return
         reserved = conn.cooperative
-        codes = self.admission.admit_many(tenant, count, reserved=reserved)
-        statuses = np.zeros(count, dtype=np.uint8)
-        predictions: list = [None] * count
-        deadline = frame.deadline_ns / 1e9 if frame.deadline_ns else None
-        # Fold adjacent admitted entries into merged engine requests:
-        # a run's rows are already contiguous in the batch block, so
-        # one zero-copy slice serves the whole run as a single engine
-        # submit (bounded by the engine's per-request query cap), and
-        # its done-callback slices the predictions back per entry.
-        cap = max(1, self.engine.max_queries_per_request)
-        offsets = batch.offsets
-        requests: list[ServeRequest] = []
-        runs: list[tuple[list[int], list[int]]] = []
-        run_idx: list[int] = []
-        run_rows: list[int] = []
-        run_total = 0
-        admitted: list[int] = []
-
-        def _close_run() -> None:
-            nonlocal run_idx, run_rows, run_total
-            if not run_idx:
-                return
-            first, stop = run_idx[0], run_idx[-1] + 1
-            requests.append(ServeRequest(
-                batch.block[offsets[first]:offsets[stop]],
-                features=batch.features,
-                deadline=deadline,
-                tenant=tenant,
-                trace_id=int(batch.trace_ids[first]),
-            ))
-            runs.append((run_idx, run_rows))
-            run_idx, run_rows, run_total = [], [], 0
-
-        for i, code in enumerate(codes):
-            if code is not None:
-                statuses[i] = BATCH_REJECT_BASE + int(code)
-                _close_run()
-                continue
-            n_rows = int(batch.rows[i])
-            if run_idx and run_total + n_rows > cap:
-                _close_run()
-            run_idx.append(i)
-            run_rows.append(n_rows)
-            run_total += n_rows
-            admitted.append(i)
-        _close_run()
-        reply = _BatchReply(
-            self, conn, asyncio.get_running_loop(),
-            tenant=tenant, trace_id=frame.trace_id,
-            trace_ids=batch.trace_ids, statuses=statuses,
-            predictions=predictions, remaining=len(admitted),
-            reserved=reserved,
+        reply = _Reply(
+            self.admission, self.loop, _render_batch, conn.deliver, count,
+            tenant, frame.trace_id, reserved,
         )
-        if not admitted:
-            conn.deliver(encode_frame(Frame(
-                FrameKind.RESPONSE_BATCH,
-                tenant=tenant,
-                trace_id=frame.trace_id,
-                payload=encode_response_batch(
-                    batch.trace_ids, statuses, predictions
-                ),
-            )), count)
-            return
-        try:
-            futures = self.engine.submit_many(requests)
-        except (ProtocolError, ValueError):
-            fail = int(ErrorCode.BAD_REQUEST)
-        except Backpressure:
-            fail = BATCH_REJECT_BASE + int(RejectCode.OVERLOADED)
-        except RuntimeError:  # engine stopped underneath us
-            fail = BATCH_REJECT_BASE + int(RejectCode.SHUTTING_DOWN)
-        else:
-            for (indices, rows), future in zip(runs, futures):
-                future.add_done_callback(reply.callback_for(indices, rows))
-            return
-        # submit_many is all-or-nothing: every admitted entry failed the
-        # same way, so resolve them in place and answer immediately.
-        self.admission.release(reserved=reserved, count=len(admitted))
-        statuses[admitted] = fail
-        conn.deliver(encode_frame(Frame(
-            FrameKind.RESPONSE_BATCH,
-            tenant=tenant,
-            trace_id=frame.trace_id,
-            payload=encode_response_batch(
-                batch.trace_ids, statuses, predictions
-            ),
-        )), count)
+        reply.trace_ids = batch.trace_ids
+        reply.offsets = batch.offsets.tolist()
+        reply.serve(
+            self.admission.admit_many(tenant, count, reserved=reserved),
+            _submit_batch, self.engine, batch,
+            frame.deadline_ns / 1e9 if frame.deadline_ns else None,
+        )

@@ -6,12 +6,14 @@ that makes the gateway curl-able::
     curl -s http://127.0.0.1:8080/v1/predict \\
         -d '{"tenant": "alpha", "features": [[0.1, 0.9, ...]]}'
 
-Requests ride the exact same path as binary-protocol traffic: the same
+Requests ride the exact same path as binary-protocol traffic: one
+entry settled by the gateway's ``_Reply`` — the same
 :class:`~repro.serve.gateway.AdmissionController` decides admission
 (so HTTP traffic is rate-limited and shed by the same policy, and
-counted in the same metrics) and the same
-:meth:`~repro.serve.engine.ServingEngine.submit` serves it.  Admission
-refusals map onto HTTP status codes:
+counted in the same metrics), the same
+:meth:`~repro.serve.engine.ServingEngine.submit` serves it, and the
+same failure table types a refused submit.  This module only parses
+the request and renders the settled record as a status code:
 
 ====================  ======  =======================================
 Reject / error        Status  Notes
@@ -39,11 +41,13 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+from functools import partial
 
 import numpy as np
 
-from repro.serve.engine import Backpressure, ServeRequest
-from repro.serve.protocol import RejectCode
+from repro.serve.engine import ServeRequest
+from repro.serve.gateway import _Reply
+from repro.serve.protocol import BATCH_REJECT_BASE, ErrorCode, RejectCode
 
 __all__ = ["handle_http_connection"]
 
@@ -236,72 +240,58 @@ def _parse_predict(gateway, body: bytes):
     return matrix, features, tenant, deadline
 
 
-def _reject_error(gateway, tenant: str, code: RejectCode) -> _HttpError:
+async def _predict(gateway, matrix, features, tenant, deadline):
+    loop = asyncio.get_running_loop()
+    waiter = loop.create_future()
+    reply = _Reply(
+        gateway.admission, loop, _render, partial(_resolve, waiter), 1,
+        tenant, 0, False,
+    )
+    reply.serve(
+        [gateway.admission.admit(tenant)], _submit, gateway.engine,
+        ServeRequest(
+            matrix, features=features, deadline=deadline, tenant=tenant,
+        ),
+    )
+    # Cancelled here (aborting client, stopping gateway) while the
+    # engine still owns the request: the reply's done-callback releases
+    # the admission token whenever the engine resolves, and ``_resolve``
+    # drops the late response.  Propagate so the handler task finishes
+    # cancelled instead of writing into a dead socket.
+    return await waiter
+
+
+def _submit(reply, engine, request):
+    return ((0, 1, engine.submit(request)),)
+
+
+def _resolve(waiter: asyncio.Future, response, _entries: int) -> None:
+    """Hand a rendered response to its handler.
+
+    A handler cancelled meanwhile left a done waiter: the response is
+    dropped, never stored as an exception nobody retrieves.
+    """
+    if not waiter.done():
+        waiter.set_result(response)
+
+
+def _render(reply):
+    """``(status, JSON payload, headers)`` of one settled request."""
+    status = reply.statuses[0]
+    if status == 0:
+        return 200, {"predictions": reply.predictions[0].tolist()}, {}
+    if status == ErrorCode.BAD_REQUEST:
+        return 400, {"error": reply.detail}, {}
+    if status == ErrorCode.EXPIRED:
+        return 504, {"error": "EXPIRED", "detail": reply.detail}, {}
+    code = RejectCode(status - BATCH_REJECT_BASE)
     payload: dict = {"error": code.name}
     headers: dict[str, str] = {}
     if code == RejectCode.RATE_LIMITED:
-        retry_ms = gateway.admission.retry_after_ms(tenant)
+        retry_ms = reply.admission.retry_after_ms(reply.tenant)
         payload["retry_after_ms"] = retry_ms
         headers["Retry-After"] = str(max(1, math.ceil(retry_ms / 1000.0)))
-    return _HttpError(_REJECT_STATUS[code], payload, headers)
-
-
-async def _predict(gateway, matrix, features, tenant, deadline):
-    code = gateway.admission.admit(tenant)
-    if code is not None:
-        raise _reject_error(gateway, tenant, code)
-    loop = asyncio.get_running_loop()
-    waiter: asyncio.Future = loop.create_future()
-    try:
-        future = gateway.engine.submit(ServeRequest(
-            matrix, features=features, deadline=deadline, tenant=tenant,
-        ))
-    except ValueError as exc:
-        gateway.admission.release()
-        raise _HttpError(400, {"error": str(exc)}) from None
-    except Backpressure:
-        gateway.admission.release()
-        raise _reject_error(
-            gateway, tenant, RejectCode.OVERLOADED
-        ) from None
-    except RuntimeError:  # engine stopped underneath us
-        gateway.admission.release()
-        raise _reject_error(
-            gateway, tenant, RejectCode.SHUTTING_DOWN
-        ) from None
-
-    def _on_done(result) -> None:
-        gateway.admission.release()
-        try:
-            loop.call_soon_threadsafe(_settle, result)
-        except RuntimeError:
-            pass  # loop already closed
-
-    def _settle(result) -> None:
-        if not waiter.done():
-            waiter.set_result(result)
-
-    future.add_done_callback(_on_done)
-    try:
-        result = await waiter
-    except asyncio.CancelledError:
-        # Aborting client or stopping gateway cancelled us while the
-        # engine still owns the request.  The admission slot is NOT
-        # released here: ``_on_done`` releases it exactly once whenever
-        # the engine resolves, and ``_settle``'s ``done()`` guard makes
-        # the late result a no-op against this cancelled waiter (a
-        # plain result, never an exception, so no "Future exception was
-        # never retrieved" can escape).  Propagate so the handler task
-        # finishes cancelled instead of writing into a dead socket.
-        raise
-    if result.predictions is None:
-        raise _HttpError(
-            504,
-            {"error": "EXPIRED",
-             "detail": "deadline passed before the engine served the "
-             "request"},
-        )
-    return 200, {"predictions": result.predictions.tolist()}, {}
+    return _REJECT_STATUS[code], payload, headers
 
 
 async def _respond(

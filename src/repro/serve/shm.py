@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import secrets
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ __all__ = [
     "tenant_prefix",
     "unique_name",
 ]
+
+
+# Publishes :attr:`GenerationPublisher.publish_log` keeps: about 100 s
+# of a recovery writer publishing ~41 generations per second.
+_PUBLISH_LOG_LIMIT = 4096
 
 
 def unique_name(prefix: str = "repro-serve") -> str:
@@ -344,8 +350,8 @@ class GenerationPublisher:
     block can still attach the segment it names (readers also retry via
     a fresh control read if they lose that race).
 
-    :attr:`publish_log` is the one record of every publish: its
-    generation, model version, publish time and trace id.
+    :attr:`publish_log` is the one record of the last 4,096 publishes:
+    each one's generation, model version, publish time and trace id.
     ``trace_source`` is the trace-correlation hook: a zero-argument
     callable returning the latest serve ``trace_id`` assigned so far
     (the engine wires its submit counter in).  Each publish is stamped
@@ -371,7 +377,7 @@ class GenerationPublisher:
         self.generation = 0
         self.trace_source = trace_source
         self.shard_plan = shard_plan
-        self.publish_log: list[dict] = []
+        self.publish_log: deque[dict] = deque(maxlen=_PUBLISH_LOG_LIMIT)
         self._segments: dict[int, list[ShmArray]] = {}
 
     def publish(self, model: HDCModel) -> int:

@@ -126,9 +126,10 @@ class TestTraceIds:
         with ServingEngine(clf, num_workers=1) as engine:
             # Some traffic before the publish, and some after.
             engine.submit(ServeRequest(words)).result()
-            engine.publisher.publish(clf.model)
+            publisher = engine.publisher_for(engine.tenants[0])
+            publisher.publish(clf.model)
             engine.submit(ServeRequest(words)).result()
-            log = engine.publisher.publish_log
+            log = publisher.publish_log
             trace = engine.trace
         # Generation 1 (startup) precedes all traffic; the re-publish is
         # stamped with the last pre-publish trace id.
@@ -144,9 +145,10 @@ class TestTraceIds:
         words = clf.encoder.encode_packed(task.test_x).words
         with ServingEngine(clf, num_workers=1) as engine:
             engine.submit(ServeRequest(words)).result()
-            engine.publisher.publish(clf.model)
+            publisher = engine.publisher_for(engine.tenants[0])
+            publisher.publish(clf.model)
             engine.submit(ServeRequest(words)).result()
-            rows = correlate(engine.trace, engine.publisher)
+            rows = correlate(engine.trace, publisher)
         by_gen = {row["generation"]: row for row in rows}
         new_gen = max(by_gen)
         assert new_gen >= 2
@@ -244,7 +246,7 @@ class TestBitIdentity:
             try:
                 outcome = experiment.attack_and_recover(
                     0.2, config=RecoveryConfig(), passes=2, seed=11,
-                    publisher=engine.publisher,
+                    publisher=engine.publisher_for(engine.tenants[0]),
                 )
                 final = predict_rows(engine, eval_words)
             finally:

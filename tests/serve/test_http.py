@@ -287,15 +287,18 @@ class TestAbortingClient:
 
 
 class TestPredictCancellationUnit:
-    """Direct exercise of ``_predict``'s cancellation invariant."""
+    """Direct exercise of ``_predict``'s cancellation invariant, through
+    a fake admission controller and engine behind the gateway's one
+    request path."""
 
     def _gateway(self):
         admission = SimpleNamespace(draining=False)
         admission.released = 0
         admission.admit = lambda tenant: None
 
-        def _release():
-            admission.released += 1
+        def _release(*, reserved=False, count=1):
+            assert not reserved
+            admission.released += count
 
         admission.release = _release
         engine = SimpleNamespace(tenants=("alpha",), callbacks=[])

@@ -122,7 +122,7 @@ class TestConcurrentBitIdentity:
         try:
             outcome = concurrent.attack_and_recover(
                 0.2, config=RecoveryConfig(), passes=2, seed=11,
-                publisher=engine.publisher,
+                publisher=engine.publisher_for(engine.tenants[0]),
             )
             final_predictions = predict_rows(engine, eval_words)
         finally:
@@ -134,7 +134,8 @@ class TestConcurrentBitIdentity:
         assert outcome.accuracy_trace == ref_outcome.accuracy_trace
         assert outcome.recovered_accuracy == ref_outcome.recovered_accuracy
         # ...the published generations match the sequential recorder...
-        assert engine.publisher.generation - 1 == recorder.generations
+        publisher = engine.publisher_for(engine.tenants[0])
+        assert publisher.generation - 1 == recorder.generations
         # ...and the last served snapshot is bit-identical: model words
         # (via served predictions on the recovered model) included.
         ref_model = PackedModel(words=recorder.words, dim=1_000,
@@ -155,7 +156,7 @@ class TestConcurrentBitIdentity:
             model = experiment.model
             with model.writable() as hv:
                 hv[:, 0] ^= 1  # flip every class's first bit
-            engine.publisher.publish(model)
+            engine.publisher_for(engine.tenants[0]).publish(model)
             served = predict_rows(engine, eval_words)
             expected = np.argmin(model.packed().distances(eval_words), axis=1)
             assert (served == expected).all()
@@ -174,7 +175,7 @@ class TestDegradedMode:
             predict_rows(engine, eval_words)
             assert engine.trace.degraded_batches == 0
             # A writer registers (touch), then stalls past the threshold.
-            engine.publisher.touch()
+            engine.publisher_for(engine.tenants[0]).touch()
             time.sleep(0.2)
             predict_rows(engine, eval_words)
             last = engine.trace.last
@@ -208,7 +209,7 @@ class TestDegradedMode:
         try:
             experiment.attack_and_recover(
                 0.2, config=RecoveryConfig(), passes=1, seed=11,
-                publisher=engine.publisher,
+                publisher=engine.publisher_for(engine.tenants[0]),
             )
             time.sleep(0.2)  # recovery done; its silence is not a stall
             predict_rows(engine, eval_words)

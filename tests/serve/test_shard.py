@@ -361,7 +361,7 @@ class TestShardedLiveRecovery:
         try:
             outcome = concurrent.attack_and_recover(
                 0.15, config=RecoveryConfig(), passes=1, seed=23,
-                publisher=engine.publisher,
+                publisher=engine.publisher_for(engine.tenants[0]),
             )
             served = predict_rows(engine, eval_words)
         finally:
@@ -394,7 +394,7 @@ class TestShardedPublisher:
             for _ in range(4):  # publish past retire_lag
                 with model.writable() as hv:
                     hv[0, 0] ^= 1
-                engine.publisher.publish(model)
+                engine.publisher_for(engine.tenants[0]).publish(model)
             names = shm_entries(prefix)
             assert not any("-g1-" in e for e in names)  # retired set gone
             words = clf.encoder.encode_packed(task.test_x).words

@@ -14,8 +14,11 @@ import pytest
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.core.recovery import ModelPublisher
+from repro.obs.telemetry import correlate
+from repro.obs.trace import ServeBatchEvent
 from repro.serve.shard import ShardPlan
 from repro.serve.shm import (
+    _PUBLISH_LOG_LIMIT,
     ControlBlock,
     GenerationPublisher,
     ShmArray,
@@ -220,3 +223,50 @@ class TestGenerationPublisher:
         finally:
             publisher.close()
             control.unlink()
+
+    def test_publish_log_keeps_the_newest_publishes(self, trained_model):
+        """A long-running writer's log holds only the newest publishes,
+        and ``correlate`` still joins traffic to each of them."""
+        prefix = unique_name("repro-test")
+        control = ControlBlock.create(f"{prefix}-control")
+        trace_ids = iter(range(10, 10**9, 10))
+        publisher = GenerationPublisher(
+            prefix, control, ShardPlan.by_class(trained_model.num_classes, 1),
+            trace_source=lambda: next(trace_ids),
+        )
+        extra = 5
+        packed = trained_model.packed()
+        try:
+            for _ in range(_PUBLISH_LOG_LIMIT + extra):
+                publisher.publish_packed(packed)
+        finally:
+            publisher.close()
+            control.unlink()
+        log = list(publisher.publish_log)
+        assert len(log) == _PUBLISH_LOG_LIMIT
+        newest = _PUBLISH_LOG_LIMIT + extra
+        assert [e["generation"] for e in log] == list(
+            range(extra + 1, newest + 1)
+        )
+        assert [e["trace_id"] for e in log] == [10 * g for g in
+                                               range(extra + 1, newest + 1)]
+
+        def served_on(generation):
+            return ServeBatchEvent(
+                worker_id=0, batch_index=0, requests=1, queries=1,
+                expired=0, generation=generation, model_version=0,
+                adopted=False, adoption_lag_s=0.0, staleness_s=0.0,
+                degraded=False, queue_depth=0, duration_s=0.001,
+                trace_id=10 * generation + 1, shard=0, dispatch_wait_s=0.0,
+                bytes_scanned=0, tenants=1,
+            )
+
+        rows = correlate(
+            [served_on(g) for g in (extra, extra + 1, newest)], publisher
+        )
+        joined = {row["generation"]: row["published_after_trace"]
+                  for row in rows}
+        # The evicted generation no longer joins; the oldest and the
+        # newest kept ones do.
+        assert joined == {extra: None, extra + 1: 10 * (extra + 1),
+                          newest: 10 * newest}
