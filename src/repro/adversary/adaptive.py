@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import HDCModel
-from repro.core.packed import PackedHypervectors, packed_backend_enabled, unpack
+from repro.core.packed import PackedHypervectors, unpack
 from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import (
     ModelPublisher,
@@ -385,11 +385,7 @@ def run_adaptive_scenario(
     try:
         for pass_index in range(passes):
             order = order_rng.permutation(experiment.stream_queries.shape[0])
-            stream = (
-                experiment._stream_packed[order]
-                if packed_backend_enabled()
-                else experiment.stream_queries[order]
-            )
+            stream = experiment._stream_packed[order]
             trusted_before = (
                 recovery.trace.queries_trusted if recovery is not None else 0
             )

@@ -25,13 +25,10 @@ from repro.core.model import HDCClassifier, HDCModel
 from repro.core.packed import (
     PackedHypervectors,
     PackedModel,
-    float_backend,
     pack,
     pack_model,
-    packed_backend_enabled,
     packed_flip_bits,
     packed_single_bit_flips,
-    set_packed_backend,
     unpack,
 )
 from repro.core.recovery import (
@@ -61,7 +58,6 @@ __all__ = [
     "clear_codebook_cache",
     "confident_mask",
     "encode_words_from_codebook",
-    "float_backend",
     "hamming_distance",
     "hamming_similarity",
     "level_hypervectors",
@@ -69,7 +65,6 @@ __all__ = [
     "normalized_hamming_similarity",
     "pack",
     "pack_model",
-    "packed_backend_enabled",
     "packed_flip_bits",
     "packed_single_bit_flips",
     "permute",
@@ -81,7 +76,6 @@ __all__ = [
     "recover_block",
     "recover_step",
     "save_classifier",
-    "set_packed_backend",
     "unpack",
     "softmax",
 ]

@@ -18,8 +18,8 @@ backend's ``chunk_distance_table`` on the model's cached packed words, at
 any chunk size ``d`` — a chunk may start and end inside a 64-bit word.
 The chunk similarity is exactly ``d/2 - hamming`` per chunk,
 bit-identical to the float einsum (every term is a multiple of 0.5,
-summed exactly).  Only multi-bit models, non-binary queries and the
-:func:`~repro.core.packed.float_backend` oracle take the einsum.
+summed exactly).  Only multi-bit models and float queries take the
+einsum; ``queries.astype(np.float64)`` is how tests reach it.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hypervector import as_chunks
-from repro.core.model import HDCModel, _centered_weights, _is_binary
-from repro.core.packed import (
-    PackedHypervectors,
-    _pack_bits,
-    packed_backend_enabled,
-    unpack,
+from repro.core.model import (
+    HDCModel,
+    _as_unpacked,
+    _centered_weights,
+    _query_words,
 )
+from repro.core.packed import PackedHypervectors
 from repro.obs.metrics import current as _metrics
 
 __all__ = [
@@ -43,30 +43,6 @@ __all__ = [
     "detect_faulty_chunks_batch",
     "chunk_accuracy_profile",
 ]
-
-
-def _packed_chunk_similarities(
-    model: HDCModel,
-    queries: np.ndarray | PackedHypervectors,
-    num_chunks: int,
-) -> np.ndarray | None:
-    """Per-chunk similarities ``(b, m, k)`` from one kernel call, or None.
-
-    Requires a 1-bit model and binary integer (or already packed)
-    queries; returns None when either condition fails so callers can
-    fall back to the float einsum.  Packed queries reuse their words
-    directly — no repack.
-    """
-    if model.bits != 1 or not packed_backend_enabled():
-        return None
-    if isinstance(queries, PackedHypervectors):
-        word_rows = queries.words
-    elif _is_binary(queries):
-        word_rows = _pack_bits(queries.astype(np.uint8, copy=False))
-    else:
-        return None
-    distances = model.packed().chunk_distances(word_rows, num_chunks)
-    return (model.dim // num_chunks) / 2.0 - distances
 
 
 def chunk_similarities(
@@ -100,28 +76,20 @@ def chunk_similarities_batch(
     kernel consumes as-is; on the einsum path they are unpacked, so
     results never depend on the input form.
     """
-    if isinstance(queries, PackedHypervectors):
-        query_dim = queries.dim
-    else:
-        queries = np.atleast_2d(queries)
-        query_dim = queries.shape[1]
-    if query_dim != model.dim:
-        raise ValueError(f"query dim {query_dim} != model dim {model.dim}")
+    words = _query_words(model, queries)
     if num_chunks < 1 or model.dim % num_chunks != 0:
         # Delegate the error to as_chunks for a consistent message.
         as_chunks(np.empty(model.dim, dtype=np.uint8), num_chunks)
     metrics = _metrics()
-    fast = _packed_chunk_similarities(model, queries, num_chunks)
-    if fast is not None:
+    if words is not None:
         if metrics.enabled:
             metrics.inc("chunks.detect_batches_packed")
-        return fast
+        distances = model.packed().chunk_distances(words, num_chunks)
+        return (model.dim // num_chunks) / 2.0 - distances
     if metrics.enabled:
         metrics.inc("chunks.detect_batches_float")
-    if isinstance(queries, PackedHypervectors):
-        queries = np.atleast_2d(unpack(queries))
     q_chunks = as_chunks(
-        queries.astype(np.float64) * 2.0 - 1.0, num_chunks
+        _as_unpacked(queries).astype(np.float64) * 2.0 - 1.0, num_chunks
     )  # (b, m, d)
     w = _centered_weights(model.class_hv, model.bits)  # (k, D)
     w_chunks = as_chunks(w, num_chunks)  # (k, m, d)

@@ -62,7 +62,6 @@ from repro.core.hypervector import (
 from repro.core.packed import (
     PackedHypervectors,
     _pack_bits,
-    packed_backend_enabled,
     unpack,
 )
 from repro.obs.metrics import current as _metrics
@@ -118,28 +117,18 @@ def _shared_codebooks(
     return base, level
 
 
-def quantize_features(
-    features: np.ndarray, levels: int, low: float, high: float
-) -> np.ndarray:
-    """Quantise real features into integer level indices ``0 .. levels-1``.
+def _check_finite(features: np.ndarray) -> None:
+    """Raise ``ValueError`` naming where ``features`` holds NaN or ±inf.
 
-    Values are clipped to ``[low, high]`` first, so out-of-range inputs
-    saturate instead of wrapping — saturation matches what a fixed sensor
-    range does and keeps adjacent inputs adjacent in level space.
-
-    Non-finite inputs raise: NaN survives ``np.clip`` and would quantise
-    to an undefined (negative) level index, silently corrupting every
-    downstream hypervector, and ±inf saturating to a boundary level would
-    hide an upstream normalisation bug just as quietly.
+    NaN survives ``np.clip`` and would quantise to an undefined
+    (negative) level index, silently corrupting every downstream
+    hypervector, and ±inf saturating to a boundary level would hide an
+    upstream normalisation bug just as quietly.  A finite array costs
+    one ``np.isfinite`` pass; positions are located only on failure.
     """
-    if levels < 2:
-        raise ValueError(f"levels must be >= 2, got {levels}")
-    if not high > low:
-        raise ValueError(f"need high > low, got low={low}, high={high}")
-    features = np.asarray(features)
-    bad = ~np.isfinite(features)
-    if bad.any():
-        positions = np.argwhere(bad)
+    finite = np.isfinite(features)
+    if not finite.all():
+        positions = np.argwhere(~finite)
         shown = ", ".join(
             str(tuple(int(i) for i in pos)) if positions.shape[1] > 1
             else str(int(pos[0]))
@@ -150,6 +139,24 @@ def quantize_features(
             f"features contain {int(positions.shape[0])} non-finite "
             f"value(s) (NaN/inf) at position(s) {shown}{suffix}"
         )
+
+
+def quantize_features(
+    features: np.ndarray, levels: int, low: float, high: float
+) -> np.ndarray:
+    """Quantise real features into integer level indices ``0 .. levels-1``.
+
+    Values are clipped to ``[low, high]`` first, so out-of-range inputs
+    saturate instead of wrapping — saturation matches what a fixed sensor
+    range does and keeps adjacent inputs adjacent in level space.
+    Non-finite inputs raise (see :func:`_check_finite`).
+    """
+    if levels < 2:
+        raise ValueError(f"levels must be >= 2, got {levels}")
+    if not high > low:
+        raise ValueError(f"need high > low, got low={low}, high={high}")
+    features = np.asarray(features)
+    _check_finite(features)
     clipped = np.clip(features, low, high)
     scaled = (clipped - low) / (high - low)  # in [0, 1]
     idx = np.floor(scaled * levels).astype(np.int64)
@@ -367,12 +374,9 @@ class Encoder:
 
         Encoding is deterministic (majority ties resolve to 0) so the same
         input always produces the same hypervector, at train and test time.
-        Dispatches to the packed bound-codebook engine unless the packed
-        backend is disabled (:func:`repro.core.packed.set_packed_backend`);
-        both backends are bit-identical (property-tested).
+        Runs the packed bound-codebook engine and unpacks its words;
+        bit-identical to :meth:`encode_batch_reference` (property-tested).
         """
-        if not packed_backend_enabled():
-            return self.encode_batch_reference(features)
         idx = self._validated_indices(features)
         metrics = _metrics()
         with metrics.timer("encoder.encode_batch"):
@@ -416,8 +420,8 @@ class Encoder:
         """Reference encoding via the materialised uint8 bound tensor.
 
         Kept as the ground truth the packed engine is property-tested
-        against, and as the ``float_backend()`` A/B path.  Blocked by the
-        same :data:`ENCODE_BLOCK_BYTES` budget as the packed engine.
+        against.  Blocked by the same :data:`ENCODE_BLOCK_BYTES` budget
+        as the packed engine.
         """
         idx = self._validated_indices(features)
         metrics = _metrics()

@@ -47,7 +47,7 @@ changing:
 
 Backends are *stateless* over immutable inputs, so one instance is
 shared process-wide.  The active backend is resolved in this order:
-an explicit :func:`set_kernel_backend` call, the
+the innermost :func:`use_kernel_backend` scope, the
 ``REPRO_KERNEL_BACKEND`` environment variable, then ``"native"`` when
 the C kernels compiled on this host, falling back to ``"numpy"``.
 Every distance computed through :meth:`PackedModel.distances
@@ -91,7 +91,6 @@ __all__ = [
     "available_backends",
     "check_encode_operands",
     "get_backend",
-    "set_kernel_backend",
     "use_kernel_backend",
 ]
 
@@ -1058,27 +1057,6 @@ def get_backend(name: str) -> KernelBackend:
     return instance
 
 
-def set_kernel_backend(backend: KernelBackend | str | None) -> None:
-    """Select the process-wide active backend.
-
-    Accepts a registered name, a :class:`KernelBackend` instance, or
-    ``None`` to fall back to the default resolution
-    (``REPRO_KERNEL_BACKEND`` env var, then ``"native"`` where it
-    compiled, then ``"numpy"``).
-    """
-    global _ACTIVE
-    if backend is None:
-        _ACTIVE = None
-    elif isinstance(backend, str):
-        _ACTIVE = get_backend(backend)
-    elif isinstance(backend, KernelBackend):
-        _ACTIVE = backend
-    else:
-        raise TypeError(
-            f"expected backend name, instance, or None, got {type(backend)}"
-        )
-
-
 def _default_backend_name() -> str:
     """Default resolution when nothing is selected explicitly.
 
@@ -1102,11 +1080,22 @@ def active_backend() -> KernelBackend:
 
 @contextmanager
 def use_kernel_backend(backend: KernelBackend | str) -> Iterator[KernelBackend]:
-    """Temporarily activate a backend (restores the previous selection)."""
+    """Activate a backend for the scope of a ``with`` block.
+
+    Accepts a registered name (availability-checked) or a
+    :class:`KernelBackend` instance; the previous selection comes back
+    on exit.  Outside every scope the ``REPRO_KERNEL_BACKEND``
+    environment variable, then the host default, decides.
+    """
     global _ACTIVE
-    previous = _ACTIVE
-    set_kernel_backend(backend)
+    if isinstance(backend, str):
+        backend = get_backend(backend)
+    elif not isinstance(backend, KernelBackend):
+        raise TypeError(
+            f"expected a backend name or instance, got {type(backend)}"
+        )
+    previous, _ACTIVE = _ACTIVE, backend
     try:
-        yield active_backend()
+        yield backend
     finally:
         _ACTIVE = previous

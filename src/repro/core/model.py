@@ -37,7 +37,6 @@ from repro.core.packed import (
     PackedHypervectors,
     PackedModel,
     _pack_bits,
-    packed_backend_enabled,
     unpack,
 )
 from repro.obs.metrics import current as _metrics
@@ -54,10 +53,10 @@ _FIT_BLOCK = 64
 
 
 def _as_unpacked(encoded: np.ndarray | PackedHypervectors) -> np.ndarray:
-    """Training-side normalisation: packed batches become uint8 bits."""
+    """A 2-D batch of bits; packed batches are unpacked to uint8."""
     if isinstance(encoded, PackedHypervectors):
-        return np.atleast_2d(unpack(encoded))
-    return np.asarray(encoded)
+        encoded = unpack(encoded)
+    return np.atleast_2d(encoded)
 
 
 def quantize_accumulator(acc: np.ndarray, bits: int) -> np.ndarray:
@@ -99,10 +98,9 @@ def _centered_weights(levels: np.ndarray, bits: int) -> np.ndarray:
 def _is_binary(queries: np.ndarray) -> bool:
     """Whether an array is exactly 0/1-valued with an integer/bool dtype.
 
-    Gate for packed dispatch: float queries (even float 0.0/1.0) keep the
-    float64 reference path so behaviour for unconventional inputs is
-    unchanged.  Uses min/max reductions rather than elementwise masks —
-    this check sits on the serving hot path.
+    Float arrays (even of 0.0/1.0) are not.  Uses min/max reductions
+    rather than elementwise masks — this check sits on the serving hot
+    path.
     """
     if queries.dtype == np.bool_:
         return True
@@ -115,6 +113,36 @@ def _is_binary(queries: np.ndarray) -> bool:
     return bool(
         np.issubdtype(queries.dtype, np.unsignedinteger) or queries.min() >= 0
     )
+
+
+def _query_words(
+    model: HDCModel, queries: np.ndarray | PackedHypervectors
+) -> np.ndarray | None:
+    """The batch's packed words ``(b, W)`` for ``model``, or None.
+
+    Checks the batch's shape, then decides from the input alone: a
+    1-bit model gets the words of packed queries (as they are) and of
+    0/1 integer or bool arrays (packed here).  Multi-bit models and
+    float queries (even 0.0/1.0) get None and take the float64
+    reference — the way to reach that oracle is
+    ``queries.astype(np.float64)``.
+    """
+    if isinstance(queries, PackedHypervectors):
+        dim = queries.dim
+    else:
+        queries = np.atleast_2d(queries)
+        if queries.ndim != 2:
+            raise ValueError(f"expected (b, D) queries, got {queries.shape}")
+        dim = queries.shape[1]
+    if dim != model.dim:
+        raise ValueError(f"query dim {dim} != model dim {model.dim}")
+    if model.bits != 1:
+        return None
+    if isinstance(queries, PackedHypervectors):
+        return queries.words
+    if not _is_binary(queries):
+        return None
+    return _pack_bits(queries.astype(np.uint8, copy=False))
 
 
 @dataclass
@@ -256,36 +284,18 @@ class HDCModel:
         Queries may also arrive already packed
         (:class:`~repro.core.packed.PackedHypervectors`, e.g. from
         :meth:`Encoder.encode_packed`): a 1-bit model consumes the words
-        directly — no pack *or* unpack on the serving path; other
-        precisions (or a disabled packed backend) unpack and fall through
-        to the reference, so results never depend on the input form.
+        directly — no pack *or* unpack on the serving path.  Multi-bit
+        models and float queries take the float64 reference (packed
+        queries unpacked), so results never depend on the input form.
         """
-        if isinstance(queries, PackedHypervectors):
-            if queries.dim != self.dim:
-                raise ValueError(
-                    f"query dim {queries.dim} != model dim {self.dim}"
-                )
-            if self.bits == 1 and packed_backend_enabled():
-                metrics = _metrics()
-                if metrics.enabled:
-                    metrics.inc("model.similarity_batches_packed")
-                    metrics.inc("model.queries_served", len(queries))
-                return self.dim / 2.0 - self.packed().distances(queries.words)
-            queries = unpack(queries)
-        queries = np.atleast_2d(queries)
-        if queries.shape[1] != self.dim:
-            raise ValueError(
-                f"query dim {queries.shape[1]} != model dim {self.dim}"
-            )
+        words = _query_words(self, queries)
         metrics = _metrics()
-        if self.bits == 1 and packed_backend_enabled() and _is_binary(queries):
+        if words is not None:
             if metrics.enabled:
                 metrics.inc("model.similarity_batches_packed")
-                metrics.inc("model.queries_served", queries.shape[0])
-            distances = self.packed().distances(
-                _pack_bits(queries.astype(np.uint8, copy=False))
-            )
-            return self.dim / 2.0 - distances
+                metrics.inc("model.queries_served", words.shape[0])
+            return self.dim / 2.0 - self.packed().distances(words)
+        queries = _as_unpacked(queries)
         if metrics.enabled:
             metrics.inc("model.similarity_batches_float")
             metrics.inc("model.queries_served", queries.shape[0])
@@ -517,15 +527,13 @@ class HDCClassifier:
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predict labels for raw features ``(n_samples, n_features)``.
 
-        For a deployed 1-bit model the features are encoded straight into
-        packed words (:meth:`Encoder.encode_packed`) and served by
-        XOR+popcount — the query never exists in unpacked form.
+        The features are encoded straight into packed words
+        (:meth:`Encoder.encode_packed`); a 1-bit model serves them by
+        XOR+popcount, so the query never exists in unpacked form.
         """
         model = self._require_model()
         features = np.atleast_2d(features)
-        if model.bits == 1 and packed_backend_enabled():
-            return model.predict(self.encoder.encode_packed(features))
-        return model.predict(self.encoder.encode_batch(features))
+        return model.predict(self.encoder.encode_packed(features))
 
     def score(self, features: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy on raw features."""

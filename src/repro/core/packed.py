@@ -27,17 +27,17 @@ holds everywhere.
 Population counts use ``np.bitwise_count`` (NumPy >= 2, the floor in
 ``pyproject.toml``).
 
-The backend can be disabled globally — e.g. to A/B the float reference
-against the packed engine in tests or benchmarks — via
-:func:`set_packed_backend` or the :func:`float_backend` context manager.
+There is no switch to turn this backend off: the input picks the path.
+Binary integer (or already packed) queries on a 1-bit model take it;
+float queries and multi-bit models take the float64 reference.  The
+kernel oracle is selected with ``REPRO_KERNEL_BACKEND=reference`` or
+:func:`repro.core.kernels.use_kernel_backend`.
 """
 
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -54,41 +54,10 @@ __all__ = [
     "packed_popcount",
     "packed_single_bit_flips",
     "pack_model",
-    "packed_backend_enabled",
-    "set_packed_backend",
-    "float_backend",
 ]
 
 _WORD = 64
 _BIG_ENDIAN = sys.byteorder == "big"
-
-# Global backend switch.  True routes every 1-bit hot path (model
-# similarities, chunk detection) through the packed engine; False forces
-# the float64 reference everywhere.  Results are bit-identical either
-# way — the switch exists for benchmarking and equivalence testing.
-_PACKED_ENABLED = True
-
-
-def packed_backend_enabled() -> bool:
-    """Whether 1-bit hot paths dispatch to the packed engine."""
-    return _PACKED_ENABLED
-
-
-def set_packed_backend(enabled: bool) -> None:
-    """Globally enable/disable packed dispatch (float reference otherwise)."""
-    global _PACKED_ENABLED
-    _PACKED_ENABLED = bool(enabled)
-
-
-@contextmanager
-def float_backend() -> Iterator[None]:
-    """Temporarily force the float64 reference path on all hot paths."""
-    previous = _PACKED_ENABLED
-    set_packed_backend(False)
-    try:
-        yield
-    finally:
-        set_packed_backend(previous)
 
 
 def _pack_bits(batch: np.ndarray) -> np.ndarray:
@@ -404,7 +373,7 @@ def _backend():
     """The active :mod:`repro.core.kernels` backend.
 
     The native C kernel where it compiled, else row-blocked NumPy; see
-    ``kernels.set_kernel_backend`` / ``REPRO_KERNEL_BACKEND``.  The
+    ``kernels.use_kernel_backend`` / ``REPRO_KERNEL_BACKEND``.  The
     import is deferred because ``kernels`` imports this module at load
     time.
     """

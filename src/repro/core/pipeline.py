@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import pack, packed_backend_enabled, unpack
+from repro.core.packed import unpack
 from repro.core.recovery import (
     ModelPublisher,
     RecoveryConfig,
@@ -117,17 +117,11 @@ class RecoveryExperiment:
 
         # The test split is encoded straight into packed words; the public
         # uint8 views (stream_queries / eval_queries) are unpacked from
-        # them once for compatibility and for the float A/B path, while
-        # scoring and the recovery stream consume the packed words with no
-        # further pack/unpack (when the packed backend is enabled the
-        # queries cross encode → predict → recover without ever being
-        # repacked).  Both forms are bit-identical by construction.
-        if packed_backend_enabled():
-            packed_test = self.encoder.encode_packed(dataset.test_x)
-            encoded_test = unpack(packed_test)
-        else:
-            encoded_test = self.encoder.encode_batch(dataset.test_x)
-            packed_test = pack(encoded_test)
+        # them once, while scoring and the recovery stream consume the
+        # packed words: the queries cross encode → predict → recover
+        # without ever being repacked.
+        packed_test = self.encoder.encode_packed(dataset.test_x)
+        encoded_test = unpack(packed_test)
         split = int(round(dataset.num_test * stream_fraction))
         split = min(max(split, 1), dataset.num_test - 1)
         self.stream_queries = encoded_test[:split]
@@ -135,7 +129,7 @@ class RecoveryExperiment:
         self._stream_packed = packed_test[:split]
         self._eval_packed = packed_test[split:]
         self.eval_labels = np.asarray(dataset.test_y[split:], dtype=np.int64)
-        self.clean_accuracy = self._score(self.model)
+        self.clean_accuracy = self.score(self.model)
 
     @property
     def model(self) -> HDCModel:
@@ -143,21 +137,14 @@ class RecoveryExperiment:
         assert model is not None  # fitted in __init__
         return model
 
-    def _score(self, model: HDCModel) -> float:
-        queries = (
-            self._eval_packed
-            if packed_backend_enabled()
-            else self.eval_queries
-        )
-        return float(np.mean(model.predict(queries) == self.eval_labels))
-
     def score(self, model: HDCModel) -> float:
         """Accuracy of ``model`` on the held-out evaluation split.
 
         Public for external drivers (e.g. :mod:`repro.adversary`) that
         score model variants between their own attack/recovery steps.
         """
-        return self._score(model)
+        predictions = model.predict(self._eval_packed)
+        return float(np.mean(predictions == self.eval_labels))
 
     def attack_only(
         self,
@@ -169,7 +156,7 @@ class RecoveryExperiment:
         """Quality loss without recovery at one error rate."""
         rng = np.random.default_rng(seed)
         attacked, _ = attack(self.model, error_rate, mode, rng, **attack_kwargs)
-        return self.clean_accuracy - self._score(attacked)
+        return self.clean_accuracy - self.score(attacked)
 
     def attack_and_recover(
         self,
@@ -192,8 +179,7 @@ class RecoveryExperiment:
         through the vectorised recovery engine
         (:func:`repro.core.recovery.recover_block`).  Results are
         identical to the query-at-a-time loop for any block size, and
-        identical between the packed and float serving backends (see
-        ``repro.core.packed``).
+        on every kernel backend (see ``repro.core.kernels``).
 
         The returned outcome carries the injected
         :class:`~repro.faults.api.FaultMask`, the structured
@@ -214,7 +200,7 @@ class RecoveryExperiment:
             attacked, mask = attack(
                 self.model, error_rate, mode, rng, **attack_kwargs
             )
-            attacked_accuracy = self._score(attacked)
+            attacked_accuracy = self.score(attacked)
             recovery = RobustHDRecovery(
                 attacked, config, seed=seed + 1, publisher=publisher
             )
@@ -225,13 +211,8 @@ class RecoveryExperiment:
                     order = order_rng.permutation(
                         self.stream_queries.shape[0]
                     )
-                    stream = (
-                        self._stream_packed[order]
-                        if packed_backend_enabled()
-                        else self.stream_queries[order]
-                    )
-                    recovery.process(stream)
-                    accuracy_trace.append(self._score(attacked))
+                    recovery.process(self._stream_packed[order])
+                    accuracy_trace.append(self.score(attacked))
             finally:
                 # The recovery writer is done (or dead): deregister it so
                 # concurrent readers stop treating heartbeat age as a

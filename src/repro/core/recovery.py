@@ -44,7 +44,7 @@ from repro.core.chunks import (
     detect_faulty_chunks_batch,  # noqa: F401
 )
 from repro.core.confidence import prediction_confidence
-from repro.core.model import HDCModel, _is_binary
+from repro.core.model import HDCModel, _query_words
 from repro.core.packed import PackedHypervectors, _pack_bits
 from repro.obs.metrics import current as _metrics
 from repro.obs.trace import RecoveryBlockEvent, RecoveryTrace
@@ -285,18 +285,9 @@ def _block_words(
     else raises before the walk starts, naming the first offending
     ``(row, dim)``.
     """
-    if isinstance(queries, PackedHypervectors):
-        if queries.dim != model.dim:
-            raise ValueError(
-                f"queries must have dim {model.dim}, got {queries.dim}"
-            )
-        return queries
-    queries = np.atleast_2d(queries)
-    if queries.ndim != 2 or queries.shape[1] != model.dim:
-        raise ValueError(
-            f"queries must have dim {model.dim}, got shape {queries.shape}"
-        )
-    if not _is_binary(queries):
+    words = _query_words(model, queries)
+    if words is None:  # float rows, or integers other than 0/1
+        queries = np.atleast_2d(queries)
         bad = np.argwhere((queries != 0) & (queries != 1))
         if bad.size:
             row, dim = (int(i) for i in bad[0])
@@ -305,10 +296,8 @@ def _block_words(
                 f"{dim}) is not 0 or 1: recovery writes query bits into "
                 "the 1-bit model"
             )
-    return PackedHypervectors(
-        words=_pack_bits(queries.astype(np.uint8, copy=False)),
-        dim=model.dim,
-    )
+        words = _pack_bits(queries.astype(np.uint8, copy=False))
+    return PackedHypervectors(words=words, dim=model.dim)
 
 
 def recover_block(
@@ -345,10 +334,9 @@ def recover_block(
     ``Encoder.encode_packed`` output).  Unpacked rows must hold only 0s
     and 1s (any dtype); anything else raises a ``ValueError`` before the
     model is touched.  Rows are packed once per block, and the repair
-    reads the packed words.  Under
-    :func:`~repro.core.packed.float_backend` the two tables come from
-    the float reference instead; nothing else changes, and results are
-    bit-identical either way.
+    reads the packed words.  Under ``use_kernel_backend("reference")``
+    the tables and the repairs come from the unpacked oracle; results
+    are bit-identical on every kernel backend.
 
     The walk records each row once: its faulty-chunk mask, and the bits
     it repaired per (class, chunk).  A row's gate values are final once

@@ -67,6 +67,7 @@ correlation against recovery publishes
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import threading
 import time
@@ -76,7 +77,7 @@ from multiprocessing import connection
 
 import numpy as np
 
-from repro.core.encoder import Encoder
+from repro.core.encoder import Encoder, _check_finite
 from repro.core.model import HDCClassifier, HDCModel
 from repro.obs.metrics import current as _metrics
 from repro.obs.telemetry import (
@@ -741,10 +742,12 @@ class ServingEngine:
         for request in requests:
             tenant_idx = self._require_tenant(request.tenant)
             payload_words, kind = self._check_payload(request, tenant_idx)
-            deadline_ns = (
-                now_ns + int(request.deadline * 1e9)
-                if request.deadline else 0
-            )
+            deadline = request.deadline
+            if deadline and not math.isfinite(deadline):
+                raise ValueError(
+                    f"deadline must be finite seconds, got {deadline!r}"
+                )
+            deadline_ns = now_ns + int(deadline * 1e9) if deadline else 0
             prepared.append(
                 (payload_words, kind, deadline_ns, tenant_idx,
                  request.trace_id)
@@ -821,6 +824,9 @@ class ServingEngine:
                     f"expected (n, {slot_cfg.num_features}) features, "
                     f"got {payload.shape}"
                 )
+            # A NaN/inf row would raise in the worker's quantiser and
+            # kill every replica the frame is re-routed to.
+            _check_finite(payload)
             payload_words = payload.view(np.uint64)
             kind = PAYLOAD_FEATURES
         else:

@@ -162,6 +162,8 @@ async def _read_request(request_line: bytes, reader):
         raise _HttpError(
             400, {"error": "content-length is not an integer"}
         ) from None
+    if length < 0:
+        raise _HttpError(400, {"error": f"content-length {length} is negative"})
     if length > _MAX_BODY_BYTES:
         raise _HttpError(
             400, {"error": f"body of {length} bytes exceeds the "

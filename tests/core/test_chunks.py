@@ -12,7 +12,7 @@ from repro.core.chunks import (
 )
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import float_backend, pack
+from repro.core.packed import pack
 from repro.datasets.synthetic import make_prototype_classification
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
@@ -119,10 +119,10 @@ class TestBatchedChunkOps:
     def test_batch_equals_loop_fallback(self, fitted):
         model, queries, _ = fitted
         batched = chunk_similarities_batch(model, queries[:16], 10)
-        with float_backend():
-            looped = np.stack(
-                [chunk_similarities(model, q, 10) for q in queries[:16]]
-            )
+        looped = np.stack([
+            chunk_similarities(model, q.astype(np.float64), 10)
+            for q in queries[:16]
+        ])
         assert (batched == looped).all()
 
     # Chunk sizes 1000, 125, 100, 25 and 1: none a multiple of 64.
@@ -133,8 +133,9 @@ class TestBatchedChunkOps:
         take the packed kernel and equal the float einsum exactly."""
         model, queries, _ = fitted
         block = queries[:12]
-        with float_backend():
-            einsum = chunk_similarities_batch(model, block, num_chunks)
+        einsum = chunk_similarities_batch(
+            model, block.astype(np.float64), num_chunks
+        )
         with use_metrics(MetricsRegistry()) as registry:
             from_uint8 = chunk_similarities_batch(model, block, num_chunks)
             from_packed = chunk_similarities_batch(

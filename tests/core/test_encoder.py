@@ -14,7 +14,8 @@ from repro.core.encoder import (
     quantize_features,
 )
 from repro.core.hypervector import hamming_distance
-from repro.core.packed import PackedHypervectors, float_backend, unpack
+from repro.core import kernels
+from repro.core.packed import PackedHypervectors, unpack
 
 
 class TestQuantizeFeatures:
@@ -198,10 +199,10 @@ class TestPackedEncodingEquivalence:
 
     @given(encoder_and_batch())
     @settings(deadline=None)
-    def test_float_backend_matches(self, case):
+    def test_reference_kernel_matches(self, case):
         enc, batch = case
         fast = enc.encode_batch(batch)
-        with float_backend():
+        with kernels.use_kernel_backend("reference"):
             assert (enc.encode_batch(batch) == fast).all()
 
     def test_single_feature_majority(self):

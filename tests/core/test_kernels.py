@@ -540,19 +540,24 @@ class TestRegistry:
     def test_instances_are_shared(self):
         assert kernels.get_backend("numpy") is kernels.get_backend("numpy")
 
-    def test_set_kernel_backend_by_name_and_instance(self):
-        try:
-            kernels.set_kernel_backend("reference")
+    def test_use_kernel_backend_by_name_and_instance(self):
+        with kernels.use_kernel_backend("reference"):
             assert kernels.active_backend().name == "reference"
             instance = kernels.NumpyPackedBackend()
-            kernels.set_kernel_backend(instance)
-            assert kernels.active_backend() is instance
-        finally:
-            kernels.set_kernel_backend(None)
+            with kernels.use_kernel_backend(instance) as active:
+                assert active is instance
+                assert kernels.active_backend() is instance
+            assert kernels.active_backend().name == "reference"
 
-    def test_set_kernel_backend_rejects_garbage(self):
+    def test_use_kernel_backend_rejects_garbage(self):
+        before = kernels.active_backend()
         with pytest.raises(TypeError):
-            kernels.set_kernel_backend(42)
+            with kernels.use_kernel_backend(42):
+                pass
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            with kernels.use_kernel_backend("tpu"):
+                pass
+        assert kernels.active_backend() is before
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setattr(kernels, "_ACTIVE", None)

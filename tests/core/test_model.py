@@ -12,7 +12,7 @@ from repro.core.model import (
     _perceptron_epoch_reference,
     quantize_accumulator,
 )
-from repro.core.packed import float_backend, pack
+from repro.core.packed import pack, unpack
 from repro.datasets.synthetic import make_prototype_classification
 
 
@@ -136,8 +136,7 @@ class TestPackedModelCache:
         assert after is not before
         assert after.version > before.version
         # The refreshed snapshot serves the mutated bits.
-        with float_backend():
-            expected = m.predict(queries)
+        expected = m.predict(queries.astype(np.float64))
         assert (m.predict(queries) == expected).all()
 
     def test_bump_version_is_explicit_contract(self):
@@ -155,8 +154,7 @@ class TestPackedModelCache:
         with c.writable() as hv:
             hv[:, :10] ^= 1
         for model in (m, c):
-            with float_backend():
-                expected = model.predict(queries)
+            expected = model.predict(queries.astype(np.float64))
             assert (model.predict(queries) == expected).all()
 
     def test_packed_rejects_multibit(self):
@@ -384,11 +382,11 @@ class TestPackedQueryIngest:
             fitted.model.predict(packed) == fitted.model.predict(encoded)
         ).all()
 
-    def test_float_backend_unpacks(self, task, encoder, fitted):
+    def test_float_queries_match_packed(self, task, encoder, fitted):
         packed = encoder.encode_packed(task.test_x[:10])
         want = fitted.model.predict(packed)
-        with float_backend():
-            assert (fitted.model.predict(packed) == want).all()
+        as_float = unpack(packed).astype(np.float64)
+        assert (fitted.model.predict(as_float) == want).all()
 
     def test_dim_mismatch_rejected(self, fitted):
         bad = pack(np.zeros((2, 64), dtype=np.uint8))

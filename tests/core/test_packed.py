@@ -12,16 +12,14 @@ from repro.core.packed import (
     PackedHypervectors,
     bit_plane_ge,
     bit_plane_sum,
-    float_backend,
     pack,
     pack_model,
-    packed_backend_enabled,
     packed_bind,
     packed_hamming_distance,
     packed_popcount,
-    set_packed_backend,
     unpack,
 )
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 @st.composite
@@ -166,15 +164,15 @@ def model_and_queries(draw):
 
 
 class TestBackendEquivalence:
-    """The packed engine must be bit-identical to the float64 reference."""
+    """The packed engine must be bit-identical to the float64 reference,
+    which float queries take."""
 
     @given(model_and_queries())
     @settings(deadline=None)
     def test_similarities_bit_identical(self, mq):
         model, queries = mq
         packed_sims = model.similarities(queries)
-        with float_backend():
-            float_sims = model.similarities(queries)
+        float_sims = model.similarities(queries.astype(np.float64))
         assert (packed_sims == float_sims).all()
 
     @given(model_and_queries())
@@ -182,8 +180,7 @@ class TestBackendEquivalence:
     def test_predict_identical_including_ties(self, mq):
         model, queries = mq
         packed_preds = model.predict(queries)
-        with float_backend():
-            float_preds = model.predict(queries)
+        float_preds = model.predict(queries.astype(np.float64))
         assert (packed_preds == float_preds).all()
 
     @given(model_and_queries(), st.integers(min_value=1, max_value=4))
@@ -193,8 +190,9 @@ class TestBackendEquivalence:
         divisors = [m for m in range(1, model.dim + 1) if model.dim % m == 0]
         num_chunks = divisors[min(chunk_factor, len(divisors) - 1)]
         packed_sims = chunk_similarities_batch(model, queries, num_chunks)
-        with float_backend():
-            float_sims = chunk_similarities_batch(model, queries, num_chunks)
+        float_sims = chunk_similarities_batch(
+            model, queries.astype(np.float64), num_chunks
+        )
         assert (packed_sims == float_sims).all()
 
     @given(hv_batch())
@@ -212,22 +210,45 @@ class TestBackendEquivalence:
         assert (got == ref).all()
 
 
-class TestBackendToggle:
-    def test_enabled_by_default(self):
-        assert packed_backend_enabled()
+QUERY_FORMS = {
+    "uint8": lambda q: q,
+    "bool": lambda q: q.astype(bool),
+    "int64": lambda q: q.astype(np.int64),
+    "float64": lambda q: q.astype(np.float64),
+    "packed": pack,
+}
 
-    def test_context_manager_restores(self):
-        assert packed_backend_enabled()
-        with float_backend():
-            assert not packed_backend_enabled()
-        assert packed_backend_enabled()
 
-    def test_set_packed_backend(self):
-        try:
-            set_packed_backend(False)
-            assert not packed_backend_enabled()
-        finally:
-            set_packed_backend(True)
+class TestInputPicksPath:
+    """The query's form alone picks the packed or the float path: a
+    1-bit model packs 0/1 integer, bool and packed queries; float
+    queries and a multi-bit model take the float64 reference.  Every
+    form gets the same table."""
+
+    @pytest.mark.parametrize("bits", [1, 2])
+    @pytest.mark.parametrize("form", sorted(QUERY_FORMS))
+    def test_counter_and_table(self, form, bits):
+        rng = np.random.default_rng(5)
+        model = HDCModel(
+            rng.integers(0, 1 << bits, (4, 200), dtype=np.uint8), bits=bits
+        )
+        rows = rng.integers(0, 2, (6, 200), dtype=np.uint8)
+        oracle = rows.astype(np.float64)
+        want_sims = model.similarities(oracle)
+        want_chunks = chunk_similarities_batch(model, oracle, 8)
+        queries = QUERY_FORMS[form](rows)
+        with use_metrics(MetricsRegistry()) as registry:
+            sims = model.similarities(queries)
+            chunks = chunk_similarities_batch(model, queries, 8)
+        path, other = "packed", "float"
+        if bits != 1 or form == "float64":
+            path, other = other, path
+        assert registry.counter(f"model.similarity_batches_{path}") == 1
+        assert registry.counter(f"model.similarity_batches_{other}") == 0
+        assert registry.counter(f"chunks.detect_batches_{path}") == 1
+        assert registry.counter(f"chunks.detect_batches_{other}") == 0
+        assert (sims == want_sims).all()
+        assert (chunks == want_chunks).all()
 
 
 class TestPopcountFastPath:

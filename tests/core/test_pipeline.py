@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.packed import float_backend
+from repro.core import kernels
 from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import RecoveryConfig
 from repro.datasets.synthetic import make_prototype_classification
@@ -81,20 +81,21 @@ class TestAttackAndRecover:
 
     def test_packed_and_float_outcomes_identical(self, experiment):
         """End to end: the same seeded attack→recover run produces an
-        identical RecoveryOutcome on the packed and float backends."""
+        identical RecoveryOutcome on the default kernels and on the
+        unpacked reference oracle."""
         packed_out = experiment.attack_and_recover(0.10, passes=2, seed=6)
-        with float_backend():
-            float_out = experiment.attack_and_recover(0.10, passes=2, seed=6)
-        assert packed_out.attacked_accuracy == float_out.attacked_accuracy
-        assert packed_out.recovered_accuracy == float_out.recovered_accuracy
-        assert packed_out.accuracy_trace == float_out.accuracy_trace
+        with kernels.use_kernel_backend("reference"):
+            ref_out = experiment.attack_and_recover(0.10, passes=2, seed=6)
+        assert packed_out.attacked_accuracy == ref_out.attacked_accuracy
+        assert packed_out.recovered_accuracy == ref_out.recovered_accuracy
+        assert packed_out.accuracy_trace == ref_out.accuracy_trace
         assert (
             packed_out.stats.bits_substituted
-            == float_out.stats.bits_substituted
+            == ref_out.stats.bits_substituted
         )
         assert (
             packed_out.stats.confidence_trace
-            == float_out.stats.confidence_trace
+            == ref_out.stats.confidence_trace
         )
 
     def test_block_size_does_not_change_outcome(self, experiment):

@@ -12,7 +12,7 @@ import repro.core.recovery as recovery
 from repro.core import kernels
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
-from repro.core.packed import float_backend, pack
+from repro.core.packed import pack
 from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import (
     RecoveryConfig,
@@ -220,18 +220,18 @@ class TestRecoverBlock:
                 trace.repair_bit_counts() == ref_trace.repair_bit_counts()
             ).all()
 
-    def test_packed_and_float_backends_identical(self, fitted):
+    def test_reference_kernel_identical(self, fitted):
         attacked, queries = self._attacked(fitted)
         packed_model, packed_preds, packed_trace = self._run(
             attacked, queries[:60], 16
         )
-        with float_backend():
-            float_model, float_preds, float_trace = self._run(
+        with kernels.use_kernel_backend("reference"):
+            ref_model, ref_preds, ref_trace = self._run(
                 attacked, queries[:60], 16
             )
-        assert (packed_preds == float_preds).all()
-        assert (packed_model.class_hv == float_model.class_hv).all()
-        assert packed_trace == float_trace
+        assert (packed_preds == ref_preds).all()
+        assert (packed_model.class_hv == ref_model.class_hv).all()
+        assert packed_trace == ref_trace
 
     def test_recover_step_is_block_of_one(self, fitted):
         attacked, queries = self._attacked(fitted)
@@ -427,7 +427,7 @@ class TestBlockEqualsSteps:
     def _check(self, model, queries, config, packed_input):
         expected = self._steps(model, queries, config)
         got = self._block(model, queries, config, packed_input)
-        with float_backend():
+        with kernels.use_kernel_backend("reference"):
             oracle = self._block(model, queries, config, packed_input)
         for preds, class_hv, block_stats, event in (got, oracle):
             assert (preds == expected[0]).all()

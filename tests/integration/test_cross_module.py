@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier
-from repro.core.packed import float_backend, pack, packed_hamming_distance
+from repro.core.packed import pack, packed_hamming_distance
 from repro.datasets.synthetic import make_prototype_classification
 from repro.faults.api import attack
 from repro.pim.dpim import DPIM
@@ -32,8 +32,7 @@ class TestThreeWayPredictionAgreement:
         """The numpy reference, the packed backend and the functional
         crossbar executor all classify identically."""
         model, queries = fitted
-        with float_backend():
-            ref = model.predict(queries[:15])
+        ref = model.predict(queries[:15].astype(np.float64))
         packed = model.predict(queries[:15])
         pim = HDCExecutor(model, tile_rows=512).classify_batch(queries[:15])
         assert (ref == packed).all()
@@ -45,8 +44,7 @@ class TestThreeWayPredictionAgreement:
         attacked, _ = attack(
             model, 0.15, "random", np.random.default_rng(0)
         )
-        with float_backend():
-            ref = attacked.predict(queries[:10])
+        ref = attacked.predict(queries[:10].astype(np.float64))
         packed = attacked.predict(queries[:10])
         pim = HDCExecutor(attacked, tile_rows=512).classify_batch(queries[:10])
         assert (ref == packed).all()

@@ -155,6 +155,48 @@ class TestErrorGrades:
         assert payload["error"] == "EXPIRED"
         assert stack["server"].admission.inflight == 0
 
+    @pytest.mark.parametrize(
+        "deadline_ms", ["Infinity", "NaN", "1e400", "-Infinity"]
+    )
+    def test_non_finite_deadline_is_400(self, stack, deadline_ms):
+        """``1e400`` is valid JSON that parses to inf; an infinite
+        deadline used to overflow past the handler and hold its
+        admission token for good."""
+        port = stack["server"].http_port
+        task, clf = stack["task"], stack["clf"]
+        words = clf.encoder.encode_packed(task.test_x[:2]).words
+        body = '{"tenant": "alpha", "packed": %s, "deadline_ms": %s}' % (
+            json.dumps(words.tolist()), deadline_ms
+        )
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("POST", "/v1/predict", body=body)
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert "deadline" in payload["error"]
+        assert stack["server"].admission.inflight == 0
+        assert stack["engine"].in_flight == 0
+
+    def test_negative_content_length_is_400(self, stack):
+        sock = socket.create_connection(
+            ("127.0.0.1", stack["server"].http_port), timeout=5
+        )
+        try:
+            sock.sendall(
+                b"POST /v1/predict HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        finally:
+            sock.close()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {"error": "content-length -1 is negative"}
+
 
 class TestKeepAlive:
     def test_connection_survives_mixed_outcomes(self, stack):

@@ -6,7 +6,8 @@ each driven through the same seven outcomes, and the exact reply is
 asserted: frame kind, tenant, trace id, code, detail, retry hint and
 CREDIT grants on TCP; status, JSON body and ``Retry-After`` on HTTP.
 After every case the gateway holds no admission token and the engine no
-in-flight request.
+in-flight request.  A NaN or ±inf feature row on each ingress is refused
+the same typed way, and no worker dies of it.
 """
 
 import asyncio
@@ -19,7 +20,12 @@ import pytest
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier
 from repro.datasets.synthetic import make_prototype_classification
-from repro.serve import ServeRequest, ServingEngine, TenantRegistry
+from repro.serve import (
+    GatewayClient,
+    ServeRequest,
+    ServingEngine,
+    TenantRegistry,
+)
 from repro.serve.client import GatewayError, GatewayRejected
 from repro.serve.gateway import GatewayServer
 from repro.serve.protocol import (
@@ -73,6 +79,8 @@ def world():
     stopped = _engine(clf)
     throttled = _engine(clf, backpressure_timeout=BACKPRESSURE_TIMEOUT)
     yield {
+        "clf": clf,
+        "features": task.test_x[:4],
         "words": words,
         "expected": clf.predict(task.test_x[:4]),
         "live": live,
@@ -325,8 +333,6 @@ def test_ingress_outcome(world, ingress, outcome):
 
 def test_typed_client_exceptions_match_the_table(world):
     """The typed client exceptions carry the table's codes and details."""
-    from repro.serve import GatewayClient
-
     engine = world["live"]
     words = world["words"]
     server = GatewayServer(engine).start()
@@ -349,4 +355,71 @@ def test_typed_client_exceptions_match_the_table(world):
         assert server.admission.inflight == 0
     finally:
         server.stop()
+    assert engine.in_flight == 0
+
+
+# -- non-finite feature rows ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def replicas(world):
+    """Two replicas, so a poisoned frame re-routed after a worker death
+    would reach (and kill) the second one too."""
+    engine = ServingEngine(world["clf"], num_workers=2)
+    server = GatewayServer(engine, http_port=0).start()
+    yield engine, server
+    server.stop()
+    engine.stop()
+
+
+def _features_http(port, rows):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", "/v1/predict",
+                     body=json.dumps({"features": rows.tolist()}))
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("ingress", ["http", "tcp_single", "tcp_batch"])
+def test_non_finite_features_are_bad_requests(world, replicas, ingress, bad):
+    """A NaN or ±inf feature row is refused at submit with a typed
+    BAD_REQUEST; no worker dies and the next request is served."""
+    engine, server = replicas
+    rows, expected = world["features"], world["expected"]
+    poisoned = rows.copy()
+    poisoned[1, 3] = bad
+    detail = "non-finite value(s) (NaN/inf) at position(s) (1, 3)"
+    if ingress == "http":
+        status, payload = _features_http(server.http_port, poisoned)
+        assert status == 400
+        assert detail in payload["error"]
+        status, payload = _features_http(server.http_port, rows)
+        assert (status, payload) == (200, {"predictions": expected.tolist()})
+    else:
+        with GatewayClient("127.0.0.1", server.port, timeout=10) as client:
+            if ingress == "tcp_single":
+                with pytest.raises(GatewayError) as info:
+                    client.predict(poisoned, features=True)
+                error = info.value
+                assert detail in str(error)
+                served = client.predict(rows, features=True)
+            else:
+                # A batch reply carries per-entry codes, not details.
+                error = client.submit_batch(
+                    [rows[:1], poisoned], features=True,
+                    return_exceptions=True,
+                )[1]
+                served = np.concatenate(client.submit_batch(
+                    [rows[:1], rows[1:]], features=True,
+                ))
+            assert isinstance(error, GatewayError)
+            assert error.code == ErrorCode.BAD_REQUEST
+            np.testing.assert_array_equal(served, expected)
+    assert engine.live_workers == 2
+    assert engine.worker_errors == []
+    assert server.admission.inflight == 0
     assert engine.in_flight == 0
