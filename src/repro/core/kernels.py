@@ -1,6 +1,6 @@
 """Pluggable packed-kernel backends for encoding and serving.
 
-Every 1-bit hot path in this repo bottoms out in one of three
+Every 1-bit hot path in this repo bottoms out in one of four
 primitives over packed uint64 words (64 dimensions per word):
 
 * ``chunk_distance_table(queries, model, num_chunks, chunk_bits)`` — the
@@ -23,8 +23,12 @@ primitives over packed uint64 words (64 dimensions per word):
   class's column of the chunk and similarity tables of the rows still
   ahead in the block, so the recovery walk never repacks the model or
   recomputes a table.
+* ``recover_walk(class_hv, words, sims, table, gate, rng, flags,
+  repair_bits, ...)`` — a recovery block's whole row walk: the
+  confidence gate, the detector's rule on each trusted row's chunk
+  similarities, and one write per row that flags chunks.
 
-This module puts all three behind a :class:`KernelBackend` contract so
+This module puts all four behind a :class:`KernelBackend` contract so
 the computation can move between substrates without the callers
 changing:
 
@@ -32,8 +36,8 @@ changing:
   XOR + ``np.bitwise_count`` with reused scratch buffers and per-word
   counts summed per chunk; the ``bit_plane_sum``/``bit_plane_ge``
   adder tree over gathered word arrays for encoding; per-chunk packed
-  flip masks for a repair.  The only path on hosts without a C
-  compiler.
+  flip masks for a repair; the walk is the base class's Python loop.
+  The only path on hosts without a C compiler.
 * :class:`ReferenceBackend` — the unpacked uint8 oracle: broadcast XOR
   on raw bits, a plain count of the unpacked bound rows, and a repair
   that compares unpacked bits chunk by chunk.  Slow, obviously
@@ -42,8 +46,9 @@ changing:
 * :class:`NativeCpuBackend` — C kernels compiled on first use (cached
   per host) and the default wherever a C compiler is present: a fused
   XOR+popcount+accumulate chunk distance table, a bit-sliced carry-save
-  majority encoder and a one-pass repair, each with no table-sized
-  intermediates and the GIL released for the duration.
+  majority encoder, a one-pass repair and the whole recovery walk in
+  one call, each with no table-sized intermediates and the GIL released
+  for the duration.
 
 Backends are *stateless* over immutable inputs, so one instance is
 shared process-wide.  The active backend is resolved in this order:
@@ -76,7 +81,7 @@ from __future__ import annotations
 import functools
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -276,17 +281,20 @@ def _repair_operands(
 class KernelBackend:
     """Contract every packed-kernel backend implements.
 
-    A backend implements three operations: it computes exact integer
+    A backend implements four operations: it computes exact integer
     Hamming distances between packed uint64 word arrays
     (:meth:`chunk_distance_table` — per chunk, with the whole-row
     :meth:`distance_table`, defined here on top of it, as the one-chunk
     case), majority-bundles bound-codebook rows into packed encodings
-    (:meth:`encode_words`), and applies one recovery write
-    (:meth:`repair_row`).  Implementations must be bit-identical to
-    :class:`ReferenceBackend` — the serving tier treats the table as
-    ground truth (argmin ties included), the recovery walk replays a
-    query-at-a-time loop from the patched tables, and the equivalence
-    oracle in ``tests/core/test_kernels.py`` holds every backend to it.
+    (:meth:`encode_words`), applies one recovery write
+    (:meth:`repair_row`) and walks a recovery block
+    (:meth:`recover_walk`, a Python loop over :meth:`repair_row` here,
+    one C call on :class:`NativeCpuBackend`).  Implementations must be
+    bit-identical to :class:`ReferenceBackend` — the serving tier treats
+    the table as ground truth (argmin ties included), the recovery walk
+    replays a query-at-a-time loop from the patched tables, and the
+    equivalence oracle in ``tests/core/test_kernels.py`` holds every
+    backend to it.
     """
 
     #: Registry key and the ``kernel_backend`` tag in BENCH artifacts.
@@ -380,6 +388,78 @@ class KernelBackend:
         computation.
         """
         raise NotImplementedError
+
+    def recover_walk(
+        self,
+        class_hv: np.ndarray,
+        words: np.ndarray,
+        sims: np.ndarray,
+        table: np.ndarray,
+        gate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+        rng: np.random.Generator,
+        flags: np.ndarray,
+        repair_bits: np.ndarray,
+        *,
+        threshold: float,
+        margin: float,
+        rate: float,
+        temperature: float,
+        noise_scale: float | None,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The recovery walk over one block; returns ``(preds, conf, writes)``.
+
+        ``class_hv`` is the ``(k, D)`` uint8 1-bit model, written in
+        place; ``words`` the block's ``(b, W)`` packed rows; ``sims``
+        ``(b, k)`` and ``table`` ``(b, m, k)`` its similarity and chunk
+        similarity tables, patched in place; chunk ``j`` is the bits
+        ``[j·d, (j+1)·d)`` with ``d = D // m``.  ``gate(rows)`` maps
+        similarity rows to their predictions and confidences.  Rows are
+        walked in order.  A row whose confidence is not below
+        ``threshold`` is trusted; its chunks where a rival class beats
+        the predicted one by more than ``margin`` are flagged, each
+        adding 1 to ``flags[pred, chunk]`` ``(k, m)``.  A trusted row
+        that flags ``c`` chunks makes one model write: ``c·d`` draws of
+        ``rng.random``, in ascending chunk order, and one
+        :meth:`repair_row` into the predicted class at substitution rate
+        ``rate``, which patches the tables of the rows still ahead; each
+        chunk's changed bits are added to ``repair_bits[pred, chunk]``
+        ``(k, m)``.  A row's similarities are final once the walk has
+        passed it, so the returned ``preds`` and ``conf`` are the gate
+        over the final ``sims``; ``writes`` counts the model writes.
+
+        This loop is the oracle every backend replays: the gate over
+        the block, then, after each write that changed bits, over the
+        rows ahead.  ``temperature`` and ``noise_scale`` (the gate's
+        similarity-noise std at ``k = 2``, else ``None``) restate the
+        gate's rule for a backend that evaluates it natively.
+        """
+        num_queries = words.shape[0]
+        chunk_bits = class_hv.shape[1] // table.shape[1]
+        preds, conf = gate(sims)
+        writes = 0
+        for j in range(num_queries):
+            if conf[j] < threshold:
+                continue
+            predicted = int(preds[j])
+            row = table[j]
+            chunks = np.flatnonzero(
+                row.max(axis=1) - row[:, predicted] > margin
+            )
+            if not chunks.size:
+                continue
+            flags[predicted, chunks] += 1
+            writes += 1
+            draws = rng.random((chunks.size, chunk_bits))
+            ahead = slice(j + 1, None)
+            changed = self.repair_row(
+                class_hv[predicted], words[j], chunks, chunk_bits,
+                draws, rate, words[ahead],
+                table[ahead, :, predicted], sims[ahead, predicted],
+            )
+            repair_bits[predicted, chunks] += changed
+            if changed.any() and j + 1 < num_queries:
+                preds[ahead], conf[ahead] = gate(sims[ahead])
+        return preds, conf, writes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -606,11 +686,19 @@ class ReferenceBackend(KernelBackend):
 # ``repro_repair_row`` is one recovery write: the substitution into one
 # uint8 class row chunk by chunk, each chunk's flipped bits gathered
 # into a word mask, and one masked popcount per row ahead and chunk for
-# the similarity patch.
+# the similarity patch.  ``repro_recover_walk`` is a block's whole
+# recovery walk around the same repair: per row it predicts the first
+# maximum similarity, evaluates the confidence gate (handing a row
+# whose confidence lies within a tiny band of the threshold back to
+# Python, where rounding could decide it differently), flags chunks by
+# the detector's rule and draws a write's doubles from the Generator's
+# own bit generator — the ``next_double`` calls ``Generator.random``
+# makes.
 # ``-march=native`` lets the compiler vectorise the popcount
 # (AVX512-VPOPCNTDQ where the host has it) and the BLK-word adder
 # loops; ``restrict`` is what licenses that vectorisation.
 _NATIVE_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -789,18 +877,15 @@ int repro_encode_words(const uint64_t *codebook, int64_t fs, int64_t ls,
    of row s < r ahead by +1 where the row's bit equals the new model bit
    (the query's), else -1: per chunk 2 * agree - changed[t], added to
    chunk_sims[s * cs + j * cj] and to sims[s * ss] (strides in
-   elements).  Rows are w words long.  Returns 0, or -1 if the flip
-   mask could not be allocated. */
-int repro_repair_row(uint8_t *restrict row, const uint64_t *restrict query,
-                     const int64_t *restrict chunks, int64_t c, int64_t d,
-                     const double *restrict draws, double rate,
-                     const uint64_t *restrict ahead, int64_t r, int64_t w,
-                     double *chunk_sims, int64_t cs, int64_t cj,
-                     double *sims, int64_t ss, int64_t *restrict changed)
+   elements).  Rows are w words long; flip is w words of scratch. */
+static void repair(uint8_t *restrict row, const uint64_t *restrict query,
+                   const int64_t *restrict chunks, int64_t c, int64_t d,
+                   const double *restrict draws, double rate,
+                   const uint64_t *restrict ahead, int64_t r, int64_t w,
+                   double *chunk_sims, int64_t cs, int64_t cj,
+                   double *sims, int64_t ss, int64_t *restrict changed,
+                   uint64_t *restrict flip)
 {
-    uint64_t *flip = malloc(sizeof *flip * (size_t)(w ? w : 1));
-    if (flip == NULL)
-        return -1;
     for (int64_t t = 0; t < c; t++) {
         int64_t lo = chunks[t] * d, hi = lo + d;
         int64_t first = lo >> 6, last = (hi - 1) >> 6;
@@ -828,8 +913,152 @@ int repro_repair_row(uint8_t *restrict row, const uint64_t *restrict query,
             sims[s * ss] += delta;
         }
     }
+}
+
+/* repair() with its own flip mask.  Returns 0, or -1 if the mask could
+   not be allocated. */
+int repro_repair_row(uint8_t *restrict row, const uint64_t *restrict query,
+                     const int64_t *restrict chunks, int64_t c, int64_t d,
+                     const double *restrict draws, double rate,
+                     const uint64_t *restrict ahead, int64_t r, int64_t w,
+                     double *chunk_sims, int64_t cs, int64_t cj,
+                     double *sims, int64_t ss, int64_t *restrict changed)
+{
+    uint64_t *flip = malloc(sizeof *flip * (size_t)(w ? w : 1));
+    if (flip == NULL)
+        return -1;
+    repair(row, query, chunks, c, d, draws, rate, ahead, r, w,
+           chunk_sims, cs, cj, sims, ss, changed, flip);
     free(flip);
     return 0;
+}
+
+/* numpy.random's bitgen_t (numpy/random/bitgen.h), the struct a
+   Generator's bit_generator.ctypes.bit_generator points to.  Generator
+   .random() fills its output with next_double, one call per element. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+
+/* Half-width of the band around the gate's threshold, applied to the
+   margin before the temperature and to the confidence, inside which
+   this evaluation and NumPy's could round to different sides. */
+#define GATE_BAND 1e-9
+
+/* The gate's trust decision for one row s[0..k), k >= 2, whose first
+   maximum is s[pred]: 1 trusted, 0 not, -1 within the band.  The margin
+   is the winner's over the runner-up: in similarity-noise units when
+   noise_scale > 0, else in standard deviations of the row (1 when the
+   row is flat), as repro.core.confidence computes it. */
+static int gate_row(const double *s, int64_t k, int64_t pred,
+                    double threshold, double temperature, double noise_scale)
+{
+    double second = -INFINITY;
+    for (int64_t c = 0; c < k; c++)
+        if (c != pred && s[c] > second)
+            second = s[c];
+    double gap;
+    if (noise_scale > 0) {
+        gap = (s[pred] - second) / noise_scale;
+    } else {
+        double sum = 0.0, var = 0.0;
+        for (int64_t c = 0; c < k; c++)
+            sum += s[c];
+        double mean = sum / (double)k;
+        for (int64_t c = 0; c < k; c++)
+            var += (s[c] - mean) * (s[c] - mean);
+        double sd = sqrt(var / (double)k);
+        if (sd == 0.0)
+            sd = 1.0;
+        gap = (s[pred] - mean) / sd - (second - mean) / sd;
+    }
+    double lo = 1.0 / (1.0 + exp(-(gap - GATE_BAND) / temperature));
+    double hi = 1.0 / (1.0 + exp(-(gap + GATE_BAND) / temperature));
+    if (hi < threshold - GATE_BAND)
+        return 0;
+    if (lo >= threshold + GATE_BAND)
+        return 1;
+    return -1;
+}
+
+/* The recovery walk (KernelBackend.recover_walk) over rows [start, b)
+   of a block: words (b, w), sims (b, k), table (b, m, k), all
+   C-contiguous; class c of the uint8 model starts rs bytes after class
+   c - 1.  Row j is predicted as its first maximum similarity and
+   trusted by gate_row, or by decided (0 or 1) when j == start and
+   decided >= 0.  A trusted row flags chunk t where a class beats the
+   predicted one in table[j, t] by more than margin; if it flags any, it
+   draws c * d doubles from bitgen for its c flagged chunks and repairs
+   the predicted class with them, patching the rows ahead.  flags and
+   repair_bits (k, m) count the predicted class's flagged chunks and
+   changed bits; writes[0] counts the repairs.  Returns b when the walk
+   is done, the row whose trust gate_row left undecided, or -1 if
+   scratch memory could not be allocated. */
+int64_t repro_recover_walk(uint8_t *model, int64_t rs,
+                           const uint64_t *restrict words, int64_t b,
+                           int64_t w, double *sims, int64_t k,
+                           double *table, int64_t m, int64_t d,
+                           double threshold, double temperature,
+                           double noise_scale, double margin, double rate,
+                           bitgen_t *bitgen, int64_t start, int64_t decided,
+                           int64_t *restrict flags,
+                           int64_t *restrict repair_bits,
+                           int64_t *restrict writes)
+{
+    double *draws = malloc(sizeof *draws * (size_t)(m * d ? m * d : 1));
+    int64_t *chunks = malloc(sizeof *chunks * (size_t)(2 * m));
+    uint64_t *flip = malloc(sizeof *flip * (size_t)(w ? w : 1));
+    int64_t j = -1;
+    if (draws == NULL || chunks == NULL || flip == NULL)
+        goto done;
+    int64_t *changed = chunks + m;
+    for (j = start; j < b; j++) {
+        const double *s = sims + j * k;
+        int64_t pred = 0;
+        for (int64_t c = 1; c < k; c++)
+            if (s[c] > s[pred])
+                pred = c;
+        int trusted = j == start && decided >= 0
+            ? (int)decided
+            : gate_row(s, k, pred, threshold, temperature, noise_scale);
+        if (trusted < 0)
+            break;
+        if (!trusted)
+            continue;
+        const double *row = table + j * m * k;
+        int64_t c = 0;
+        for (int64_t t = 0; t < m; t++) {
+            const double *x = row + t * k;
+            double top = x[0];
+            for (int64_t i = 1; i < k; i++)
+                if (x[i] > top)
+                    top = x[i];
+            if (top - x[pred] > margin)
+                chunks[c++] = t;
+        }
+        if (!c)
+            continue;
+        for (int64_t i = 0; i < c * d; i++)
+            draws[i] = bitgen->next_double(bitgen->state);
+        repair(model + pred * rs, words + j * w, chunks, c, d, draws, rate,
+               words + (j + 1) * w, b - j - 1, w,
+               table + (j + 1) * m * k + pred, m * k, k,
+               sims + (j + 1) * k + pred, k, changed, flip);
+        for (int64_t t = 0; t < c; t++) {
+            flags[pred * m + chunks[t]] += 1;
+            repair_bits[pred * m + chunks[t]] += changed[t];
+        }
+        writes[0] += 1;
+    }
+done:
+    free(draws);
+    free(chunks);
+    free(flip);
+    return j;
 }
 """
 
@@ -864,7 +1093,7 @@ def _build_native_kernel():
         src.write_text(_NATIVE_SOURCE)
         tmp = cache / f"kernels-{tag}.{os.getpid()}.so"
         base = [compiler, "-O3", "-shared", "-fPIC",
-                "-o", str(tmp), str(src)]
+                "-o", str(tmp), str(src), "-lm"]
         try:
             subprocess.run(base[:2] + ["-march=native"] + base[2:],
                            check=True, capture_output=True, text=True,
@@ -896,6 +1125,17 @@ def _build_native_kernel():
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
     ]
     lib.repro_repair_row.restype = ctypes.c_int
+    lib.repro_recover_walk.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    lib.repro_recover_walk.restype = ctypes.c_int64
     return lib
 
 
@@ -910,7 +1150,9 @@ class NativeCpuBackend(KernelBackend):
     block's ``n`` bound words, instead of sweeping the whole batch once
     per adder step as the NumPy tree does.  A repair walks each flagged
     chunk's bits once and patches the rows ahead with one masked
-    popcount per word of the chunk.  ``available()`` is simply
+    popcount per word of the chunk; the recovery walk runs every row of
+    a block, its gate, detection, draws and repairs, in one call.
+    ``available()`` is simply
     "the kernels compiled here"; when they did not, :meth:`build_error`
     says why, and hosts without a toolchain fall back to
     :class:`NumpyPackedBackend` through the default resolution.  ctypes
@@ -1021,6 +1263,115 @@ class NativeCpuBackend(KernelBackend):
         if target is not row:
             row[:] = target
         return changed
+
+    def recover_walk(
+        self,
+        class_hv: np.ndarray,
+        words: np.ndarray,
+        sims: np.ndarray,
+        table: np.ndarray,
+        gate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+        rng: np.random.Generator,
+        flags: np.ndarray,
+        repair_bits: np.ndarray,
+        *,
+        threshold: float,
+        margin: float,
+        rate: float,
+        temperature: float,
+        noise_scale: float | None,
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The walk in one GIL-released C call, drawing from ``rng``'s bit
+        generator under its lock.
+
+        The kernel evaluates the gate's rule itself; a row whose
+        confidence lies within a tiny band of ``threshold``, where its
+        rounding and NumPy's could disagree, is decided by ``gate`` and
+        the walk resumes there.  The one ``gate`` call over the final
+        ``sims`` then gives the block's predictions and confidences.
+        """
+        lib = self._require()
+        words = _walk_operands(
+            class_hv, words, sims, table, flags, repair_bits
+        )
+        num_queries, num_classes = sims.shape
+        num_chunks = table.shape[1]
+        if num_classes < 2:
+            raise ValueError("need at least two classes to compute confidence")
+        # The kernel writes each class at unit stride; a strided model is
+        # walked in a copy.
+        target = (class_hv if class_hv.strides[1] == 1
+                  else np.ascontiguousarray(class_hv))
+        bitgen = rng.bit_generator
+        writes = np.zeros(1, dtype=np.int64)
+        start, decided = 0, -1
+        try:
+            while start < num_queries:
+                with bitgen.lock:
+                    stop = lib.repro_recover_walk(
+                        target.ctypes.data, target.strides[0],
+                        words.ctypes.data, num_queries, words.shape[1],
+                        sims.ctypes.data, num_classes, table.ctypes.data,
+                        num_chunks, class_hv.shape[1] // num_chunks,
+                        threshold, temperature, noise_scale or 0.0, margin,
+                        rate, bitgen.ctypes.bit_generator, start, decided,
+                        flags.ctypes.data, repair_bits.ctypes.data,
+                        writes.ctypes.data,
+                    )
+                if stop < 0:
+                    raise MemoryError("native recovery walk: scratch allocation")
+                if stop == num_queries:
+                    break
+                _, conf = gate(sims[stop : stop + 1])
+                start, decided = stop, int(not conf[0] < threshold)
+        finally:
+            if target is not class_hv:
+                class_hv[...] = target
+        return (*gate(sims), int(writes[0]))
+
+
+def _walk_operands(
+    class_hv, words, sims, table, flags, repair_bits
+) -> np.ndarray:
+    """Validate a native walk; returns ``words`` C-contiguous.
+
+    The kernel reads and writes every operand through raw pointers, so
+    the tables it patches and the records it fills must be C-contiguous
+    arrays of the walk's shapes.
+    """
+    if (
+        not isinstance(class_hv, np.ndarray) or class_hv.dtype != np.uint8
+        or class_hv.ndim != 2 or not class_hv.flags.writeable
+    ):
+        raise ValueError("expected a writeable (k, D) uint8 model")
+    (k, dim), words = class_hv.shape, np.ascontiguousarray(words)
+    if words.dtype != np.uint64 or words.ndim != 2 or (
+        words.shape[1] != -(-dim // 64)
+    ):
+        raise ValueError(
+            f"expected (b, {-(-dim // 64)}) uint64 words, got "
+            f"{words.dtype}{words.shape}"
+        )
+    b = words.shape[0]
+    m = table.shape[1] if getattr(table, "ndim", 0) == 3 else 0
+    for name, array, dtype, shape in (
+        ("sims", sims, np.float64, (b, k)),
+        ("table", table, np.float64, (b, m, k)),
+        ("flags", flags, np.int64, (k, m)),
+        ("repair_bits", repair_bits, np.int64, (k, m)),
+    ):
+        if (
+            not isinstance(array, np.ndarray) or array.dtype != dtype
+            or array.shape != shape or not array.flags.c_contiguous
+            or not array.flags.writeable
+        ):
+            raise ValueError(
+                f"{name} must be a writeable C-contiguous "
+                f"{np.dtype(dtype).name}{shape} array"
+            )
+    if not 1 <= m <= dim:
+        raise ValueError(f"{m} chunks do not fit the {dim}-bit model")
+    return words
 
 
 _BACKEND_CLASSES: dict[str, type[KernelBackend]] = {

@@ -214,8 +214,9 @@ def probabilistic_substitution(
     ``source`` must have the same shape; ``target`` is modified in place
     because it is a view into the live model tensor.  This is the rule
     for one chunk; :func:`recover_block` applies it to all of a row's
-    flagged chunks in one :meth:`~repro.core.kernels.KernelBackend.repair_row`
-    call, with the same draws.
+    flagged chunks in one write of the kernel backend's walk
+    (:meth:`~repro.core.kernels.KernelBackend.recover_walk`), with the
+    same draws.
     """
     if target.shape != source.shape:
         raise ValueError(
@@ -234,22 +235,32 @@ def _gate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and confidences ``(b,)`` from similarities ``(b, k)``.
 
-    The one place the confidence rule lives: a block's first gate and
-    every re-gate after a model write go through it.  The rule is
-    row-wise independent, so gating a row inside any block gives the
-    values a query-at-a-time loop would.
+    The one place the confidence rule lives: every gate of a block's
+    walk goes through it (the native walk's C evaluation only decides
+    rows clear of ``T_C``).  The rule is row-wise independent, so
+    gating a row inside any block gives the values a query-at-a-time
+    loop would.
     """
-    if model.num_classes == 2:
-        # With two classes every per-query-standardised confidence is a
-        # constant (see repro.core.confidence); measure the margin in
-        # absolute similarity-noise units instead.  For a 1-bit model the
-        # per-dimension contribution to the class-score difference has
-        # variance 1/2, so the noise std is sqrt(D / 2).
+    scale = _noise_scale(model)
+    if scale is not None:
         return prediction_confidence(
-            sims, config.temperature, method="noise",
-            scale=float(np.sqrt(model.dim / 2.0)),
+            sims, config.temperature, method="noise", scale=scale
         )
     return prediction_confidence(sims, config.temperature)
+
+
+def _noise_scale(model: HDCModel) -> float | None:
+    """The similarity-noise std the gate measures margins in, or None.
+
+    With two classes every per-query-standardised confidence is a
+    constant (see repro.core.confidence); the gate measures the margin
+    in absolute similarity-noise units instead.  For a 1-bit model the
+    per-dimension contribution to the class-score difference has
+    variance 1/2, so the noise std is sqrt(D / 2).
+    """
+    if model.num_classes == 2:
+        return float(np.sqrt(model.dim / 2.0))
+    return None
 
 
 def recover_step(
@@ -312,22 +323,29 @@ def recover_block(
     Semantically identical to calling :func:`recover_step` on each query
     in order — same predictions, same trace totals, same random draws —
     but the block's two tables are computed once: its similarities
-    ``(b, k)``, gated in one vectorised pass, and its chunk
-    similarities ``(b, m, k)`` (one packed kernel call).  The rows are
-    then walked in order.  A trusted row's faulty chunks are read off
-    its row of the chunk table by the detector's rule (a rival class
-    beats the prediction locally by more than the margin); no kernel
-    runs per row.  A row that flags chunks makes one model write: one
-    draw of ``rng.random((c, d))`` for its ``c`` flagged chunks, in
-    ascending chunk order (the stream per-chunk draws would give), and
-    one :meth:`~repro.core.kernels.KernelBackend.repair_row` call of the
-    active kernel backend.  That call substitutes the query's bits into
-    the predicted class's uint8 row and adds each flipped bit's
-    similarity change to that class's column of both tables for the
-    rows still ahead, which are then re-gated.  Similarities are exact
-    half-integers, so the patched tables equal a fresh computation;
-    the model version bumps once per write and nothing repacks the
-    model inside the walk.
+    ``(b, k)`` and its chunk similarities ``(b, m, k)`` (one packed
+    kernel call).  The rows are then walked in order, in one
+    :meth:`~repro.core.kernels.KernelBackend.recover_walk` call of the
+    active kernel backend.  A row is trusted when the confidence gate
+    clears ``T_C``; a trusted row's faulty chunks are read off its row
+    of the chunk table by the detector's rule (a rival class beats the
+    prediction locally by more than the margin); no kernel runs per
+    row.  A row that flags chunks makes one model write: the doubles of
+    ``rng.random((c, d))`` for its ``c`` flagged chunks, in ascending
+    chunk order (the stream per-chunk draws would give), substitute the
+    query's bits into the predicted class's uint8 row, and each flipped
+    bit's similarity change is added to that class's column of both
+    tables for the rows still ahead.  Similarities are exact
+    half-integers, so the patched tables equal a fresh computation.  On
+    the numpy and reference backends the walk is a Python loop that
+    re-gates the rows ahead after each write; the native backend runs
+    it in one C call that evaluates the gate itself, draws from
+    ``rng``'s bit generator, and asks the gate only about rows whose
+    confidence lies within a tiny band of ``T_C``.  A row's
+    similarities are final once the walk has passed it, so the gate
+    over the final similarities gives the block's predictions and
+    confidences.  The model version bumps once per write and nothing
+    repacks the model inside the walk.
 
     Queries may arrive as uint8 bit rows or already packed
     (:class:`~repro.core.packed.PackedHypervectors`, the
@@ -335,15 +353,16 @@ def recover_block(
     and 1s (any dtype); anything else raises a ``ValueError`` before the
     model is touched.  Rows are packed once per block, and the repair
     reads the packed words.  Under ``use_kernel_backend("reference")``
-    the tables and the repairs come from the unpacked oracle; results
-    are bit-identical on every kernel backend.
+    the tables and the walk come from the unpacked oracle; results,
+    the generator's state after the block included, are bit-identical
+    on every kernel backend.
 
-    The walk records each row once: its faulty-chunk mask, and the bits
-    it repaired per (class, chunk).  A row's gate values are final once
-    the walk has passed it, so the block's totals — trusted rows per
-    class, chunk flags, bits substituted — are derived from those two
-    arrays after the walk, and both the ``recovery.*`` metrics and (if
-    a ``trace`` is supplied) one
+    The walk counts, per (class, chunk), the chunks it flagged and the
+    bits it repaired.  A row's gate values are final once the walk has
+    passed it, so the block's totals — trusted rows per class, chunk
+    flags, bits substituted — are derived from those counts and the
+    returned gate values after the walk, and both the ``recovery.*``
+    metrics and (if a ``trace`` is supplied) one
     :class:`~repro.obs.trace.RecoveryBlockEvent` are built from them.
     Neither trace nor metrics recording ever draws from ``rng``, so
     observed and unobserved runs are bit-identical.
@@ -356,49 +375,36 @@ def recover_block(
             f"got bits={model.bits}"
         )
     block = _block_words(model, queries)
-    words = block.words
     num_queries = len(block)
     num_classes, num_chunks = model.num_classes, config.num_chunks
     chunk_bits = model.dim // num_chunks
-    margin = config.detection_margin * chunk_bits
-    backend = kernels.active_backend()
     metrics = _metrics()
     version_before = model.version
-    faulty = np.zeros((num_queries, num_chunks), dtype=bool)
+    flags = np.zeros((num_classes, num_chunks), dtype=np.int64)
     repair_bits = np.zeros((num_classes, num_chunks), dtype=np.int64)
     with metrics.timer("recovery.recover_block"):
         sims = model.similarities(block)  # (b, k)
-        preds, conf = _gate(model, sims, config)
         table = chunk_similarities_batch(model, block, num_chunks)  # (b, m, k)
-        for j in range(num_queries):
-            if conf[j] < config.confidence_threshold:
-                continue
-            predicted = int(preds[j])
-            row = table[j]
-            faulty[j] = row.max(axis=1) - row[:, predicted] > margin
-            chunks = np.flatnonzero(faulty[j])
-            if not chunks.size:
-                continue
-            draws = rng.random((chunks.size, chunk_bits))
-            ahead = slice(j + 1, None)
-            with model.writable() as class_hv:
-                changed = backend.repair_row(
-                    class_hv[predicted], words[j], chunks, chunk_bits,
-                    draws, config.substitution_rate, words[ahead],
-                    table[ahead, :, predicted], sims[ahead, predicted],
-                )
-            repair_bits[predicted, chunks] += changed
-            if changed.any() and j + 1 < num_queries:
-                preds[ahead], conf[ahead] = _gate(model, sims[ahead], config)
+        try:
+            preds, conf, writes = kernels.active_backend().recover_walk(
+                model.class_hv, block.words, sims, table,
+                lambda rows: _gate(model, rows, config), rng, flags,
+                repair_bits,
+                threshold=config.confidence_threshold,
+                margin=config.detection_margin * chunk_bits,
+                rate=config.substitution_rate,
+                temperature=config.temperature,
+                noise_scale=_noise_scale(model),
+            )
+        except BaseException:
+            model.bump_version()  # a walk cut short may have written
+            raise
+        for _ in range(writes):
+            model.bump_version()
     trusted = ~(conf < config.confidence_threshold)
     num_trusted = int(np.count_nonzero(trusted))
     bits_substituted = int(repair_bits.sum())
     if trace is not None:
-        # Each flagged chunk counts once in its row's (class, chunk) cell.
-        cells = preds[:, None] * num_chunks + np.arange(num_chunks)
-        chunk_flags = np.bincount(
-            cells[faulty], minlength=num_classes * num_chunks
-        ).reshape(num_classes, num_chunks)
         trace.record(RecoveryBlockEvent(
             block_index=trace.next_index(),
             queries=num_queries,
@@ -408,7 +414,7 @@ def recover_block(
                 np.bincount(preds[trusted], minlength=num_classes).tolist()
             ),
             num_chunks=num_chunks,
-            chunk_flags=tuple(map(tuple, chunk_flags.tolist())),
+            chunk_flags=tuple(map(tuple, flags.tolist())),
             chunk_repair_bits=tuple(map(tuple, repair_bits.tolist())),
             bits_substituted=bits_substituted,
             model_version_before=version_before,
@@ -418,7 +424,7 @@ def recover_block(
         metrics.inc("recovery.blocks")
         metrics.inc("recovery.queries", num_queries)
         metrics.inc("recovery.queries_trusted", num_trusted)
-        metrics.inc("recovery.chunks_flagged", int(np.count_nonzero(faulty)))
+        metrics.inc("recovery.chunks_flagged", int(flags.sum()))
         metrics.inc("recovery.bits_substituted", bits_substituted)
         metrics.inc("recovery.model_writes", model.version - version_before)
         metrics.observe("recovery.block_trust_rate",

@@ -455,14 +455,8 @@ class _Reply:
         if admitted:
             try:
                 runs = submit(self, *args)
-            except (ProtocolError, ValueError) as exc:
-                status, detail = int(ErrorCode.BAD_REQUEST), str(exc)
-            except Backpressure as exc:
-                # Not expected (the in-flight cap <= ring slots), but the
-                # engine may be shared with non-gateway submitters.
-                status, detail = _OVERLOADED, str(exc)
-            except RuntimeError as exc:  # engine stopped underneath us
-                status, detail = _SHUTTING_DOWN, str(exc)
+            except (ProtocolError, ValueError, RuntimeError) as exc:
+                status, detail = _refusal(exc), str(exc)
             else:
                 if len(runs) > 1:
                     # Collector threads may settle runs concurrently.
@@ -518,6 +512,17 @@ class _Reply:
             pass  # loop already closed (connection torn down)
 
 
+def _refusal(exc: Exception) -> int:
+    """The status of an entry whose submit raised ``exc``."""
+    if isinstance(exc, Backpressure):
+        # Not expected (the in-flight cap <= ring slots), but the engine
+        # may be shared with non-gateway submitters.
+        return _OVERLOADED
+    if isinstance(exc, RuntimeError):  # engine stopped underneath us
+        return _SHUTTING_DOWN
+    return int(ErrorCode.BAD_REQUEST)
+
+
 def _submit_single(reply: _Reply, engine: ServingEngine, frame: Frame):
     request = ServeRequest(
         decode_array(frame.kind, frame.payload),
@@ -537,7 +542,10 @@ def _submit_batch(reply: _Reply, engine: ServingEngine, batch, deadline):
     A run's rows are already contiguous in the batch block, so one
     zero-copy slice serves the whole run as a single engine request
     (bounded by the engine's per-request query cap); a shed entry ends
-    the run.
+    the run.  The engine refuses a submit as a whole, so when an
+    invalid entry makes it refuse, the entries are submitted one by
+    one: the valid ones are served and only the invalid ones answer
+    ``BAD_REQUEST``.
     """
     cap = max(1, engine.max_queries_per_request)
     offsets = reply.offsets
@@ -553,17 +561,55 @@ def _submit_batch(reply: _Reply, engine: ServingEngine, batch, deadline):
             first = i
     if first is not None:
         spans.append((first, len(reply.statuses)))
-    futures = engine.submit_many([
-        ServeRequest(
-            batch.block[offsets[a]:offsets[b]],
-            features=batch.features,
-            deadline=deadline,
-            tenant=reply.tenant,
-            trace_id=int(batch.trace_ids[a]),
-        )
-        for a, b in spans
-    ])
+    try:
+        futures = engine.submit_many([
+            _span_request(reply, batch, deadline, a, b) for a, b in spans
+        ])
+    except ValueError:
+        return _submit_entries(reply, engine, batch, deadline, spans)
     return [(a, b, future) for (a, b), future in zip(spans, futures)]
+
+
+def _span_request(reply: _Reply, batch, deadline, a: int, b: int):
+    """The engine request serving entries ``a:b`` of a batch."""
+    offsets = reply.offsets
+    return ServeRequest(
+        batch.block[offsets[a]:offsets[b]],
+        features=batch.features,
+        deadline=deadline,
+        tenant=reply.tenant,
+        trace_id=int(batch.trace_ids[a]),
+    )
+
+
+def _submit_entries(reply: _Reply, engine: ServingEngine, batch, deadline,
+                    spans):
+    """Submit the entries of ``spans`` one request each.
+
+    An entry the engine refuses answers its own status (``BAD_REQUEST``
+    for an invalid one) with its detail and returns its admission
+    token; the entries it took are served.  If every entry is refused,
+    the last refusal is raised, and :meth:`_Reply.serve` refuses the
+    whole unit.
+    """
+    runs, refused = [], []
+    for a, b in spans:
+        for i in range(a, b):
+            try:
+                (future,) = engine.submit_many(
+                    [_span_request(reply, batch, deadline, i, i + 1)]
+                )
+            except (ValueError, RuntimeError) as exc:
+                refused.append((i, exc))
+            else:
+                runs.append((i, i + 1, future))
+    if not runs:
+        raise refused[-1][1]
+    for i, exc in refused:
+        reply.statuses[i] = _refusal(exc)
+        reply.detail = str(exc)
+    reply.admission.release(reserved=reply.reserved, count=len(refused))
+    return runs
 
 
 def _render_frame(reply: _Reply) -> bytes:

@@ -58,8 +58,9 @@ __all__ = [
 ]
 
 
-# Publishes :attr:`GenerationPublisher.publish_log` keeps: about 100 s
-# of a recovery writer publishing ~41 generations per second.
+# Publishes :attr:`GenerationPublisher.publish_log` keeps: about 20 s
+# of a recovery writer publishing ~190 generations per second (perfbench
+# recover_under_load, 2 vCPUs, native kernels).
 _PUBLISH_LOG_LIMIT = 4096
 
 

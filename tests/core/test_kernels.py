@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
+from repro.core.confidence import prediction_confidence
 from repro.core.packed import pack
 
 RNG = np.random.default_rng(71)
@@ -496,6 +497,75 @@ class TestRepairValidation:
         row.flags.writeable = False
         with pytest.raises(ValueError, match="writeable"):
             backend.repair_row(**self.operands(row=row))
+
+
+class TestRecoverWalk:
+    """``recover_walk`` called directly: every backend leaves the model,
+    the patched tables, the flag and repair records, the gate's values
+    and the RNG where the reference's Python walk leaves them, on
+    chunks of any width and with model bits past ``m·d`` that no chunk
+    covers."""
+
+    K = 4
+
+    def walk(self, name, dim, num_chunks, threshold, rows=40, seed=5):
+        backend = get_or_skip(name)
+        rng = np.random.default_rng(seed)
+        clean = rng.integers(0, 2, (self.K, dim), dtype=np.uint8)
+        queries = clean[rng.integers(0, self.K, rows)]
+        queries ^= (rng.random(queries.shape) < 0.2).astype(np.uint8)
+        model = clean ^ (rng.random(clean.shape) < 0.3).astype(np.uint8)
+        table, sims = similarity_tables(
+            queries, model, num_chunks, dim // num_chunks
+        )
+        table, sims = np.ascontiguousarray(table), np.ascontiguousarray(sims)
+        flags = np.zeros((self.K, num_chunks), dtype=np.int64)
+        repair_bits = np.zeros((self.K, num_chunks), dtype=np.int64)
+        draws = np.random.default_rng(seed + 1)
+        preds, conf, writes = backend.recover_walk(
+            model, pack(queries).words, sims, table, prediction_confidence,
+            draws, flags, repair_bits, threshold=threshold, margin=0.0,
+            rate=0.5, temperature=1.0, noise_scale=None,
+        )
+        return (model, sims, table, flags, repair_bits, preds, conf,
+                np.array(writes), draws.bit_generator.state)
+
+    @pytest.mark.parametrize("name", CPU_BACKENDS)
+    @pytest.mark.parametrize("dim,num_chunks", [
+        (256, 4), (200, 3), (301, 3), (130, 2), (640, 5),
+    ])
+    @pytest.mark.parametrize("threshold", [0.5, 0.6, 0.75])
+    def test_matches_reference_walk(self, name, dim, num_chunks, threshold):
+        got = self.walk(name, dim, num_chunks, threshold)
+        want = self.walk("reference", dim, num_chunks, threshold)
+        assert got[4].any() and got[7] > 0  # the walk wrote
+        for a, b in zip(got[:-1], want[:-1]):
+            assert a.dtype == b.dtype and (a == b).all()
+        assert got[-1] == want[-1]
+
+    def test_native_operands_rejected(self):
+        backend = get_or_skip("native")
+        ops = dict(
+            class_hv=np.zeros((3, 200), np.uint8),
+            words=np.zeros((5, 4), np.uint64), sims=np.zeros((5, 3)),
+            table=np.zeros((5, 2, 3)), gate=prediction_confidence,
+            rng=np.random.default_rng(0),
+            flags=np.zeros((3, 2), np.int64),
+            repair_bits=np.zeros((3, 2), np.int64), threshold=0.5,
+            margin=0.0, rate=0.5, temperature=1.0, noise_scale=None,
+        )
+        for override, match in [
+            (dict(class_hv=np.zeros((3, 200), np.int8)), "uint8"),
+            (dict(words=np.zeros((5, 3), np.uint64)), "words"),
+            (dict(sims=np.zeros((5, 3), order="F")), "sims"),
+            (dict(table=np.zeros((5, 2, 3), np.float32)), "table"),
+            (dict(flags=np.zeros((3, 3), np.int64)), "flags"),
+            (dict(repair_bits=np.zeros((3, 2), np.int32)), "repair_bits"),
+            (dict(table=np.zeros((5, 0, 3)), flags=np.zeros((3, 0), np.int64),
+                  repair_bits=np.zeros((3, 0), np.int64)), "chunks"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                backend.recover_walk(**{**ops, **override})
 
 
 class TestValidation:

@@ -29,6 +29,14 @@ from repro.faults.api import attack
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.trace import RecoveryBlockEvent, RecoveryTrace
 
+BACKENDS = ["native", "numpy", "reference"]
+
+
+def get_or_skip(name: str) -> kernels.KernelBackend:
+    if not kernels.available_backends()[name]:
+        pytest.skip(f"backend {name!r} unavailable in this environment")
+    return kernels.get_backend(name)
+
 
 @pytest.fixture(scope="module")
 def fitted():
@@ -245,49 +253,66 @@ class TestRecoverBlock:
             assert p_step == p_block[0]
         assert (a.class_hv == b.class_hv).all()
 
-    def test_one_table_per_block_and_one_repair_per_write(
-        self, fitted, monkeypatch
-    ):
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_one_table_per_block_and_one_walk(self, fitted, monkeypatch,
+                                              name):
         """At chunk size 100 (not a multiple of 64) a block computes one
-        similarity table, one gate and one packed chunk table; each
-        model write is one RNG draw, one ``repair_row`` call and one
-        re-gate of the rows ahead; nothing repacks the model inside the
-        walk."""
+        similarity table and one packed chunk table and hands its walk
+        to the backend in one call; every write draws ``c·100`` doubles
+        for its ``c`` flagged chunks and nothing repacks the model
+        inside the walk.  The Python walk (numpy, reference) gates the
+        block once, then makes one ``rng.random((c, 100))`` draw, one
+        ``repair_row`` call and one re-gate of the rows ahead per write;
+        the native walk draws from the bit generator in C and gates
+        once, over the final similarities."""
+        backend = get_or_skip(name)
         attacked, queries = self._attacked(fitted)
         work = attacked.copy()
         work.packed()  # warm cache: any rebuild below is the walk's
         config = RecoveryConfig(confidence_threshold=0.5, num_chunks=20)
-        gates, repairs, draws = [], [], []
+        gates, repairs, draws, walks = [], [], [], []
 
         def gate(*args):
             gates.append(len(args[1]))
             return _gate(*args)
 
-        backend = kernels.active_backend()
-        repair_row = backend.repair_row
+        repair_row, recover_walk = backend.repair_row, backend.recover_walk
 
         def repair(row, query, chunks, chunk_bits, *args):
             changed = repair_row(row, query, chunks, chunk_bits, *args)
             repairs.append((len(chunks), len(args[2]), int(changed.sum())))
             return changed
 
-        class CountingRng:
-            rng = np.random.default_rng(7)
+        def walk(*args, **kwargs):
+            walks.append(len(args[1]))
+            return recover_walk(*args, **kwargs)
 
-            def random(self, shape):
-                draws.append(shape)
-                return self.rng.random(shape)
+        class CountingRng(np.random.Generator):
+            def random(self, size=None, *args, **kwargs):
+                draws.append(size)
+                return super().random(size, *args, **kwargs)
 
         monkeypatch.setattr(recovery, "_gate", gate)
         monkeypatch.setattr(backend, "repair_row", repair)
-        with use_metrics(MetricsRegistry()) as registry:
-            recover_block(work, queries[:60], config, CountingRng())
+        monkeypatch.setattr(backend, "recover_walk", walk)
+        rng, trace = CountingRng(np.random.PCG64(7)), RecoveryTrace()
+        with kernels.use_kernel_backend(backend), \
+                use_metrics(MetricsRegistry()) as registry:
+            recover_block(work, queries[:60], config, rng, trace)
         writes = registry.counter("recovery.model_writes")
         assert writes >= 2
+        assert walks == [60]
         assert registry.counter("model.queries_served") == 60
         assert registry.counter("chunks.detect_batches_float") == 0
         assert registry.counter("chunks.detect_batches_packed") == 1
         assert registry.counter("model.pack_rebuilds") == 0
+        expected = np.random.default_rng(7)
+        expected.random(trace.chunks_flagged * 100)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        if name == "native":
+            assert gates == [60]
+            assert repairs == draws == []
+            return
         assert len(repairs) == len(draws) == writes
         assert draws == [(chunks, 100) for chunks, _, _ in repairs]
         # Every write here changed bits with rows ahead: one re-gate each,
@@ -358,19 +383,34 @@ def _merged(events: list[RecoveryBlockEvent]) -> RecoveryBlockEvent:
 
 
 @st.composite
-def damaged_streams(draw, many_writes=False):
+def damaged_streams(draw, many_writes=False, classes=None, edge=None):
     """A small damaged 1-bit model, a noisy query stream near its clean
     prototypes, and a recovery config that trusts and writes often.
 
     ``many_writes`` fixes ``T_C = 0.5`` (every row trusted), ``S = 1.0``
     and a zero margin on a longer stream, with every class damaged, so a
     block makes many model writes, each one patching the tables of many
-    rows ahead.
+    rows ahead.  ``classes`` fixes ``k`` (2 takes the noise gate).
+    ``edge`` picks a case where a native walk's own evaluation of the
+    gate could part from NumPy's:
+
+    * ``"threshold_at_row"`` — ``T_C`` is the largest first-gate
+      confidence in the stream's first half; the rows before it are
+      untrusted, so nothing patches its row and its walked confidence
+      is exactly ``T_C``;
+    * ``"tied"`` — ``T_C = 0.5`` and some rows tie their top two classes
+      (a zero margin, confidence exactly 0.5);
+    * ``"flat"`` — every class is one prototype with its own disjoint
+      damage of equal weight, and some rows are that prototype: all
+      their similarities are equal (zero std);
+    * ``"strided"`` — a model whose ``class_hv`` is not C-contiguous.
+
+    Returns ``(model, queries, config, packed_input, layout)``.
     """
-    k = draw(st.integers(2, 6))
+    k = classes or draw(st.integers(2, 6))
     num_chunks = draw(st.integers(3 if many_writes else 2, 8))
     chunk_bits = draw(st.sampled_from(
-        [37, 63, 64, 65, 100, 128] if many_writes
+        [37, 63, 64, 65, 100, 128] if many_writes or edge == "flat"
         else [1, 37, 63, 64, 65, 100, 128]
     ))
     dim = num_chunks * chunk_bits
@@ -389,30 +429,75 @@ def damaged_streams(draw, many_writes=False):
         hit[np.arange(k), rng.integers(0, num_chunks, k)] = True
     flips = rng.random((k, num_chunks, chunk_bits)) < 0.7
     damaged ^= (flips & hit[:, :, None]).reshape(k, dim).astype(np.uint8)
+    threshold = 0.5 if many_writes or edge in ("tied", "flat") else draw(
+        st.sampled_from([0.5, 0.55, 0.6]))
+    if edge == "tied":
+        # Row i copies class a where a and b agree and splits their
+        # (even) disagreements evenly: equally far from both.
+        for i in rng.choice(len(queries), len(queries) // 3 + 1, False):
+            for a, b in zip(*np.triu_indices(k, 1)):
+                differ = np.flatnonzero(damaged[a] != damaged[b])
+                if differ.size % 2 == 0:
+                    queries[i] = damaged[a]
+                    queries[i, rng.permutation(differ)[: differ.size // 2]] ^= 1
+                    break
+    if edge == "flat":
+        weight = dim // (4 * k)
+        damaged[:] = prototypes[0]
+        spots = rng.permutation(dim)[: k * weight].reshape(k, weight)
+        damaged[np.arange(k)[:, None], spots] ^= 1
+        queries[rng.random(len(queries)) < 0.5] = prototypes[0]
     config = RecoveryConfig(
-        confidence_threshold=0.5 if many_writes else draw(
-            st.sampled_from([0.5, 0.55, 0.6])),
+        confidence_threshold=threshold,
         substitution_rate=1.0 if many_writes else draw(
             st.sampled_from([0.2, 0.5, 1.0])),
         num_chunks=num_chunks,
         detection_margin=0.0 if many_writes else draw(
             st.sampled_from([0.0, 0.02])),
     )
-    return HDCModel(damaged), queries, config, draw(st.booleans())
+    model = HDCModel(damaged)
+    if edge == "threshold_at_row":
+        half = queries[: len(queries) // 2 + 1]
+        _, conf = _gate(model, model.similarities(half), config)
+        config = RecoveryConfig(
+            confidence_threshold=float(conf.max()),
+            substitution_rate=config.substitution_rate,
+            num_chunks=num_chunks,
+            detection_margin=config.detection_margin,
+        )
+    layout = draw(st.sampled_from(["F", "wide"])) if edge == "strided" else "C"
+    return model, queries, config, draw(st.booleans()), layout
+
+
+def _laid_out(model: HDCModel, layout: str) -> HDCModel:
+    """A copy of ``model`` whose ``class_hv`` has the given memory layout:
+    ``"C"``, ``"F"`` (column-major) or ``"wide"`` (C rows inside a wider
+    buffer, so rows are not back to back)."""
+    if layout == "F":
+        return HDCModel(np.asfortranarray(model.class_hv))
+    if layout == "wide":
+        k, dim = model.class_hv.shape
+        wide = np.zeros((k, dim + 13), dtype=np.uint8)
+        wide[:, :dim] = model.class_hv
+        return HDCModel(wide[:, :dim])
+    return model.copy()
 
 
 class TestBlockEqualsSteps:
     """Property: one recover_block over a block replays recover_step row
-    by row — the model patched after every write — on any geometry."""
+    by row — the model patched after every write — on any geometry, on
+    every kernel backend, leaving the RNG where the steps leave it."""
 
     @staticmethod
-    def _block(model, queries, config, packed_input):
-        work, trace = model.copy(), RecoveryTrace()
+    def _block(model, queries, config, packed_input, layout="C"):
+        work, trace = _laid_out(model, layout), RecoveryTrace()
+        rng = np.random.default_rng(3)
         preds = recover_block(
             work, pack(queries) if packed_input else queries, config,
-            np.random.default_rng(3), trace,
+            rng, trace,
         )
-        return preds, work.class_hv, RecoveryStats.from_trace(trace), trace.last
+        return (preds, work.class_hv, RecoveryStats.from_trace(trace),
+                trace.last, rng.bit_generator.state)
 
     @staticmethod
     def _steps(model, queries, config):
@@ -422,19 +507,22 @@ class TestBlockEqualsSteps:
             recover_step(work, q, config, rng, trace) for q in queries
         ])
         return (preds, work.class_hv, RecoveryStats.from_trace(trace),
-                _merged(list(trace)))
+                _merged(list(trace)), rng.bit_generator.state)
 
-    def _check(self, model, queries, config, packed_input):
+    def _check(self, model, queries, config, packed_input, layout="C"):
         expected = self._steps(model, queries, config)
-        got = self._block(model, queries, config, packed_input)
-        with kernels.use_kernel_backend("reference"):
-            oracle = self._block(model, queries, config, packed_input)
-        for preds, class_hv, block_stats, event in (got, oracle):
-            assert (preds == expected[0]).all()
-            assert (class_hv == expected[1]).all()
-            assert block_stats == expected[2]
-            assert event == expected[3]
-        return got[3]
+        for name in BACKENDS:
+            if not kernels.available_backends()[name]:
+                continue
+            with kernels.use_kernel_backend(name):
+                got = self._block(model, queries, config, packed_input, layout)
+            preds, class_hv, block_stats, event, state = got
+            assert (preds == expected[0]).all(), name
+            assert (class_hv == expected[1]).all(), name
+            assert block_stats == expected[2], name
+            assert event == expected[3], name
+            assert state == expected[4], name
+        return expected[3]
 
     @settings(max_examples=40)
     @given(damaged_streams())
@@ -450,6 +538,54 @@ class TestBlockEqualsSteps:
         event = self._check(*case)
         assume(event.model_writes >= 3)
 
+    @settings(max_examples=25)
+    @given(damaged_streams(classes=2))
+    def test_two_classes_replay_steps(self, case):
+        """``k = 2``: the gate measures margins in noise units."""
+        self._check(*case)
+
+    @settings(max_examples=25)
+    @given(damaged_streams(edge="threshold_at_row"))
+    def test_threshold_equal_to_a_row_confidence(self, case):
+        """A row whose confidence is exactly ``T_C`` is trusted
+        (``conf < T_C`` is false); a native walk cannot place it by its
+        own rounding and asks the gate for that one row."""
+        event = self._check(*case)
+        assert event.trusted >= 1
+        if not kernels.available_backends()["native"]:
+            return
+        rows = []
+
+        def gate(*args):
+            rows.append(len(args[1]))
+            return _gate(*args)
+
+        model, queries, config, packed_input, _ = case
+        with pytest.MonkeyPatch.context() as patch, \
+                kernels.use_kernel_backend("native"):
+            patch.setattr(recovery, "_gate", gate)
+            self._block(model, queries, config, packed_input)
+        assert rows[0] == 1 and rows[-1] == len(queries)
+
+    @settings(max_examples=25)
+    @given(damaged_streams(edge="tied"))
+    def test_tied_rows_at_half_threshold(self, case):
+        """Tied top-two rows (confidence exactly 0.5) at ``T_C = 0.5``:
+        trusted, predicted as the first of the tied classes."""
+        self._check(*case)
+
+    @settings(max_examples=25)
+    @given(damaged_streams(edge="flat"))
+    def test_flat_rows_replay_steps(self, case):
+        """Rows whose similarities are all equal (zero std)."""
+        self._check(*case)
+
+    @settings(max_examples=15)
+    @given(damaged_streams(edge="strided"))
+    def test_strided_model_replays_steps(self, case):
+        """A ``class_hv`` that is not C-contiguous is repaired in place."""
+        self._check(*case)
+
     def test_write_flips_later_rows(self, fitted):
         """A block whose substitutions flip a later row's trust and
         prediction — rows the first gate got wrong — still replays the
@@ -461,7 +597,7 @@ class TestBlockEqualsSteps:
         first_preds, first_conf = _gate(
             attacked, attacked.similarities(block), config
         )
-        preds, class_hv, stats, event = self._block(
+        preds, class_hv, stats, event, _ = self._block(
             attacked, block, config, packed_input=False
         )
         walked_conf = np.array(event.confidences)

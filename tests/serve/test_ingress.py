@@ -27,6 +27,7 @@ from repro.serve import (
     TenantRegistry,
 )
 from repro.serve.client import GatewayError, GatewayRejected
+from repro.serve.engine import Backpressure
 from repro.serve.gateway import GatewayServer
 from repro.serve.protocol import (
     BATCH_REJECT_BASE,
@@ -421,5 +422,64 @@ def test_non_finite_features_are_bad_requests(world, replicas, ingress, bad):
             np.testing.assert_array_equal(served, expected)
     assert engine.live_workers == 2
     assert engine.worker_errors == []
+    assert server.admission.inflight == 0
+    assert engine.in_flight == 0
+
+
+@pytest.mark.parametrize("bad_entries", [(2,), (0,), (1,), (0, 2), (0, 1, 2)])
+def test_bad_entries_refuse_only_themselves(world, replicas, bad_entries):
+    """A SUBMIT_BATCH whose entries merge into one engine request, with
+    NaN feature rows in some entries: every valid entry is served, and
+    only the invalid ones answer BAD_REQUEST."""
+    engine, server = replicas
+    rows, expected = world["features"], world["expected"]
+    poisoned = rows.copy()
+    poisoned[1, 3] = float("nan")
+    payloads = [rows[:2], rows[2:], rows]
+    for i in bad_entries:
+        payloads[i] = poisoned[: len(payloads[i])]
+    with GatewayClient("127.0.0.1", server.port, timeout=10) as client:
+        outcomes = client.submit_batch(
+            payloads, features=True, return_exceptions=True
+        )
+    for i, want in enumerate([expected[:2], expected[2:], expected]):
+        if i in bad_entries:
+            assert isinstance(outcomes[i], GatewayError)
+            assert outcomes[i].code == ErrorCode.BAD_REQUEST
+        else:
+            np.testing.assert_array_equal(outcomes[i], want)
+    assert server.admission.inflight == 0
+    assert engine.in_flight == 0
+
+
+def test_split_entries_keep_their_own_refusals(world, replicas, monkeypatch):
+    """Once a merged submit is split, an entry the engine then refuses
+    for want of a slot answers OVERLOADED on its own: the entries it
+    took are served, the invalid one is a BAD_REQUEST, and every
+    admission token comes back."""
+    engine, server = replicas
+    rows, expected = world["features"], world["expected"]
+    poisoned = rows.copy()
+    poisoned[1, 3] = float("nan")
+    submit_many = engine.submit_many
+
+    def crowded(requests):
+        # The merged submit and the first entry go through; the second
+        # entry finds the ring full.
+        if len(requests) == 1 and requests[0].payload.shape[0] == 1:
+            raise Backpressure("no free request slot")
+        return submit_many(requests)
+
+    monkeypatch.setattr(engine, "submit_many", crowded)
+    with GatewayClient("127.0.0.1", server.port, timeout=10) as client:
+        outcomes = client.submit_batch(
+            [rows[:2], rows[2:3], poisoned], features=True,
+            return_exceptions=True,
+        )
+    np.testing.assert_array_equal(outcomes[0], expected[:2])
+    assert isinstance(outcomes[1], GatewayRejected)
+    assert outcomes[1].code == RejectCode.OVERLOADED
+    assert isinstance(outcomes[2], GatewayError)
+    assert outcomes[2].code == ErrorCode.BAD_REQUEST
     assert server.admission.inflight == 0
     assert engine.in_flight == 0
