@@ -9,9 +9,8 @@ in-process packed path before it is timed:
   argmin call per request).  Requests flow through the bounded
   shared-memory ring, are frame-batched over the queue, and each worker
   coalesces queued requests into one packed distance computation;
-* **class and word sharding** — the same workload with each worker
-  owning a class-row slice of the model, and a 10^6-dimension random
-  model whose 64-bit word blocks are split across workers;
+* **class sharding** — the same workload with each worker owning a
+  class-row slice of the model;
 * **gateway** — a two-tenant soak through the TCP gateway while one
   tenant is attacked and recovered live, with sequential round-trip
   latency, overload (typed ``OVERLOADED`` shed) and credit backpressure
@@ -46,7 +45,7 @@ import numpy as np
 from _common import Recorder, host, write_record
 
 from repro.core.encoder import Encoder
-from repro.core.model import HDCClassifier, HDCModel
+from repro.core.model import HDCClassifier
 from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import RecoveryConfig
 from repro.datasets.synthetic import make_prototype_classification
@@ -62,7 +61,6 @@ from repro.serve import (
     ShardPlan,
     TenantRegistry,
 )
-from repro.serve.autoscale import WorkerAutoscaler
 from repro.serve.protocol import RejectCode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -240,62 +238,6 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
     return result
 
 
-def bench_word_shard_scale(dim: int, num_classes: int, num_shards: int,
-                           queries_per_request: int, requests: int,
-                           repeats: int) -> dict:
-    """Word-sharded serving at a dimensionality no one worker should scan.
-
-    A random 1-bit model at ``dim`` (10^6 in the full run: ~3 MB of
-    packed words per full scan) served by ``num_shards`` word-sharded
-    workers, each attaching and scanning only ``1/num_shards`` of every
-    model row, with the engine summing the partial-popcount tables.
-    Correctness is asserted against the in-process packed path before
-    timing.
-    """
-    rng = np.random.default_rng(5)
-    model = HDCModel(
-        class_hv=rng.integers(0, 2, (num_classes, dim), dtype=np.uint8)
-    )
-    packed = model.packed()
-    words = packed.words.shape[1]
-    payloads = [
-        rng.integers(0, 1 << 63, (queries_per_request, words),
-                     dtype=np.uint64)
-        for _ in range(min(32, requests))
-    ]
-    payloads = [payloads[i % len(payloads)] for i in range(requests)]
-    reference = [
-        np.argmin(packed.distances(p), axis=1).astype(np.int64)
-        for p in payloads[:8]
-    ]
-    window = 32
-    engine = ServingEngine(
-        model,
-        num_workers=num_shards,
-        ring_slots=2 * window,
-        max_queries_per_request=queries_per_request,
-        frame_requests=window,
-        shard_plan=ShardPlan.by_word(dim, num_shards),
-    )
-    try:
-        best = _check_and_time(engine, payloads, reference, window, repeats)
-        diagnostics = _worker_diagnostics(engine)
-    finally:
-        engine.stop()
-    return {
-        "dim": dim,
-        "num_classes": num_classes,
-        "num_shards": num_shards,
-        "queries_per_request": queries_per_request,
-        "requests": requests,
-        "model_bytes": int(packed.nbytes),
-        "shard_bytes_per_worker": int(packed.nbytes // num_shards),
-        "requests_per_s": requests / best,
-        "queries_per_s": requests * queries_per_request / best,
-        "per_worker": diagnostics,
-    }
-
-
 def _flood(classifier: HDCClassifier, payload: np.ndarray, requests: int,
            credited: bool, ring_slots: int, **server_kw) -> tuple:
     """Pipeline ``requests`` copies of ``payload`` at once into a fresh
@@ -329,15 +271,15 @@ def _flood(classifier: HDCClassifier, payload: np.ndarray, requests: int,
 
 def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
                   error_rate: float, passes: int, num_workers: int,
-                  max_workers: int, min_soak_s: float,
+                  min_soak_s: float,
                   registry: MetricsRegistry | None = None) -> dict:
     """Multi-tenant soak through the TCP gateway, plus three sub-legs.
 
-    ``tenants`` independent models share one engine behind one
-    :class:`GatewayServer`.  An async client pipelines mixed-tenant
-    traffic the whole time while tenant 0 is attacked and recovered
-    concurrently through its own publisher stream, with the
-    :class:`WorkerAutoscaler` running.  Every non-attacked tenant's
+    ``tenants`` independent models share one ``num_workers``-worker
+    engine behind one :class:`GatewayServer`.  An async client
+    pipelines mixed-tenant traffic the whole time while tenant 0 is
+    attacked and recovered concurrently through its own publisher
+    stream.  Every non-attacked tenant's
     response is checked bit-identical to its sequential reference on
     every round (hot-swap isolation); tenant 0 must match its own
     sequential attack-and-recover reference once recovery lands, and
@@ -392,12 +334,10 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
         tenant_registry.add(name, exp.classifier)
     previous_metrics = set_metrics(registry) if registry is not None else None
     engine = ServingEngine(
-        tenant_registry, num_workers=num_workers, min_workers=2,
-        max_workers=max_workers, ring_slots=128,
+        tenant_registry, num_workers=num_workers, ring_slots=128,
         max_queries_per_request=qpr,
     )
     server = GatewayServer(engine).start()
-    scaler = WorkerAutoscaler(engine, interval_s=0.1).start()
     done = threading.Event()
     recovery: dict = {}
 
@@ -417,8 +357,7 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
         rotate = 0
         # Recovery on a small task can land almost instantly; keep the
         # soak going for a floor duration so the record reflects
-        # sustained mixed-tenant traffic (and the autoscaler gets real
-        # ticks), not a single burst.
+        # sustained mixed-tenant traffic, not a single burst.
         soak_until = time.perf_counter() + min_soak_s
         try:
             while not done.is_set() or time.perf_counter() < soak_until:
@@ -504,7 +443,6 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     shed_total = server.admission.shed_total
     assert shed_total == 0, \
         f"soak shed {shed_total} requests despite generous admission"
-    scaler.stop()
     generations = engine.publisher_for(names[0]).generation
     batch_ps = engine.telemetry.percentiles(
         "batch_duration_ns", (50.0, 95.0)
@@ -512,7 +450,6 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     wait_ps = engine.telemetry.percentiles("dispatch_wait_ns", (95.0,))
     if registry is not None:
         engine.scrape_telemetry(registry)
-    workers_final = engine.live_workers
     server.stop()
     engine.stop()
 
@@ -567,12 +504,7 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
         "tenant_ids": names,
         "dim": dim,
         "queries_per_request": qpr,
-        "workers": {
-            "initial": num_workers,
-            "min": 2,
-            "max": max_workers,
-            "final": workers_final,
-        },
+        "workers": num_workers,
         "duration_s": wall,
         "requests_served": total,
         "requests_per_s": total / wall,
@@ -582,15 +514,6 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
             "shed_total": shed_total,
             "shed_rate": shed_total / max(1, admitted + shed_total),
             "zero_shed_at_low_load": shed_total == 0,
-        },
-        "autoscale": {
-            "scale_ups": sum(
-                1 for e in scaler.events if e["action"] == "up"
-            ),
-            "scale_downs": sum(
-                1 for e in scaler.events if e["action"] == "down"
-            ),
-            "events": scaler.events[:32],
         },
         "fleet": {
             "batch_duration_ms_p50": batch_ps[50.0] / 1e6,
@@ -635,11 +558,9 @@ def run(smoke: bool, registry: MetricsRegistry | None = None) -> dict:
         )
         sharded_kw = dict(throughput_kw, requests=256,
                           worker_counts=(shards,))
-        word_shard_kw = dict(dim=4_096, num_classes=6, num_shards=shards,
-                             queries_per_request=4, requests=64, repeats=1)
         gateway_kw = dict(tenants=2, num_features=16, dim=1_000, levels=8,
                           error_rate=0.15, passes=1, num_workers=2,
-                          max_workers=3, min_soak_s=0.75)
+                          min_soak_s=0.75)
     else:
         shards = 4
         throughput_kw = dict(
@@ -648,12 +569,9 @@ def run(smoke: bool, registry: MetricsRegistry | None = None) -> dict:
             worker_counts=(1, 2, 4), repeats=3,
         )
         sharded_kw = dict(throughput_kw, worker_counts=(shards,))
-        word_shard_kw = dict(dim=1_000_000, num_classes=26,
-                             num_shards=shards, queries_per_request=4,
-                             requests=256, repeats=2)
         gateway_kw = dict(tenants=2, num_features=16, dim=2_000, levels=16,
                           error_rate=0.2, passes=2, num_workers=4,
-                          max_workers=6, min_soak_s=3.0)
+                          min_soak_s=3.0)
     throughput = bench_throughput(**throughput_kw, registry=registry)
     # Same workload, class-sharded: each worker owns a row slice of the
     # model and large frames amortise dispatch, so the comparison against
@@ -665,13 +583,12 @@ def run(smoke: bool, registry: MetricsRegistry | None = None) -> dict:
         / throughput["workers"][str(shards)]["requests_per_s"]
     )
     return {
-        "schema": 6,
+        "schema": 7,
         "generated_by": "benchmarks/bench_serve.py"
         + (" --smoke" if smoke else ""),
         **host(),
         "throughput": throughput,
         "throughput_class_sharded": sharded,
-        "throughput_word_sharded": bench_word_shard_scale(**word_shard_kw),
         "gateway": bench_gateway(**gateway_kw, registry=registry),
     }
 

@@ -65,15 +65,13 @@ encode through :func:`repro.core.encoder.encode_words_from_codebook`,
 dispatches through the active backend.
 
 Sharding note: the contract is defined on *word arrays*, not models, so
-a shard of a model — a class-row slice or a 64-bit word-block slice —
-is served by the same ``distance_table`` call on the sliced operands.
-Word-block partials are exact partial popcounts (pad words are zero in
-both operands and contribute nothing), which is what lets the serving
-tier's reduce tree sum them back into full distances bit-identically
-(see :mod:`repro.serve.shard`).  Encoding is per bit, so
-``encode_words`` on a word-column slice ``codebook_words[:, :, lo:hi]``
-is exactly that slice of the full encode; every backend reads the slice
-in place.
+a class-row shard of a model is served by the same ``distance_table``
+call on the sliced operand (see :mod:`repro.serve.shard`).  Strided
+operands are read in place: on a 64-bit word-column slice the tables
+are exact partial popcounts (pad words are zero in both operands and
+contribute nothing), and since encoding is per bit, ``encode_words`` on
+a word-column slice ``codebook_words[:, :, lo:hi]`` is exactly that
+slice of the full encode.
 """
 
 from __future__ import annotations

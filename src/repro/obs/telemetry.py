@@ -424,15 +424,6 @@ class TelemetryAggregator:
     def __init__(self, readers: Mapping[int, TelemetrySlabReader]) -> None:
         self._readers = dict(readers)
         self._scraped: dict[str, int] = {}
-        self._window: dict[str, np.ndarray] | None = None
-
-    @property
-    def num_workers(self) -> int:
-        return len(self._readers)
-
-    def add_reader(self, worker_id: int, reader: TelemetrySlabReader) -> None:
-        """Attach one more worker's slab (elastic worker pools)."""
-        self._readers[worker_id] = reader
 
     def freeze(self) -> None:
         """Freeze every reader (see :meth:`TelemetrySlabReader.freeze`)."""
@@ -474,32 +465,6 @@ class TelemetryAggregator:
         """Cross-worker percentiles of one slab histogram (raw units)."""
         bins = self.scrape()["histograms"][name]["bins"]
         return {q: bucket_percentile(bins, q) for q in qs}
-
-    def window_percentile(self, name: str, q: float) -> float | None:
-        """Percentile of one histogram over *new* samples since last call.
-
-        Lifetime percentiles converge and stop moving — useless for a
-        control loop.  This keeps a private per-bucket cursor (separate
-        from the :meth:`scrape_into` counter cursors) and computes the
-        percentile of only the samples recorded since the previous
-        ``window_percentile`` call for this histogram — the windowed
-        signal the worker-pool autoscaler steers on.  Returns ``None``
-        when the window holds no new samples.
-        """
-        bins = np.asarray(
-            self.scrape()["histograms"][name]["bins"], dtype=np.int64
-        )
-        if self._window is None:
-            self._window = {}
-        prior = self._window.get(name)
-        delta = bins.copy() if prior is None else bins - prior
-        self._window[name] = bins
-        # A worker death can make a bucket count regress (its lifetime
-        # samples vanish from the merge); clamp those to zero.
-        np.maximum(delta, 0, out=delta)
-        if int(delta.sum()) <= 0:
-            return None
-        return bucket_percentile(delta, q)
 
     def scrape_into(self, registry: MetricsRegistry | None = None) -> dict:
         """Merge the fleet state into ``registry`` (default: installed).
@@ -558,10 +523,6 @@ class FlightRecorder:
 
     def __init__(self, readers: Mapping[int, TelemetrySlabReader]) -> None:
         self._readers = dict(readers)
-
-    def add_reader(self, worker_id: int, reader: TelemetrySlabReader) -> None:
-        """Attach one more worker's slab (elastic worker pools)."""
-        self._readers[worker_id] = reader
 
     def postmortem(self, worker_id: int) -> list[FlightEvent]:
         """The retained events of one worker, oldest first."""

@@ -18,9 +18,12 @@ star calls for, built in layers:
   client-facing :class:`ServingEngine` hosting a
   :class:`TenantRegistry` of models: bounded-ring submission with
   backpressure, the unified ``submit(ServeRequest) -> ServeFuture``
-  surface, per-request deadlines, frame-batched dispatch, an elastic
-  worker pool (``add_worker``/``remove_worker``), and a
-  :class:`~repro.obs.trace.ServeTrace` of per-batch events.
+  surface, per-request deadlines, frame-batched dispatch to a fixed
+  worker pool (load-aware across replicas, a dead worker's frames
+  re-routed to survivors), and a :class:`~repro.obs.trace.ServeTrace`
+  of per-batch events.
+* :mod:`repro.serve.shard` — ``ShardPlan``, the class-row split of a
+  model across workers and the rule that combines their replies.
 * :mod:`repro.serve.protocol` + :mod:`repro.serve.gateway` +
   :mod:`repro.serve.client` — the network front door: a
   length-prefixed binary frame protocol whose batch-first path packs
@@ -34,9 +37,6 @@ star calls for, built in layers:
 * :mod:`repro.serve.http` — a dependency-free HTTP/1.1 JSON ingress
   (``POST /v1/predict``, ``GET /healthz``) riding the same admission
   path; enable with ``GatewayServer(http_port=...)``.
-* :mod:`repro.serve.autoscale` — ``WorkerAutoscaler`` steering the
-  worker pool on windowed dispatch-wait p95 from the ``serve.fleet.*``
-  telemetry, bounded by ``ServeConfig.min_workers``/``max_workers``.
 
 Online recovery plugs in per tenant through
 :meth:`ServingEngine.publisher_for`, which satisfies the
@@ -76,7 +76,7 @@ from repro.serve.engine import (  # noqa: F401
 )
 from repro.serve.gateway import GatewayServer  # noqa: F401
 from repro.serve.registry import Tenant, TenantRegistry  # noqa: F401
-from repro.serve.shard import ShardPlan, reduce_partial_tables  # noqa: F401
+from repro.serve.shard import ShardPlan  # noqa: F401
 from repro.serve.shm import (  # noqa: F401
     ControlBlock,
     GenerationPublisher,

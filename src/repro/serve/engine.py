@@ -49,12 +49,10 @@ a publish returns are always served on that generation or newer — which
 is what makes a concurrent attack-and-recover run bit-identical to its
 sequential reference, per tenant.
 
-The worker pool is elastic: :meth:`ServingEngine.add_worker` spawns and
-attaches a new worker live, :meth:`ServingEngine.remove_worker` retires
-one gracefully (it drains, then exits; its unserved frames re-route to
-survivors).  :class:`~repro.serve.autoscale.WorkerAutoscaler` drives
-both from the ``serve.fleet.*`` telemetry, bounded by
-``ServeConfig.min_workers`` / ``max_workers``.
+The worker pool is fixed: the engine forks ``num_workers`` processes
+once, at construction, and a worker leaves it only by dying — the
+monitor then re-routes its unanswered frames to surviving replicas of
+its shard.
 
 With telemetry enabled (the default) the engine also owns one
 shared-memory telemetry slab per worker (:mod:`repro.obs.telemetry`),
@@ -169,10 +167,6 @@ class ServeConfig:
     # writable when a prefix is set; None disables worker telemetry.
     telemetry_prefix: str | None = None
     flight_slots: int = 0
-    # Elastic worker-pool bounds enforced by add_worker/remove_worker
-    # (and hence the autoscaler).
-    min_workers: int = 1
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         if not self.prefix:
@@ -209,16 +203,6 @@ class ServeConfig:
                 "tenants",
                 "sharded serving supports a single tenant; got "
                 f"{len(self.tenants)} tenants with a sharded plan",
-            )
-        if self.min_workers < 1:
-            raise _config_error(
-                "min_workers", f"must be >= 1, got {self.min_workers}"
-            )
-        if self.max_workers is not None and self.max_workers < self.min_workers:
-            raise _config_error(
-                "max_workers",
-                f"must be >= min_workers ({self.min_workers}), "
-                f"got {self.max_workers}",
             )
 
     def shard_of(self, worker_id: int) -> int:
@@ -385,8 +369,7 @@ class ServingEngine:
         form; with a registry, encoders are per-tenant and this must be
         None.
     num_workers:
-        Initial worker process count (the pool is elastic between
-        ``min_workers`` and ``max_workers``).
+        Worker process count, fixed for the engine's lifetime.
     ring_slots:
         Bound on concurrently in-flight requests (the backpressure
         limit).
@@ -411,10 +394,6 @@ class ServingEngine:
         engines only).  Worker ``w`` serves shard ``w % num_shards``.
         Without one, every tenant is served through its one-shard plan
         ``ShardPlan.by_class(num_classes, 1)``.
-    min_workers / max_workers:
-        Elastic-pool bounds for :meth:`add_worker` /
-        :meth:`remove_worker` (and the autoscaler).  ``max_workers``
-        defaults to unbounded.
     """
 
     def __init__(
@@ -432,8 +411,6 @@ class ServingEngine:
         telemetry: bool = True,
         flight_slots: int = 256,
         shard_plan: ShardPlan | None = None,
-        min_workers: int = 1,
-        max_workers: int | None = None,
     ) -> None:
         if isinstance(model, TenantRegistry):
             if encoder is not None:
@@ -489,39 +466,73 @@ class ServingEngine:
         self._stop_lock = threading.Lock()
         self._worker_errors: list[tuple[int, str]] = []
 
+        # Every field of the config is known before any allocation, so
+        # it is built (and validated) first: a config error leaves
+        # nothing behind in /dev/shm.
         prefix = unique_name()
+        slot_words = 0
+        tenant_slots: list[TenantSlot] = []
+        packs = []
+        for i, (tenant, plan) in enumerate(zip(tenants, plans)):
+            packed = tenant.model.packed()
+            packs.append(packed)
+            slot_words = max(
+                slot_words, max_queries_per_request * packed.words.shape[1]
+            )
+            t_prefix = tenant_prefix(prefix, i)
+            geometry = {}
+            if tenant.encoder is not None:
+                geometry = dict(
+                    codebook_name=f"{t_prefix}-codebook",
+                    num_features=tenant.encoder.num_features,
+                    levels=tenant.encoder.levels,
+                    low=tenant.encoder.low,
+                    high=tenant.encoder.high,
+                )
+                slot_words = max(
+                    slot_words,
+                    max_queries_per_request * tenant.encoder.num_features,
+                )
+            tenant_slots.append(TenantSlot(
+                index=i,
+                tenant_id=tenant.tenant_id,
+                prefix=t_prefix,
+                control_name=f"{t_prefix}-control",
+                dim=packed.dim,
+                num_classes=packed.num_classes,
+                shard_plan=plan,
+                **geometry,
+            ))
+        telemetry_prefix = f"{prefix}-telemetry" if telemetry else None
+        self.config = ServeConfig(
+            prefix=prefix,
+            ring_name=f"{prefix}-ring",
+            ring_slots=ring_slots,
+            slot_bytes=slot_words * 8,
+            coalesce_requests=coalesce_requests,
+            stall_ns=int(stall_timeout * 1e9),
+            tenants=tuple(tenant_slots),
+            telemetry_prefix=telemetry_prefix,
+            flight_slots=flight_slots if telemetry else 0,
+        )
+        self.tenants = tuple(slot.tenant_id for slot in tenant_slots)
+        self._tenant_index = {
+            tenant_id: i for i, tenant_id in enumerate(self.tenants)
+        }
+
         self._owned_segments: list[ShmArray] = []
         self._controls: list[ControlBlock] = []
         self._publishers: list[GenerationPublisher] = []
-        self._tenant_index: dict[str, int] = {}
         self._next_trace_id = 0
-        slot_words = 0
-        tenant_slots: list[TenantSlot] = []
-        for i, (tenant, plan) in enumerate(zip(tenants, plans)):
-            packed = tenant.model.packed()
-            words = packed.words.shape[1]
-            slot_words = max(slot_words, max_queries_per_request * words)
-            t_prefix = tenant_prefix(prefix, i)
-            codebook_name = None
-            num_features = 0
-            levels = 0
-            low = 0.0
-            high = 1.0
-            if tenant.encoder is not None:
-                codebook_name = f"{t_prefix}-codebook"
+        for tenant, slot, packed in zip(tenants, tenant_slots, packs):
+            if slot.codebook_name is not None:
                 self._owned_segments.append(ShmArray.create(
-                    codebook_name, tenant.encoder.packed_codebook().words
+                    slot.codebook_name, tenant.encoder.packed_codebook().words
                 ))
-                num_features = tenant.encoder.num_features
-                levels = tenant.encoder.levels
-                low = tenant.encoder.low
-                high = tenant.encoder.high
-                slot_words = max(
-                    slot_words, max_queries_per_request * num_features
-                )
-            control = ControlBlock.create(f"{t_prefix}-control")
+            control = ControlBlock.create(slot.control_name)
             publisher = GenerationPublisher(
-                t_prefix, control, plan, trace_source=self._last_trace_id,
+                slot.prefix, control, slot.shard_plan,
+                trace_source=self._last_trace_id,
             )
             publisher.publish_packed(packed)  # generation 1
             # No recovery writer is running yet: deregister so an idle
@@ -531,54 +542,27 @@ class ServingEngine:
             publisher.end_writing()
             self._controls.append(control)
             self._publishers.append(publisher)
-            self._tenant_index[tenant.tenant_id] = i
-            tenant_slots.append(TenantSlot(
-                index=i,
-                tenant_id=tenant.tenant_id,
-                prefix=t_prefix,
-                control_name=control.name,
-                dim=packed.dim,
-                num_classes=packed.num_classes,
-                shard_plan=plan,
-                codebook_name=codebook_name,
-                num_features=num_features,
-                levels=levels,
-                low=low,
-                high=high,
-            ))
-        self.tenants = tuple(slot.tenant_id for slot in tenant_slots)
-
-        ring_name = f"{prefix}-ring"
         self._ring = ShmArray.zeros(
-            ring_name, (ring_slots, slot_words), np.uint64
+            self.config.ring_name, (ring_slots, slot_words), np.uint64
         )
         self._owned_segments.append(self._ring)
 
         # Telemetry slabs: engine-owned (so flight rings survive worker
-        # SIGKILL), one per worker, workers attach writable.  Workers
-        # added later get their slab from _make_telemetry_slab.
-        telemetry_prefix = f"{prefix}-telemetry" if telemetry else None
-        self._telemetry_prefix = telemetry_prefix
-        self._flight_slots = flight_slots if telemetry else 0
+        # SIGKILL), one per worker, workers attach writable.
         self.telemetry: TelemetryAggregator | None = None
         self.flight_recorder: FlightRecorder | None = None
         if telemetry:
-            self.telemetry = TelemetryAggregator({})
-            self.flight_recorder = FlightRecorder({})
-
-        self.config = ServeConfig(
-            prefix=prefix,
-            ring_name=ring_name,
-            ring_slots=ring_slots,
-            slot_bytes=slot_words * 8,
-            coalesce_requests=coalesce_requests,
-            stall_ns=int(stall_timeout * 1e9),
-            tenants=tuple(tenant_slots),
-            telemetry_prefix=telemetry_prefix,
-            flight_slots=self._flight_slots,
-            min_workers=min_workers,
-            max_workers=max_workers,
-        )
+            readers = {}
+            for w in range(num_workers):
+                slab = ShmArray.zeros(
+                    f"{telemetry_prefix}-w{w}",
+                    (slab_words(self.config.flight_slots),),
+                    np.uint64,
+                )
+                self._owned_segments.append(slab)
+                readers[w] = TelemetrySlabReader(slab.array)
+            self.telemetry = TelemetryAggregator(readers)
+            self.flight_recorder = FlightRecorder(readers)
 
         self._ctx = mp.get_context("fork")
         # One private request queue per worker: frames are round-robined
@@ -587,8 +571,8 @@ class ServingEngine:
         # holding the queue's reader lock and wedge every sibling.
         # Results are per-worker queues too, for the write-side mirror
         # of the same hazard.
-        self._queues: list = []
-        self._result_qs: list = []
+        self._queues = [self._ctx.Queue() for _ in range(num_workers)]
+        self._result_qs = [self._ctx.Queue() for _ in range(num_workers)]
         self._free_slots = list(range(ring_slots))
         self._slot_sem = threading.Semaphore(ring_slots)
         self._lock = threading.Lock()
@@ -597,7 +581,6 @@ class ServingEngine:
         # the future as the request's sole owner.
         self._pending: dict[int, ServeFuture] = {}
         self._dead: set[int] = set()
-        self._retiring: set[int] = set()
         self._outbox: list[tuple] = []
         self._frame_requests = max(1, frame_requests)
         # Load-aware dispatch state: requests outstanding per worker
@@ -605,26 +588,40 @@ class ServingEngine:
         # replies arrive) — the same queue-depth quantity the
         # ``serve.fleet.shard*`` telemetry reports, tracked engine-side
         # so picking a replica never races a slab scrape.
-        self._depth: list[int] = []
+        self._depth = [0] * num_workers
         self._replicas: dict[int, list[int]] = {
             s: [] for s in range(num_shards)
         }
+        for w in range(num_workers):
+            self._replicas[self.config.shard_of(w)].append(w)
         self._rr = {s: 0 for s in range(num_shards)}
         # Dispatched frames awaiting a reply from every shard, by frame
         # seq: {"entries", "workers": {shard: worker}, "replies"}.
         self._next_frame_seq = 0
         self._frames: dict[int, dict] = {}
 
-        self.workers: list = []
-        self._collectors: list[threading.Thread] = []
-        # Initial workers fork before the collector threads start, so
-        # the children never inherit a half-held thread state.
-        for _ in range(num_workers):
-            self._spawn_worker(start_collector=False)
+        self.workers = [
+            self._ctx.Process(
+                target=worker_main,
+                args=(w, self.config, self._queues[w], self._result_qs[w]),
+                daemon=True,
+                name=f"repro-serve-worker-{w}",
+            )
+            for w in range(num_workers)
+        ]
+        self._collectors = [
+            threading.Thread(
+                target=self._collect, args=(w,),
+                name=f"repro-serve-collector-{w}", daemon=True,
+            )
+            for w in range(num_workers)
+        ]
+        # Workers fork before the collector threads start, so the
+        # children never inherit a half-held thread state.
         for worker in self.workers:
             worker.start()
-        for i in range(num_workers):
-            self._start_collector(i)
+        for collector in self._collectors:
+            collector.start()
         self._monitor = threading.Thread(
             target=self._watch_workers, name="repro-serve-monitor",
             daemon=True,
@@ -921,8 +918,7 @@ class ServingEngine:
         """Least-loaded live replica of a shard (caller holds the lock).
 
         Depth is outstanding requests (see ``_depth``); ties break
-        round-robin so equal-load replicas still alternate.  Retiring
-        workers (graceful scale-down) take no new frames.
+        round-robin so equal-load replicas still alternate.
         """
         replicas = self._replicas[shard]
         if not replicas:
@@ -932,7 +928,7 @@ class ServingEngine:
         best = None
         for i in range(len(replicas)):
             worker = replicas[(start + i) % len(replicas)]
-            if worker in self._dead or worker in self._retiring:
+            if worker in self._dead:
                 continue
             if best is None or self._depth[worker] < self._depth[best]:
                 best = worker
@@ -1097,129 +1093,24 @@ class ServingEngine:
                 metrics.inc("serve.deadline_expired", len(expired))
 
     # ------------------------------------------------------------------
-    # Worker pool (spawn / retire / liveness)
+    # Worker liveness
     # ------------------------------------------------------------------
-
-    def _spawn_worker(self, start_collector: bool = True) -> int:
-        """Create queues, telemetry slab and process for one new worker.
-
-        ``start_collector=False`` is the construction-time path: initial
-        workers fork before any collector thread exists (children must
-        not inherit a half-held thread state), then the engine starts
-        processes and collectors in bulk.  Live additions start
-        everything here.
-        """
-        idx = len(self.workers)
-        q = self._ctx.Queue()
-        rq = self._ctx.Queue()
-        self._queues.append(q)
-        self._result_qs.append(rq)
-        if self._telemetry_prefix is not None:
-            slab = ShmArray.zeros(
-                f"{self._telemetry_prefix}-w{idx}",
-                (slab_words(self._flight_slots),),
-                np.uint64,
-            )
-            self._owned_segments.append(slab)
-            reader = TelemetrySlabReader(slab.array)
-            self.telemetry.add_reader(idx, reader)
-            self.flight_recorder.add_reader(idx, reader)
-        worker = self._ctx.Process(
-            target=worker_main,
-            args=(idx, self.config, q, rq),
-            daemon=True,
-            name=f"repro-serve-worker-{idx}",
-        )
-        self.workers.append(worker)
-        with self._lock:
-            self._depth.append(0)
-            self._replicas[self.config.shard_of(idx)].append(idx)
-        if start_collector:
-            worker.start()
-            self._start_collector(idx)
-        return idx
-
-    def _start_collector(self, idx: int) -> None:
-        collector = threading.Thread(
-            target=self._collect, args=(idx,),
-            name=f"repro-serve-collector-{idx}", daemon=True,
-        )
-        self._collectors.append(collector)
-        collector.start()
 
     @property
     def live_workers(self) -> int:
-        """Workers accepting new frames (not dead, not retiring)."""
+        """Workers not yet seen dead by the monitor."""
         with self._lock:
-            return sum(
-                1 for i in range(len(self.workers))
-                if i not in self._dead and i not in self._retiring
-            )
-
-    def add_worker(self) -> int:
-        """Spawn and attach one more worker live; returns its index.
-
-        Bounded by ``ServeConfig.max_workers``.  The new worker attaches
-        the existing shared segments and starts taking frames as soon as
-        the dispatcher sees it (its load-aware depth starts at zero, so
-        it naturally absorbs queued pressure).
-        """
-        if self._stopped:
-            raise RuntimeError("engine is stopped")
-        maximum = self.config.max_workers
-        if maximum is not None and self.live_workers >= maximum:
-            raise RuntimeError(
-                f"worker pool already at max_workers ({maximum})"
-            )
-        idx = self._spawn_worker(start_collector=True)
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.inc("serve.workers_added")
-            metrics.gauge("serve.workers_live", self.live_workers)
-        return idx
-
-    def remove_worker(self) -> int | None:
-        """Gracefully retire one worker (highest-index live one).
-
-        The worker stops receiving frames immediately, drains what it
-        already holds, serves it, and exits; the monitor then reaps it.
-        Never drops below ``ServeConfig.min_workers`` (or below one live
-        replica per shard) — returns None when no worker can be
-        retired.
-        """
-        if self._stopped:
-            raise RuntimeError("engine is stopped")
-        with self._lock:
-            live = [
-                i for i in range(len(self.workers))
-                if i not in self._dead and i not in self._retiring
-            ]
-            if len(live) <= self.config.min_workers:
-                return None
-            idx = live[-1]
-            # Only retire a worker whose shard keeps a live replica.
-            shard = self.config.shard_of(idx)
-            if not any(self.config.shard_of(w) == shard for w in live[:-1]):
-                return None
-            self._retiring.add(idx)
-        self._queues[idx].put(None)  # drain-then-exit sentinel
-        metrics = _metrics()
-        if metrics.enabled:
-            metrics.inc("serve.workers_retired")
-            metrics.gauge("serve.workers_live", self.live_workers)
-        return idx
+            return len(self.workers) - len(self._dead)
 
     def _watch_workers(self) -> None:
         """Detect worker deaths and re-route their unserved requests."""
         while not self._stopped:
             sentinels = {
                 worker.sentinel: i
-                for i, worker in enumerate(list(self.workers))
-                if i not in self._dead and worker.pid is not None
+                for i, worker in enumerate(self.workers)
+                if i not in self._dead
             }
             if not sentinels:
-                if self._stopped:
-                    return
                 time.sleep(0.05)
                 continue
             for sentinel in connection.wait(list(sentinels), timeout=0.1):
@@ -1229,12 +1120,9 @@ class ServingEngine:
                 self.workers[worker_idx].join(timeout=0.1)  # reap
                 with self._lock:
                     self._dead.add(worker_idx)
-                    planned = worker_idx in self._retiring
-                self._handle_worker_death(worker_idx, planned=planned)
+                self._handle_worker_death(worker_idx)
 
-    def _handle_worker_death(
-        self, worker_idx: int, planned: bool = False
-    ) -> None:
+    def _handle_worker_death(self, worker_idx: int) -> None:
         """Re-route the frames a dead worker left unanswered.
 
         A frame still missing this worker's shard reply goes to a
@@ -1243,12 +1131,10 @@ class ServingEngine:
         (slots free only on resolution).  A reply already received from
         the dead worker stays valid.  With no surviving replica the
         frame can never combine, so its requests fail at once and no
-        caller blocks on a result that can never arrive.  ``planned``
-        marks a graceful retirement (scale-down), which re-routes the
-        same way but is not counted as a crash.
+        caller blocks on a result that can never arrive.
         """
         metrics = _metrics()
-        if metrics.enabled and not planned:
+        if metrics.enabled:
             metrics.inc("serve.worker_deaths")
         shard = self.config.shard_of(worker_idx)
         refire: list[tuple[int, list, int]] = []

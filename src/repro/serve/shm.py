@@ -320,22 +320,19 @@ def attach_generation(
 
     Zero-copy.  Returns the segment handle (the caller closes it on the
     next adoption) and a read-only :class:`~repro.core.packed.PackedModel`
-    over its words: a class shard's model covers its row range at full
-    width, a word shard's covers every class over its word columns (its
-    ``dim`` is the shard's bit span — partial distances against it are
-    exact partial popcounts).  May raise ``FileNotFoundError`` if the
-    generation was retired between the control read and this call —
-    callers re-read the control block and retry on the (newer)
-    generation it now names.
+    over its words: the shard's class rows at full width.  May raise
+    ``FileNotFoundError`` if the generation was retired between the
+    control read and this call — callers re-read the control block and
+    retry on the (newer) generation it now names.
     """
-    shape = shard_plan.shard_shape(snapshot.num_classes, snapshot.dim, shard)
+    shape = shard_plan.shard_shape(snapshot.dim, shard)
     segment = ShmArray.attach(
         generation_segment(prefix, snapshot.generation, shard),
         shape,
         np.uint64,
     )
     packed = PackedModel.from_buffer(
-        segment.array, shape[0], shard_plan.shard_dim(snapshot.dim, shard),
+        segment.array, shape[0], snapshot.dim,
         version=snapshot.model_version,
     )
     return segment, packed

@@ -51,11 +51,10 @@ being SIGKILLed — that is what makes crashes diagnosable post-mortem.
 Each worker owns a private request queue (the engine round-robins
 frames and re-routes a dead worker's unserved frames to survivors): a
 worker killed mid-``get`` can therefore never wedge its siblings on a
-shared queue lock.  The loop exits on the ``None`` sentinel — which is
-also how a graceful retirement (``ServingEngine.remove_worker``, e.g.
-an autoscaler scale-down) lands; a sentinel seen while draining still
-gets the in-hand batch served first — shutdown never drops accepted
-work.
+shared queue lock.  The loop exits on the ``None`` sentinel that
+``ServingEngine.stop`` queues behind any frames already sent; a
+sentinel seen while draining still gets the in-hand batch served
+first — shutdown never drops accepted work.
 """
 
 from __future__ import annotations
@@ -86,17 +85,16 @@ PAYLOAD_PACKED = 0  # ring slot holds (n_queries, words) uint64 query words
 PAYLOAD_FEATURES = 1  # ring slot holds (n_queries, num_features) float64
 
 
-def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
-    """Assemble one tenant's query words ``(total_q, scan_words)``.
+def _gather_queries(ring, live, tenant, codebook):
+    """Assemble one tenant's query words ``(total_q, words)``.
 
     ``live`` rows are ``(req_id, slot, n_queries, kind)``; ``tenant`` is
     the :class:`~repro.serve.engine.TenantSlot` whose geometry (word
-    width, codebook shape, quantiser range) the payloads follow, and
-    ``[word_lo, word_hi)`` the column range this worker scans (the full
-    range under a class plan).  The common case — every
-    live request packed with the same query count — gathers with one
-    fancy index over the ring instead of a Python-level slice per
-    request; mixed batches fall back to the per-request path.
+    width, codebook shape, quantiser range) the payloads follow.  The
+    common case — every live request packed with the same query count —
+    gathers with one fancy index over the ring instead of a
+    Python-level slice per request; mixed batches fall back to the
+    per-request path.
     """
     words = tenant.words
     n0 = live[0][2]
@@ -104,14 +102,13 @@ def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
         slots = np.fromiter(
             (slot for _, slot, _, _ in live), dtype=np.intp, count=len(live)
         )
-        block = ring.array[slots, : n0 * words].reshape(-1, words)
-        return block[:, word_lo:word_hi]
+        return ring.array[slots, : n0 * words].reshape(-1, words)
     rows = []
     for _, slot, n_queries, kind in live:
         if kind == PAYLOAD_PACKED:
             rows.append(
                 ring.array[slot, : n_queries * words]
-                .reshape(n_queries, words)[:, word_lo:word_hi]
+                .reshape(n_queries, words)
             )
         else:
             feats = (
@@ -122,11 +119,7 @@ def _gather_queries(ring, live, tenant, codebook, word_lo, word_hi):
             idx = quantize_features(
                 feats, tenant.levels, tenant.low, tenant.high
             )
-            rows.append(
-                encode_words_from_codebook(
-                    codebook.array[:, :, word_lo:word_hi], idx
-                )
-            )
+            rows.append(encode_words_from_codebook(codebook.array, idx))
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
@@ -159,7 +152,7 @@ class _TenantState:
     """One tenant's attached shared state inside a worker."""
 
     __slots__ = ("codebook", "control", "generation", "packed", "segment",
-                 "shard", "slot", "word_hi", "word_lo")
+                 "shard", "slot")
 
     def __init__(self, slot, control, codebook, shard) -> None:
         self.slot = slot  # the TenantSlot geometry
@@ -169,12 +162,6 @@ class _TenantState:
         self.segment = None
         self.packed = None
         self.generation = 0
-        # The query-word columns this worker scans: its word range
-        # under a word plan, every word under a class plan.
-        plan = slot.shard_plan
-        self.word_lo, self.word_hi = (
-            plan.bounds[shard] if plan.kind == "word" else (0, slot.words)
-        )
 
     def adopt(self):
         """Remap to this worker's shard of the newest generation if it moved.
@@ -345,8 +332,7 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
                 group_queries = sum(n for _, _, n, _ in group)
                 total_queries += group_queries
                 query_words = _gather_queries(
-                    ring, group, state.slot, state.codebook,
-                    state.word_lo, state.word_hi,
+                    ring, group, state.slot, state.codebook
                 )
                 # Model bytes streamed: every query scans the tenant's
                 # attached word matrix once — what sharding shrinks.

@@ -4,7 +4,7 @@ Every registered backend must produce chunk distance tables, distance
 tables, encodings and recovery repairs bit-identical to
 :class:`ReferenceBackend` — the unpacked uint8 oracle — over random
 shapes, including operands with zeroed pad bits, chunks that start and
-end inside a word, word-column slices (the word-shard cases) and
+end inside a word, word-column slices (non-contiguous operands) and
 strided table columns.
 """
 
@@ -143,8 +143,8 @@ class TestChunkDistanceTable:
     @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
     @pytest.mark.parametrize("chunk_bits", [63, 64, 100])
     def test_word_shard_operands(self, name, chunk_bits):
-        """Column slices ``words[:, lo:hi]`` (a word shard) are read as
-        the shard's own rows, not as views into the full rows."""
+        """Column slices ``words[:, lo:hi]`` are read as the slice's own
+        rows, not as views into the full rows."""
         backend = get_or_skip(name)
         queries, model = random_words(7, 20), random_words(4, 20)
         for lo, hi in ((0, 8), (3, 14), (12, 20)):
@@ -234,7 +234,7 @@ class TestEncodeEquivalence:
 
     @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
     def test_word_slice_encodes_in_place(self, name):
-        """A word-column view (the word-sharded worker's codebook) encodes
+        """A word-column view of the codebook (a strided operand) encodes
         to the same columns of the full encode."""
         backend = get_or_skip(name)
         codebook = random_codebook(33, 6, 20)

@@ -289,3 +289,46 @@ class TestLifecycle:
         finally:
             engine.stop()
         assert shm_entries(prefix) == []
+
+
+def test_stop_serves_requests_submitted_before_it(fitted):
+    """``stop()`` queues each worker's exit sentinel behind the frames
+    already sent: a worker serves its in-hand batch, then exits, so every
+    request submitted before the stop resolves OK."""
+    task, clf = fitted
+    words = clf.encoder.encode_packed(task.test_x[:8]).words
+    expected = clf.predict(task.test_x[:8])
+    engine = ServingEngine(clf, num_workers=2, ring_slots=64)
+    prefix = engine.config.prefix
+    futures = [
+        engine.submit(ServeRequest(words), flush=False) for _ in range(30)
+    ]
+    engine.stop()
+    for future in futures:
+        result = future.result(timeout=1.0)
+        assert result.ok
+        np.testing.assert_array_equal(result.predictions, expected)
+    assert shm_entries(prefix) == []
+
+
+@pytest.mark.parametrize(
+    ("argument", "value", "field"),
+    [
+        ("coalesce_requests", 0, "coalesce_requests"),
+        ("stall_timeout", -1.0, "stall_ns"),
+        ("flight_slots", -1, "flight_slots"),
+    ],
+    ids=["coalesce_requests", "stall_timeout", "flight_slots"],
+)
+def test_config_error_leaves_no_shared_memory(fitted, argument, value, field):
+    """A config the engine refuses is refused before any segment exists."""
+    _, clf = fitted
+    before = set(shm_entries("repro-serve-"))
+    try:
+        with pytest.raises(ValueError, match=f"ServeConfig.{field}"):
+            ServingEngine(clf, num_workers=1, **{argument: value})
+    finally:
+        leaked = sorted(set(shm_entries("repro-serve-")) - before)
+        for path in leaked:
+            os.unlink(path)
+    assert leaked == []

@@ -165,16 +165,11 @@ class TestServeConfig:
             ("prefix", "", "ServeConfig.prefix"),
             ("tenants", (), "ServeConfig.tenants"),
             ("flight_slots", -1, "ServeConfig.flight_slots"),
-            ("min_workers", 0, "ServeConfig.min_workers"),
         ],
     )
     def test_validation_names_offending_field(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             self._config(**{field: value})
-
-    def test_max_workers_below_min_named(self):
-        with pytest.raises(ValueError, match="ServeConfig.max_workers"):
-            self._config(min_workers=4, max_workers=2)
 
     def test_sharding_single_tenant_only(self):
         sharded = self._tenant(shard_plan=ShardPlan.by_class(4, 2))

@@ -2,12 +2,12 @@
 
 The load-bearing properties:
 
-* class- and word-sharded engines, one-shard plans included, produce
-  predictions bit-identical to the in-process packed path (argmin ties
-  included), and every plan's ``combine`` of its shards' ``reply`` rows
-  equals the unsharded argmin;
-* a concurrent attack-and-recover published into a sharded engine ends
-  bit-identical to the sequential reference;
+* class-sharded engines with 1, 2 and 3 shards produce predictions
+  bit-identical to the in-process packed path (argmin ties included),
+  and every plan's ``combine`` of its shards' ``reply`` rows equals the
+  unsharded argmin;
+* a concurrent attack-and-recover published into a 2- or 3-shard engine
+  ends bit-identical to the sequential reference;
 * killing one replica of a shard re-routes its work to the surviving
   replica; every test leaves ``/dev/shm`` clean.
 """
@@ -25,12 +25,7 @@ from hypothesis import strategies as st
 from repro.core.encoder import Encoder
 from repro.core.model import HDCClassifier, HDCModel
 from repro.datasets.synthetic import make_prototype_classification
-from repro.serve import (
-    ServeRequest,
-    ServingEngine,
-    ShardPlan,
-    reduce_partial_tables,
-)
+from repro.serve import ServeRequest, ServingEngine, ShardPlan
 
 
 def shm_entries(prefix: str) -> list[str]:
@@ -40,70 +35,36 @@ def shm_entries(prefix: str) -> list[str]:
 class TestShardPlanGeometry:
     def test_by_class_balanced_larger_first(self):
         plan = ShardPlan.by_class(26, 4)
-        assert plan.kind == "class"
         assert plan.bounds == ((0, 7), (7, 14), (14, 20), (20, 26))
         assert plan.num_shards == 4
         assert plan.axis_size == 26
-
-    def test_by_word_splits_ceil_words(self):
-        plan = ShardPlan.by_word(1000, 2)  # ceil(1000/64) = 16 words
-        assert plan.kind == "word"
-        assert plan.bounds == ((0, 8), (8, 16))
 
     def test_rejects_more_shards_than_items(self):
         with pytest.raises(ValueError, match="cannot split"):
             ShardPlan.by_class(3, 4)
 
-    def test_rejects_bad_kind_and_gaps(self):
-        with pytest.raises(ValueError, match="kind"):
-            ShardPlan(kind="row", bounds=((0, 1),))
+    def test_rejects_gaps_and_empty(self):
         with pytest.raises(ValueError, match="contiguous"):
-            ShardPlan(kind="class", bounds=((0, 2), (3, 4)))
+            ShardPlan(bounds=((0, 2), (3, 4)))
         with pytest.raises(ValueError, match="contiguous"):
-            ShardPlan(kind="class", bounds=((0, 2), (2, 2)))
+            ShardPlan(bounds=((0, 2), (2, 2)))
         with pytest.raises(ValueError, match="at least one"):
-            ShardPlan(kind="class", bounds=())
+            ShardPlan(bounds=())
 
     def test_validate_against_model_geometry(self):
         plan = ShardPlan.by_class(8, 2)
         plan.validate(num_classes=8, dim=512)
         with pytest.raises(ValueError, match="covers"):
             plan.validate(num_classes=9, dim=512)
-        word_plan = ShardPlan.by_word(512, 2)
-        word_plan.validate(num_classes=8, dim=512)
-        with pytest.raises(ValueError, match="covers"):
-            word_plan.validate(num_classes=8, dim=1024)
 
     def test_shard_words_and_shapes(self):
         rng = np.random.default_rng(0)
         words = rng.integers(0, 2**63, (6, 10), dtype=np.uint64)
-        cplan = ShardPlan.by_class(6, 2)
-        assert (cplan.shard_words(words, 0) == words[:3]).all()
-        assert cplan.shard_shape(6, 640, 1) == (3, 10)
-        assert cplan.shard_dim(640, 1) == 640
-        wplan = ShardPlan.by_word(640, 2)
-        assert (wplan.shard_words(words, 1) == words[:, 5:]).all()
-        assert wplan.shard_shape(6, 640, 0) == (6, 5)
-        assert wplan.shard_dim(640, 0) == 320
-
-    def test_trailing_word_shard_dim_clips_padding(self):
-        # dim=1000 -> 16 words; last shard (words 8..16) spans bits
-        # 512..1000, not 512..1024.
-        plan = ShardPlan.by_word(1000, 2)
-        assert plan.shard_dim(1000, 0) == 512
-        assert plan.shard_dim(1000, 1) == 1000 - 512
-        # Each shard's word count must round-trip through ceil(dim/64).
-        for s in range(2):
-            lo, hi = plan.bounds[s]
-            assert -(-plan.shard_dim(1000, s) // 64) == hi - lo
-
-    def test_shard_queries(self):
-        rng = np.random.default_rng(1)
-        q = rng.integers(0, 2**63, (4, 10), dtype=np.uint64)
-        assert ShardPlan.by_class(6, 2).shard_queries(q, 1) is q
-        assert (
-            ShardPlan.by_word(640, 2).shard_queries(q, 0) == q[:, :5]
-        ).all()
+        plan = ShardPlan.by_class(6, 2)
+        assert (plan.shard_words(words, 0) == words[:3]).all()
+        assert (plan.shard_words(words, 1) == words[3:]).all()
+        assert plan.shard_shape(640, 1) == (3, 10)
+        assert plan.shard_shape(1000, 0) == (3, 16)  # ceil(1000/64) words
 
 
 class TestCombineRules:
@@ -111,12 +72,11 @@ class TestCombineRules:
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=1, max_value=9),
         st.integers(min_value=1, max_value=4),
-        st.sampled_from(["class", "word"]),
         st.data(),
     )
     @settings(deadline=None, max_examples=60)
     def test_combined_replies_equal_unsharded_argmin(
-        self, b, k, shards, kind, data
+        self, b, k, shards, data
     ):
         rng = np.random.default_rng(
             data.draw(st.integers(min_value=0, max_value=2**31))
@@ -124,40 +84,14 @@ class TestCombineRules:
         table = rng.integers(0, 4, (b, k)).astype(np.int64)
         # Force ties: one random column matches every row's minimum.
         table[:, rng.integers(k)] = table.min(axis=1)
-        if kind == "class":
-            plan = ShardPlan.by_class(k, min(shards, k))
-            replies = [
-                plan.reply(table[:, lo:hi], s)
-                for s, (lo, hi) in enumerate(plan.bounds)
-            ]
-        else:
-            plan = ShardPlan.by_word(64 * shards, shards)
-            # Partial popcounts: each distance split over the shards.
-            partials = rng.multinomial(table, np.full(shards, 1 / shards))
-            replies = [
-                plan.reply(np.ascontiguousarray(partials[:, :, s]), s)
-                for s in range(shards)
-            ]
+        plan = ShardPlan.by_class(k, min(shards, k))
+        replies = [
+            plan.reply(table[:, lo:hi], s)
+            for s, (lo, hi) in enumerate(plan.bounds)
+        ]
         combined = plan.combine(replies)
         assert combined.dtype == np.int64
         assert (combined == np.argmin(table, axis=1)).all()
-
-    @given(st.integers(min_value=1, max_value=9), st.data())
-    @settings(deadline=None, max_examples=25)
-    def test_reduce_tree_equals_flat_sum(self, parts, data):
-        rng = np.random.default_rng(
-            data.draw(st.integers(min_value=0, max_value=2**31))
-        )
-        tables = [
-            rng.integers(0, 1000, (5, 3)).astype(np.int64)
-            for _ in range(parts)
-        ]
-        flat = np.sum(np.stack(tables), axis=0)
-        assert (reduce_partial_tables(tables) == flat).all()
-
-    def test_reduce_tree_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            reduce_partial_tables([])
 
 
 @pytest.fixture(scope="module")
@@ -176,10 +110,8 @@ def fitted():
 def plans_for(clf):
     return [
         ShardPlan.by_class(clf.model.num_classes, 1),
-        ShardPlan.by_word(clf.encoder.dim, 1),
         ShardPlan.by_class(clf.model.num_classes, 2),
-        ShardPlan.by_word(clf.encoder.dim, 2),
-        ShardPlan.by_word(clf.encoder.dim, 3),
+        ShardPlan.by_class(clf.model.num_classes, 3),
     ]
 
 
@@ -255,14 +187,14 @@ class TestShardedServing:
     def test_sharded_trace_records_shard_and_wait(self, fitted):
         task, clf = fitted
         words = clf.encoder.encode_packed(task.test_x).words
-        plan = ShardPlan.by_word(clf.encoder.dim, 2)
+        plan = ShardPlan.by_class(clf.model.num_classes, 2)
         with ServingEngine(clf, num_workers=2, shard_plan=plan) as engine:
             engine.submit(ServeRequest(words)).result()
             events = list(engine.trace)
         shards_seen = {event.shard for event in events}
         assert shards_seen == {0, 1}
         assert all(event.dispatch_wait_s >= 0.0 for event in events)
-        # A word shard scans its word columns only: bytes per query is
+        # A class shard scans its class rows only: bytes per query is
         # the shard's slice of the model, not the whole model.
         full_bytes = clf.model.packed().words.nbytes
         for event in events:
@@ -307,9 +239,9 @@ class TestShardedCrashRecovery:
 
 
 class TestShardedLiveRecovery:
-    @pytest.mark.parametrize("kind", ["class", "word"])
+    @pytest.mark.parametrize("num_shards", [2, 3])
     def test_concurrent_attack_and_recover_bit_identical(
-        self, kind, predict_rows
+        self, num_shards, predict_rows
     ):
         """The tentpole equivalence: attack-and-recover published into a
         *sharded* live engine ends bit-identical to the sequential
@@ -349,13 +281,11 @@ class TestShardedLiveRecovery:
         eval_words = reference._eval_packed.words
 
         concurrent = experiment()
-        plan = (
-            ShardPlan.by_class(concurrent.classifier.model.num_classes, 2)
-            if kind == "class"
-            else ShardPlan.by_word(1000, 2)
+        plan = ShardPlan.by_class(
+            concurrent.classifier.model.num_classes, num_shards
         )
         engine = ServingEngine(
-            concurrent.classifier, num_workers=2, shard_plan=plan
+            concurrent.classifier, num_workers=num_shards, shard_plan=plan
         )
         prefix = engine.config.prefix
         try:
@@ -382,7 +312,7 @@ class TestShardedPublisher:
         """Each published generation materialises one segment per shard;
         retire unlinks the whole set."""
         task, clf = fitted
-        plan = ShardPlan.by_word(clf.encoder.dim, 2)
+        plan = ShardPlan.by_class(clf.model.num_classes, 2)
         engine = ServingEngine(clf, num_workers=2, shard_plan=plan)
         prefix = engine.config.prefix
         try:
