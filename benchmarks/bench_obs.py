@@ -13,11 +13,13 @@ benchmark measures what those hooks cost on the two paths that matter:
   1,024 queries in the full run), no-op vs recording metrics vs full
   :class:`~repro.obs.trace.RecoveryTrace` capture;
 * **telemetry** — the cross-process serving telemetry
-  (:mod:`repro.obs.telemetry`): a multi-worker engine with worker slabs
-  on vs off (predictions asserted identical), plus a micro-measured
-  per-batch recording cost (seqlock stats update + flight-ring events)
-  compared against the mean worker batch duration.  The micro ratio is
-  the gated number — multiprocess wall clock is too noisy to gate on.
+  (:mod:`repro.obs.telemetry`): two multi-worker engines, flight rings
+  on and off, built and warmed before either is timed (predictions
+  asserted identical) and then timed in alternating pairs, plus a
+  micro-measured per-batch recording cost (the batch's two flight-ring
+  events) compared against the mean worker batch duration from the
+  engine's batch trace.  The micro ratio is the gated number —
+  multiprocess wall clock is too noisy to gate on.
 
 Target: **< 5% overhead** with a recording registry installed (the
 default no-op registry costs one attribute lookup + empty call per batch
@@ -66,6 +68,7 @@ from repro.obs.metrics import (
 from repro.obs.telemetry import (
     EV_BATCH_END,
     EV_BATCH_START,
+    FLIGHT_SLOTS,
     TelemetryWriter,
     slab_words,
 )
@@ -205,15 +208,18 @@ def bench_recovery(dim: int, num_classes: int, num_chunks: int, stream: int,
 
 def bench_telemetry(num_classes: int, num_features: int, dim: int,
                     levels: int, batch: int, rounds: int,
-                    repeats: int) -> dict:
-    """Serving-telemetry cost: slabs on vs off, plus the micro record cost.
+                    pairs: int) -> dict:
+    """Serving-telemetry cost: flight rings on vs off, plus the micro
+    record cost.
 
     The gated number is ``record_overhead_vs_batch``: the measured cost
-    of one worker's full per-batch recording (two flight events + one
-    seqlock-stamped stats update) divided by the mean worker batch
-    duration observed with telemetry on.  Engine wall clock for both
-    modes is reported alongside as context, not gated — fork timing and
-    scheduler noise dominate it at benchmark scale.
+    of one worker's per-batch recording (its batch start and batch end
+    flight events) divided by the mean worker batch duration in the
+    telemetry-on engine's trace.  Engine wall clock for both modes is
+    reported alongside as context, not gated: both engines are built
+    and warmed first (the first engine a process builds runs slower),
+    then timed in ``pairs`` alternating rounds of ``rounds`` bulk
+    predicts each, and ``wall_overhead`` is the median per-round ratio.
     """
     task = make_prototype_classification(
         "bench-obs-tele", num_features=num_features, num_classes=num_classes,
@@ -231,42 +237,43 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
 
     disable_metrics()
 
-    def serve(telemetry: bool):
-        engine = ServingEngine(classifier, num_workers=2,
-                               telemetry=telemetry)
-        try:
-            predict_bulk(engine, queries)  # warm-up: fork + adoption
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                for _ in range(rounds):
-                    preds = predict_bulk(engine, queries)
-                best = min(best, time.perf_counter() - start)
-            merged = engine.telemetry.scrape() if telemetry else None
-        finally:
+    def serve(engine: ServingEngine):
+        def arm():
+            for _ in range(rounds):
+                predict_bulk(engine, queries)
+        return arm
+
+    engines = {}
+    try:
+        for name, telemetry in (("off", False), ("on", True)):
+            engines[name] = ServingEngine(classifier, num_workers=2,
+                                          telemetry=telemetry)
+        # Warm-up (fork + adoption) and the bit-identity check.
+        preds = {name: predict_bulk(engine, queries)
+                 for name, engine in engines.items()}
+        assert (preds["on"] == preds["off"]).all(), \
+            "telemetry changed predictions"
+        # "off" first: the no-op baseline the overhead is read against.
+        timed = _paired({"off": serve(engines["off"]),
+                         "on": serve(engines["on"])}, pairs)
+    finally:
+        for engine in engines.values():
             engine.stop()
-        return preds, best, merged
+    durations = [event.duration_s for event in engines["on"].trace]
+    mean_batch_ns = float(np.mean(durations)) * 1e9
 
-    preds_on, t_on, merged = serve(telemetry=True)
-    preds_off, t_off, _ = serve(telemetry=False)
-    assert (preds_on == preds_off).all(), "telemetry changed predictions"
-
-    duration = merged["histograms"]["batch_duration_ns"]
-    mean_batch_ns = duration["sum"] / max(1, duration["count"])
-
-    # Micro-measure the full per-batch record path on an in-process slab
+    # Micro-measure the per-batch record path on an in-process slab
     # (identical code path — the writer is buffer-agnostic).
-    writer = TelemetryWriter(np.zeros(slab_words(256), dtype=np.uint64), 0)
+    writer = TelemetryWriter(
+        np.zeros(slab_words(FLIGHT_SLOTS), dtype=np.uint64), 0
+    )
     iters = 2_000
     best_record = float("inf")
-    for _ in range(max(3, repeats)):
+    for _ in range(max(3, pairs)):
         start = time.perf_counter()
         for i in range(iters):
             writer.record_event(EV_BATCH_START, i, i, 8, i)
             writer.record_event(EV_BATCH_END, i, i, 32, 1_000)
-            writer.record_batch(requests=8, queries=32, expired=0,
-                                duration_ns=1_000, adopted=False,
-                                degraded=False, now_ns=i)
         best_record = min(best_record, time.perf_counter() - start)
     record_ns = best_record / iters * 1e9
 
@@ -274,10 +281,11 @@ def bench_telemetry(num_classes: int, num_features: int, dim: int,
         "dim": dim,
         "batch": batch,
         "rounds": rounds,
-        "telemetry_on_qps": rounds * batch / t_on,
-        "telemetry_off_qps": rounds * batch / t_off,
-        "wall_overhead": t_on / t_off - 1.0,
-        "worker_batches": int(duration["count"]),
+        "pairs": pairs,
+        "telemetry_on_qps": rounds * batch / timed["on"],
+        "telemetry_off_qps": rounds * batch / timed["off"],
+        "wall_overhead": timed["on_overhead"],
+        "worker_batches": len(durations),
         "mean_batch_us": mean_batch_ns / 1e3,
         "record_cost_us": record_ns / 1e3,
         "record_overhead_vs_batch": record_ns / max(1.0, mean_batch_ns),
@@ -290,16 +298,16 @@ def run(smoke: bool) -> dict:
         recover_kw = dict(dim=2_000, num_classes=6, num_chunks=20,
                           stream=128, rounds=4)
         telemetry_kw = dict(num_classes=6, num_features=16, dim=1_024,
-                            levels=8, batch=256, rounds=4, repeats=1)
+                            levels=8, batch=256, rounds=4, pairs=2)
     else:
         predict_kw = dict(dim=10_000, num_classes=12, batch=2_048,
                           rounds=64)
         recover_kw = dict(dim=10_000, num_classes=12, num_chunks=20,
                           stream=1_024, rounds=48)
         telemetry_kw = dict(num_classes=12, num_features=32, dim=4_096,
-                            levels=16, batch=1_024, rounds=8, repeats=3)
+                            levels=16, batch=1_024, rounds=8, pairs=16)
     return {
-        "schema": 3,
+        "schema": 4,
         "generated_by": "benchmarks/bench_obs.py"
         + (" --smoke" if smoke else ""),
         **host(),

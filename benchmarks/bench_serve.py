@@ -27,8 +27,13 @@ Usage::
 
 ``--smoke`` shrinks every workload so the run takes seconds and, unless
 ``--output`` is given, does not overwrite the committed
-``BENCH_serve.json``.  ``--prom-output PATH`` also exports the scraped
-fleet metrics in Prometheus text format.
+``BENCH_serve.json``.  ``--prom-output PATH`` records metrics over
+every leg and exports them in Prometheus text format (the engines'
+``serve.*`` batch counters and ``serve.batch_duration_s`` among them).
+
+Each ``fleet`` block holds exact percentiles of the engine's batch
+trace (``engine.trace``): worker batch durations and dispatch waits,
+across every worker of the leg.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import asyncio
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +56,7 @@ from repro.core.pipeline import RecoveryExperiment
 from repro.core.recovery import RecoveryConfig
 from repro.datasets.synthetic import make_prototype_classification
 from repro.obs.export import write_prometheus
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.serve import (
     AsyncGatewayClient,
     GatewayClient,
@@ -94,6 +100,13 @@ def _worker_diagnostics(engine: ServingEngine) -> dict:
             w["bytes_scanned"] / w["queries"] if w["queries"] else 0.0
         )
     return workers
+
+
+def _trace_ms(engine: ServingEngine, field: str, qs) -> dict:
+    """Exact percentiles, in ms, of one batch-event field (seconds) over
+    every worker batch in ``engine.trace``."""
+    values = np.array([getattr(event, field) for event in engine.trace])
+    return {q: float(np.percentile(values, q)) * 1e3 for q in qs}
 
 
 def _make_requests(encoder: Encoder, test_x: np.ndarray, queries: int,
@@ -156,7 +169,6 @@ def _check_and_time(engine: ServingEngine, payloads: list[np.ndarray],
 def bench_throughput(num_classes: int, num_features: int, dim: int,
                      levels: int, queries_per_request: int, requests: int,
                      worker_counts: tuple[int, ...], repeats: int,
-                     registry: MetricsRegistry | None = None,
                      num_shards: int = 1,
                      frame_requests: int = 32) -> dict:
     task = make_prototype_classification(
@@ -199,7 +211,7 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
     }
     window = min(256, max(32, requests // 8))
     for workers in worker_counts:
-        engine = ServingEngine(
+        with ServingEngine(
             classifier,
             num_workers=workers,
             ring_slots=2 * window,
@@ -207,20 +219,9 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
             frame_requests=frame_requests,
             coalesce_requests=256,
             shard_plan=ShardPlan.by_class(num_classes, num_shards),
-        )
-        try:
+        ) as engine:
             best = _check_and_time(engine, payloads, reference[:window],
                                    window, repeats)
-            # Fleet percentiles out of worker shared memory: the true
-            # cross-worker batch-latency distribution, merged from the
-            # per-worker log2 bins.
-            ps = engine.telemetry.percentiles(
-                "batch_duration_ns", (50.0, 95.0, 99.0)
-            )
-            if registry is not None:
-                engine.scrape_telemetry(registry)
-        finally:
-            engine.stop()
         result["workers"][str(workers)] = {
             "requests_per_s": requests / best,
             "queries_per_s": requests * queries_per_request / best,
@@ -231,8 +232,8 @@ def bench_throughput(num_classes: int, num_features: int, dim: int,
             ),
             "per_worker": _worker_diagnostics(engine),
             "fleet": {
-                f"batch_duration_ms_p{int(q)}": value / 1e6
-                for q, value in ps.items()
+                f"batch_duration_ms_p{q}": ms for q, ms
+                in _trace_ms(engine, "duration_s", (50, 95, 99)).items()
             },
         }
     return result
@@ -271,8 +272,7 @@ def _flood(classifier: HDCClassifier, payload: np.ndarray, requests: int,
 
 def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
                   error_rate: float, passes: int, num_workers: int,
-                  min_soak_s: float,
-                  registry: MetricsRegistry | None = None) -> dict:
+                  min_soak_s: float) -> dict:
     """Multi-tenant soak through the TCP gateway, plus three sub-legs.
 
     ``tenants`` independent models share one ``num_workers``-worker
@@ -332,7 +332,6 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     tenant_registry = TenantRegistry()
     for name, exp in zip(names, experiments):
         tenant_registry.add(name, exp.classifier)
-    previous_metrics = set_metrics(registry) if registry is not None else None
     engine = ServingEngine(
         tenant_registry, num_workers=num_workers, ring_slots=128,
         max_queries_per_request=qpr,
@@ -444,59 +443,51 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
     assert shed_total == 0, \
         f"soak shed {shed_total} requests despite generous admission"
     generations = engine.publisher_for(names[0]).generation
-    batch_ps = engine.telemetry.percentiles(
-        "batch_duration_ns", (50.0, 95.0)
-    )
-    wait_ps = engine.telemetry.percentiles("dispatch_wait_ns", (95.0,))
-    if registry is not None:
-        engine.scrape_telemetry(registry)
+    batch_ms = _trace_ms(engine, "duration_s", (50, 95))
+    wait_ms = _trace_ms(engine, "dispatch_wait_s", (95,))
     server.stop()
     engine.stop()
 
-    try:
-        # Overload sub-leg: a deliberately tiny in-flight cap under
-        # async pipelining must shed with a typed OVERLOADED reject
-        # while every admitted request still resolves correctly.
-        flood_requests = 40
-        outcomes, _, _, _ = _flood(
-            experiments[1].classifier, payloads[names[1]], flood_requests,
-            credited=False, ring_slots=2, max_inflight=1,
-        )
-        flood_served = [o for o in outcomes if isinstance(o, np.ndarray)]
-        flood_shed = [o for o in outcomes if isinstance(o, GatewayRejected)]
-        assert flood_served, "overload sub-leg starved every request"
-        for got in flood_served:
-            assert (got == expected[names[1]]).all(), \
-                "overload sub-leg served wrong predictions"
-        assert flood_shed, "overload sub-leg shed nothing; cap not enforced"
-        assert {exc.code for exc in flood_shed} == {RejectCode.OVERLOADED}
+    # Overload sub-leg: a deliberately tiny in-flight cap under
+    # async pipelining must shed with a typed OVERLOADED reject
+    # while every admitted request still resolves correctly.
+    flood_requests = 40
+    outcomes, _, _, _ = _flood(
+        experiments[1].classifier, payloads[names[1]], flood_requests,
+        credited=False, ring_slots=2, max_inflight=1,
+    )
+    flood_served = [o for o in outcomes if isinstance(o, np.ndarray)]
+    flood_shed = [o for o in outcomes if isinstance(o, GatewayRejected)]
+    assert flood_served, "overload sub-leg starved every request"
+    for got in flood_served:
+        assert (got == expected[names[1]]).all(), \
+            "overload sub-leg served wrong predictions"
+    assert flood_shed, "overload sub-leg shed nothing; cap not enforced"
+    assert {exc.code for exc in flood_shed} == {RejectCode.OVERLOADED}
 
-        # Backpressure sub-leg: the same flood over a *credited*
-        # connection against a tiny window must be paused (client
-        # blocks on credits), never shed — zero OVERLOADED rejects for
-        # a credit-respecting client.
-        bp_requests = 60
-        bp_outcomes, bp_window, bp_waits, bp_shed = _flood(
-            experiments[1].classifier, payloads[names[1]], bp_requests,
-            credited=True, ring_slots=4, max_inflight=2,
-            connection_window=2,
-        )
-        for got in bp_outcomes:
-            assert isinstance(got, np.ndarray), \
-                f"backpressure sub-leg failed a request: {got!r}"
-            assert (got == expected[names[1]]).all(), \
-                "backpressure sub-leg served wrong predictions"
-        assert bp_shed == 0, (
-            f"credit-respecting client was shed {bp_shed} times; "
-            f"backpressure should pause, not reject"
-        )
-        assert bp_waits > 0, (
-            "flood never waited on credits; the tiny window was not "
-            "exercised"
-        )
-    finally:
-        if previous_metrics is not None:
-            set_metrics(previous_metrics)
+    # Backpressure sub-leg: the same flood over a *credited*
+    # connection against a tiny window must be paused (client
+    # blocks on credits), never shed — zero OVERLOADED rejects for
+    # a credit-respecting client.
+    bp_requests = 60
+    bp_outcomes, bp_window, bp_waits, bp_shed = _flood(
+        experiments[1].classifier, payloads[names[1]], bp_requests,
+        credited=True, ring_slots=4, max_inflight=2,
+        connection_window=2,
+    )
+    for got in bp_outcomes:
+        assert isinstance(got, np.ndarray), \
+            f"backpressure sub-leg failed a request: {got!r}"
+        assert (got == expected[names[1]]).all(), \
+            "backpressure sub-leg served wrong predictions"
+    assert bp_shed == 0, (
+        f"credit-respecting client was shed {bp_shed} times; "
+        f"backpressure should pause, not reject"
+    )
+    assert bp_waits > 0, (
+        "flood never waited on credits; the tiny window was not "
+        "exercised"
+    )
 
     total = sum(served.values())
     return {
@@ -516,9 +507,9 @@ def bench_gateway(tenants: int, num_features: int, dim: int, levels: int,
             "zero_shed_at_low_load": shed_total == 0,
         },
         "fleet": {
-            "batch_duration_ms_p50": batch_ps[50.0] / 1e6,
-            "batch_duration_ms_p95": batch_ps[95.0] / 1e6,
-            "dispatch_wait_ms_p95": wait_ps[95.0] / 1e6,
+            "batch_duration_ms_p50": batch_ms[50],
+            "batch_duration_ms_p95": batch_ms[95],
+            "dispatch_wait_ms_p95": wait_ms[95],
         },
         "recovery": {
             "tenant": names[0],
@@ -572,24 +563,29 @@ def run(smoke: bool, registry: MetricsRegistry | None = None) -> dict:
         gateway_kw = dict(tenants=2, num_features=16, dim=2_000, levels=16,
                           error_rate=0.2, passes=2, num_workers=4,
                           min_soak_s=3.0)
-    throughput = bench_throughput(**throughput_kw, registry=registry)
-    # Same workload, class-sharded: each worker owns a row slice of the
-    # model and large frames amortise dispatch, so the comparison against
-    # the unsharded run at the same worker count is apples-to-apples.
-    sharded = bench_throughput(**sharded_kw, registry=registry,
-                               num_shards=shards, frame_requests=256)
+    # The registry is installed before any engine starts: each engine's
+    # collectors bind the installed registry when they start.
+    with use_metrics(registry) if registry is not None else nullcontext():
+        throughput = bench_throughput(**throughput_kw)
+        # Same workload, class-sharded: each worker owns a row slice of
+        # the model and large frames amortise dispatch, so the comparison
+        # against the unsharded run at the same worker count is
+        # apples-to-apples.
+        sharded = bench_throughput(**sharded_kw, num_shards=shards,
+                                   frame_requests=256)
+        gateway = bench_gateway(**gateway_kw)
     sharded["speedup_vs_unsharded_same_workers"] = (
         sharded["workers"][str(shards)]["requests_per_s"]
         / throughput["workers"][str(shards)]["requests_per_s"]
     )
     return {
-        "schema": 7,
+        "schema": 8,
         "generated_by": "benchmarks/bench_serve.py"
         + (" --smoke" if smoke else ""),
         **host(),
         "throughput": throughput,
         "throughput_class_sharded": sharded,
-        "gateway": bench_gateway(**gateway_kw, registry=registry),
+        "gateway": gateway,
     }
 
 
@@ -602,8 +598,8 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"where to write the JSON "
                              f"(default: {DEFAULT_OUTPUT})")
     parser.add_argument("--prom-output", type=Path, default=None,
-                        help="also write the scraped fleet metrics in "
-                             "Prometheus text format")
+                        help="record metrics over every leg and write "
+                             "them in Prometheus text format")
     args = parser.parse_args(argv)
 
     registry = MetricsRegistry() if args.prom_output is not None else None

@@ -17,18 +17,19 @@ primitives over packed uint64 words (64 dimensions per word):
   feature query is encoded through it before it can be predicted,
   detected or repaired.
 * ``repair_row(row, query, chunks, chunk_bits, draws, rate, ahead,
-  chunk_sims, sims)`` — one recovery write: probabilistic substitution
-  of a query's bits into the flagged chunks of one uint8 class row, and
-  the exact similarity change of every flipped bit added to that
-  class's column of the chunk and similarity tables of the rows still
-  ahead in the block, so the recovery walk never repacks the model or
-  recomputes a table.
+  chunk_sims, sims)`` — the Python walk's write: probabilistic
+  substitution of a query's bits into the flagged chunks of one uint8
+  class row, and the exact similarity change of every flipped bit added
+  to that class's column of the chunk and similarity tables of the rows
+  still ahead in the block, so the recovery walk never repacks the
+  model or recomputes a table.  The numpy and reference backends
+  implement it; the native walk repairs inside its C call.
 * ``recover_walk(class_hv, words, sims, table, gate, rng, flags,
   repair_bits, ...)`` — a recovery block's whole row walk: the
   confidence gate, the detector's rule on each trusted row's chunk
   similarities, and one write per row that flags chunks.
 
-This module puts all four behind a :class:`KernelBackend` contract so
+This module puts them behind a :class:`KernelBackend` contract so
 the computation can move between substrates without the callers
 changing:
 
@@ -279,15 +280,16 @@ def _repair_operands(
 class KernelBackend:
     """Contract every packed-kernel backend implements.
 
-    A backend implements four operations: it computes exact integer
+    A backend implements three operations: it computes exact integer
     Hamming distances between packed uint64 word arrays
     (:meth:`chunk_distance_table` — per chunk, with the whole-row
     :meth:`distance_table`, defined here on top of it, as the one-chunk
     case), majority-bundles bound-codebook rows into packed encodings
-    (:meth:`encode_words`), applies one recovery write
-    (:meth:`repair_row`) and walks a recovery block
-    (:meth:`recover_walk`, a Python loop over :meth:`repair_row` here,
-    one C call on :class:`NativeCpuBackend`).  Implementations must be
+    (:meth:`encode_words`) and walks a recovery block
+    (:meth:`recover_walk`): a Python loop here whose every write is one
+    :meth:`repair_row`, which the numpy and reference backends
+    implement, and one C call on :class:`NativeCpuBackend`, which
+    repairs inside it.  Implementations must be
     bit-identical to :class:`ReferenceBackend` — the serving tier treats
     the table as ground truth (argmin ties included), the recovery walk
     replays a query-at-a-time loop from the patched tables, and the
@@ -363,7 +365,7 @@ class KernelBackend:
         chunk_sims: np.ndarray,
         sims: np.ndarray,
     ) -> np.ndarray:
-        """One recovery write; returns the bits changed per chunk ``(c,)``.
+        """The Python walk's write; returns the bits changed per chunk ``(c,)``.
 
         ``row`` is one class of a 1-bit model, ``(D,)`` uint8 0/1, and
         is written in place; ``query`` the ``(W,)`` packed words of the
@@ -681,17 +683,16 @@ class ReferenceBackend(KernelBackend):
 # planes are then compared MSB-first against n / 2 + 1.  The codebook is
 # read through its feature and level strides (in words), so a
 # word-column slice of a larger codebook is encoded in place.
-# ``repro_repair_row`` is one recovery write: the substitution into one
-# uint8 class row chunk by chunk, each chunk's flipped bits gathered
+# ``repro_recover_walk`` is a block's whole recovery walk: per row it
+# predicts the first maximum similarity, evaluates the confidence gate
+# (handing a row whose confidence lies within a tiny band of the
+# threshold back to Python, where rounding could decide it
+# differently), flags chunks by the detector's rule, draws a write's
+# doubles from the Generator's own bit generator — the ``next_double``
+# calls ``Generator.random`` makes — and repairs: the substitution into
+# one uint8 class row chunk by chunk, each chunk's flipped bits gathered
 # into a word mask, and one masked popcount per row ahead and chunk for
-# the similarity patch.  ``repro_recover_walk`` is a block's whole
-# recovery walk around the same repair: per row it predicts the first
-# maximum similarity, evaluates the confidence gate (handing a row
-# whose confidence lies within a tiny band of the threshold back to
-# Python, where rounding could decide it differently), flags chunks by
-# the detector's rule and draws a write's doubles from the Generator's
-# own bit generator — the ``next_double`` calls ``Generator.random``
-# makes.
+# the similarity patch.
 # ``-march=native`` lets the compiler vectorise the popcount
 # (AVX512-VPOPCNTDQ where the host has it) and the BLK-word adder
 # loops; ``restrict`` is what licenses that vectorisation.
@@ -868,7 +869,8 @@ int repro_encode_words(const uint64_t *codebook, int64_t fs, int64_t ls,
     return 0;
 }
 
-/* One recovery write (KernelBackend.repair_row).  For each flagged
+/* One recovery write, the C counterpart of the Python walk's
+   KernelBackend.repair_row.  For each flagged
    chunk j = chunks[t], t < c, bit i of [j * d, (j + 1) * d) takes the
    query's bit wherever draws[t * d + i - j * d] < rate; changed[t]
    counts the bits that changed.  Each changed bit moves the similarity
@@ -911,24 +913,6 @@ static void repair(uint8_t *restrict row, const uint64_t *restrict query,
             sims[s * ss] += delta;
         }
     }
-}
-
-/* repair() with its own flip mask.  Returns 0, or -1 if the mask could
-   not be allocated. */
-int repro_repair_row(uint8_t *restrict row, const uint64_t *restrict query,
-                     const int64_t *restrict chunks, int64_t c, int64_t d,
-                     const double *restrict draws, double rate,
-                     const uint64_t *restrict ahead, int64_t r, int64_t w,
-                     double *chunk_sims, int64_t cs, int64_t cj,
-                     double *sims, int64_t ss, int64_t *restrict changed)
-{
-    uint64_t *flip = malloc(sizeof *flip * (size_t)(w ? w : 1));
-    if (flip == NULL)
-        return -1;
-    repair(row, query, chunks, c, d, draws, rate, ahead, r, w,
-           chunk_sims, cs, cj, sims, ss, changed, flip);
-    free(flip);
-    return 0;
 }
 
 /* numpy.random's bitgen_t (numpy/random/bitgen.h), the struct a
@@ -1115,14 +1099,6 @@ def _build_native_kernel():
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
     ]
     lib.repro_encode_words.restype = ctypes.c_int
-    lib.repro_repair_row.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_double,
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-    ]
-    lib.repro_repair_row.restype = ctypes.c_int
     lib.repro_recover_walk.argtypes = [
         ctypes.c_void_p, ctypes.c_int64,
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
@@ -1138,7 +1114,7 @@ def _build_native_kernel():
 
 
 class NativeCpuBackend(KernelBackend):
-    """C kernels compiled on first use: distance table, encoder, repair.
+    """C kernels compiled on first use: distance table, encoder, walk.
 
     The chunk distance table fuses XOR, popcount, and the word-axis
     accumulation in one loop nest, so no ``(b, k, W)`` intermediate is
@@ -1226,41 +1202,6 @@ class NativeCpuBackend(KernelBackend):
             ):
                 raise MemoryError("native encode: row table allocation")
         return out
-
-    def repair_row(
-        self,
-        row: np.ndarray,
-        query: np.ndarray,
-        chunks: np.ndarray,
-        chunk_bits: int,
-        draws: np.ndarray,
-        rate: float,
-        ahead: np.ndarray,
-        chunk_sims: np.ndarray,
-        sims: np.ndarray,
-    ) -> np.ndarray:
-        lib = self._require()
-        query, chunks, draws, ahead = _repair_operands(
-            row, query, chunks, chunk_bits, draws, ahead, chunk_sims, sims
-        )
-        changed = np.zeros(chunks.size, dtype=np.int64)
-        if not chunks.size:
-            return changed
-        # The kernel writes the row at unit stride; a strided row is
-        # repaired in a copy.
-        target = row if row.flags.c_contiguous else row.copy()
-        row_stride, chunk_stride = (s // 8 for s in chunk_sims.strides)
-        if lib.repro_repair_row(
-            target.ctypes.data, query.ctypes.data, chunks.ctypes.data,
-            chunks.size, chunk_bits, draws.ctypes.data, rate,
-            ahead.ctypes.data, len(ahead), query.shape[0],
-            chunk_sims.ctypes.data, row_stride, chunk_stride,
-            sims.ctypes.data, sims.strides[0] // 8, changed.ctypes.data,
-        ):
-            raise MemoryError("native repair: flip mask allocation")
-        if target is not row:
-            row[:] = target
-        return changed
 
     def recover_walk(
         self,

@@ -11,11 +11,10 @@ Five zero-dependency components:
   micro-batch, emitted by :mod:`repro.serve`), and
   :class:`CampaignTrace` (one record per adversarial-campaign step,
   emitted by :mod:`repro.adversary`);
-* :mod:`repro.obs.telemetry` — cross-process telemetry: per-worker
-  shared-memory stats slabs scraped into the registry by
-  :class:`TelemetryAggregator`, a crash-surviving
-  :class:`FlightRecorder` ring, and :func:`correlate` joining serve
-  batches against recovery publish announcements;
+* :mod:`repro.obs.telemetry` — cross-process telemetry: a per-worker
+  crash-surviving :class:`FlightRecorder` ring in shared memory, and
+  :func:`correlate` joining serve batches against recovery publish
+  announcements;
 * :mod:`repro.obs.export` — Prometheus text and JSONL snapshot
   exporters rendered from :meth:`MetricsRegistry.snapshot`;
 * :mod:`repro.obs.scorecard` — joins a trace against the injected
@@ -51,7 +50,6 @@ from repro.obs.scorecard import (
 from repro.obs.telemetry import (
     FlightEvent,
     FlightRecorder,
-    TelemetryAggregator,
     TelemetrySlabReader,
     TelemetryWriter,
     correlate,
@@ -81,7 +79,6 @@ __all__ = [
     "RecoveryTrace",
     "ServeBatchEvent",
     "ServeTrace",
-    "TelemetryAggregator",
     "TelemetrySlabReader",
     "TelemetryWriter",
     "adversary_scorecard",

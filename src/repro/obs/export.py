@@ -2,10 +2,9 @@
 
 Both exporters render from :meth:`repro.obs.metrics.MetricsRegistry.snapshot`
 — the single JSON-able view of everything recorded, including the
-fleet-wide ``serve.fleet.*`` series the
-:class:`~repro.obs.telemetry.TelemetryAggregator` scrapes out of worker
-shared memory.  They add no collection of their own: export is a pure
-function of the snapshot, so exporting never perturbs a run.
+``serve.*`` series the serving engine records from each worker batch.
+They add no collection of their own: export is a pure function of the
+snapshot, so exporting never perturbs a run.
 
 * :func:`render_prometheus` — Prometheus text exposition format
   (version 0.0.4): counters and gauges as single samples, histograms as

@@ -46,14 +46,14 @@ Online recovery plugs in per tenant through
 workers adopt each repaired generation live, bit-identical to the
 sequential reference run, without perturbing any other tenant.
 
-Cross-process telemetry (on by default) rides on the same substrate:
-each worker stamps a shared-memory telemetry slab
-(:mod:`repro.obs.telemetry`) the engine scrapes into fleet-wide
-``serve.fleet.*`` metrics (:attr:`ServingEngine.telemetry`), with a
-crash-surviving flight-recorder ring decodable post-mortem
-(:attr:`ServingEngine.flight_recorder`) and per-request trace ids that
-:func:`repro.obs.telemetry.correlate` joins against recovery publish
-announcements.
+Every worker batch reaches the engine as one message, recorded once in
+``engine.trace`` and the ``serve.*`` metrics.  Cross-process telemetry
+(on by default) adds what that message cannot carry: each worker writes
+a crash-surviving flight-recorder ring in an engine-owned shared-memory
+slab (:mod:`repro.obs.telemetry`), decodable post-mortem
+(:attr:`ServingEngine.flight_recorder`).  Per-request trace ids let
+:func:`repro.obs.telemetry.correlate` join the trace against recovery
+publish announcements.
 
 ``__all__`` below is the *stable public surface* — everything else
 remains importable from its defining submodule but carries no stability

@@ -54,13 +54,16 @@ once, at construction, and a worker leaves it only by dying — the
 monitor then re-routes its unanswered frames to surviving replicas of
 its shard.
 
-With telemetry enabled (the default) the engine also owns one
-shared-memory telemetry slab per worker (:mod:`repro.obs.telemetry`),
-scraped through :attr:`ServingEngine.telemetry` /
-:meth:`ServingEngine.scrape_telemetry`, with crash post-mortems through
-:attr:`ServingEngine.flight_recorder` and monotonic ``trace_id``
-correlation against recovery publishes
-(:func:`repro.obs.telemetry.correlate`).
+Each worker batch comes back as one message, and the collector records
+it once: a :class:`~repro.obs.trace.ServeBatchEvent` in
+:attr:`ServingEngine.trace` plus the ``serve.*`` metrics (batch counts
+and the ``serve.batch_duration_s`` histogram) under a recording
+registry.  Monotonic ``trace_id`` values join the trace against recovery
+publishes (:func:`repro.obs.telemetry.correlate`).  With telemetry
+enabled (the default) the engine also owns one shared-memory flight
+ring per worker (:mod:`repro.obs.telemetry`), which outlives a
+SIGKILLed worker: :attr:`ServingEngine.flight_recorder` decodes it
+post-mortem, during the run and after :meth:`ServingEngine.stop`.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ from repro.core.encoder import Encoder, _check_finite
 from repro.core.model import HDCClassifier, HDCModel
 from repro.obs.metrics import current as _metrics
 from repro.obs.telemetry import (
+    FLIGHT_SLOTS,
     FlightRecorder,
-    TelemetryAggregator,
     TelemetrySlabReader,
     slab_words,
 )
@@ -163,10 +166,9 @@ class ServeConfig:
     coalesce_requests: int
     stall_ns: int
     tenants: tuple[TenantSlot, ...] = ()
-    # Telemetry-slab geometry: workers attach {telemetry_prefix}-w{id}
+    # Workers attach their telemetry slab {telemetry_prefix}-w{id}
     # writable when a prefix is set; None disables worker telemetry.
     telemetry_prefix: str | None = None
-    flight_slots: int = 0
 
     def __post_init__(self) -> None:
         if not self.prefix:
@@ -191,10 +193,6 @@ class ServeConfig:
             )
         if not self.tenants:
             raise _config_error("tenants", "must name at least one tenant")
-        if self.flight_slots < 0:
-            raise _config_error(
-                "flight_slots", f"must be >= 0, got {self.flight_slots}"
-            )
         if len(self.tenants) > 1 and any(
             slot.shard_plan != ShardPlan.by_class(slot.num_classes, 1)
             for slot in self.tenants
@@ -385,8 +383,8 @@ class ServingEngine:
     stall_timeout:
         Writer-heartbeat age (seconds) beyond which workers mark batches
         ``degraded``.
-    telemetry / flight_slots:
-        Per-worker shared-memory telemetry slabs (see
+    telemetry:
+        Per-worker shared-memory flight rings (see
         :mod:`repro.obs.telemetry`); recording is RNG-free and
         batch-granular, so telemetry on vs off is bit-identical.
     shard_plan:
@@ -409,7 +407,6 @@ class ServingEngine:
         backpressure_timeout: float | None = None,
         stall_timeout: float = 2.0,
         telemetry: bool = True,
-        flight_slots: int = 256,
         shard_plan: ShardPlan | None = None,
     ) -> None:
         if isinstance(model, TenantRegistry):
@@ -513,7 +510,6 @@ class ServingEngine:
             stall_ns=int(stall_timeout * 1e9),
             tenants=tuple(tenant_slots),
             telemetry_prefix=telemetry_prefix,
-            flight_slots=flight_slots if telemetry else 0,
         )
         self.tenants = tuple(slot.tenant_id for slot in tenant_slots)
         self._tenant_index = {
@@ -549,19 +545,17 @@ class ServingEngine:
 
         # Telemetry slabs: engine-owned (so flight rings survive worker
         # SIGKILL), one per worker, workers attach writable.
-        self.telemetry: TelemetryAggregator | None = None
         self.flight_recorder: FlightRecorder | None = None
         if telemetry:
             readers = {}
             for w in range(num_workers):
                 slab = ShmArray.zeros(
                     f"{telemetry_prefix}-w{w}",
-                    (slab_words(self.config.flight_slots),),
+                    (slab_words(FLIGHT_SLOTS),),
                     np.uint64,
                 )
                 self._owned_segments.append(slab)
                 readers[w] = TelemetrySlabReader(slab.array)
-            self.telemetry = TelemetryAggregator(readers)
             self.flight_recorder = FlightRecorder(readers)
 
         self._ctx = mp.get_context("fork")
@@ -585,9 +579,7 @@ class ServingEngine:
         self._frame_requests = max(1, frame_requests)
         # Load-aware dispatch state: requests outstanding per worker
         # (incremented per dispatched frame entry, decremented as its
-        # replies arrive) — the same queue-depth quantity the
-        # ``serve.fleet.shard*`` telemetry reports, tracked engine-side
-        # so picking a replica never races a slab scrape.
+        # replies arrive).
         self._depth = [0] * num_workers
         self._replicas: dict[int, list[int]] = {
             s: [] for s in range(num_shards)
@@ -1023,13 +1015,15 @@ class ServingEngine:
         """Trace and meter one worker batch (caller holds the lock).
 
         Runs after the batch's requests have resolved: ``queue_depth``
-        is the count of requests still live.
+        is the count of requests still live.  The event is the batch's
+        one record; every ``serve.*`` batch metric is derived from it.
         """
         event = ServeBatchEvent(**event_dict, queue_depth=len(self._pending))
         self.trace.record(event)
         if not metrics.enabled:
             return
         metrics.inc("serve.batches")
+        metrics.observe("serve.batch_duration_s", event.duration_s)
         metrics.gauge("serve.queue_depth", event.queue_depth)
         metrics.gauge("serve.staleness_s", event.staleness_s)
         if event.adopted:
@@ -1145,17 +1139,6 @@ class ServingEngine:
                     self._route_locked(frame_seq, frame, (shard,), refire)
         self._send(refire)
 
-    def scrape_telemetry(self, registry=None) -> dict:
-        """Scrape every worker slab into ``registry`` (default: installed).
-
-        Returns the merged fleet snapshot (see
-        :meth:`~repro.obs.telemetry.TelemetryAggregator.scrape_into`).
-        Raises if the engine was built with ``telemetry=False``.
-        """
-        if self.telemetry is None:
-            raise RuntimeError("engine was built with telemetry=False")
-        return self.telemetry.scrape_into(registry)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -1167,7 +1150,7 @@ class ServingEngine:
         arriving from an ``atexit`` hook or a signal handler that
         interrupts a stop already in progress (e.g. while a gateway is
         still draining) — returns immediately without re-unlinking shm
-        segments or re-freezing telemetry.
+        segments or re-freezing the flight rings.
         """
         if not self._stop_lock.acquire(blocking=False):
             # A stop is already running on another thread, or this very
@@ -1210,15 +1193,10 @@ class ServingEngine:
             for q in (*self._queues, *self._result_qs):
                 q.close()
                 q.cancel_join_thread()
-            # Final telemetry scrape (workers are stopped, so this is
-            # the complete picture), then freeze the readers onto
-            # private copies so post-stop scrapes and post-mortems stay
-            # valid, and release the slabs.
-            if self.telemetry is not None:
-                metrics = _metrics()
-                if metrics.enabled:
-                    self.telemetry.scrape_into(metrics)
-                self.telemetry.freeze()
+            # Workers are stopped: move the flight rings onto private
+            # copies so post-mortems stay valid, then release the slabs.
+            if self.flight_recorder is not None:
+                self.flight_recorder.freeze()
             for segment in self._owned_segments:
                 segment.unlink()
             for publisher in self._publishers:

@@ -663,8 +663,6 @@ class GatewayServer:
     max_inflight:
         Global admitted-but-unresolved cap; clamped to the engine's
         ring capacity (see :class:`AdmissionController`).
-    max_frame_bytes:
-        Inbound frame-size cap per connection.
     connection_window:
         Credit window requested for each cooperative connection
         (clamped to what the admission budget can still reserve).
@@ -684,7 +682,6 @@ class GatewayServer:
         rate_limit: float | None = None,
         burst: float | None = None,
         max_inflight: int | None = None,
-        max_frame_bytes: int | None = None,
         connection_window: int | None = None,
         http_port: int | None = None,
     ) -> None:
@@ -705,7 +702,6 @@ class GatewayServer:
                 f"connection_window must be >= 1, got {connection_window}"
             )
         self._connection_window = connection_window
-        self._max_frame = max_frame_bytes
         self._requested_http_port = http_port
         self.loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -838,11 +834,7 @@ class GatewayServer:
         writer_task = asyncio.get_running_loop().create_task(
             self._write_replies(outbox, writer)
         )
-        decoder = (
-            FrameDecoder(self._max_frame)
-            if self._max_frame
-            else FrameDecoder()
-        )
+        decoder = FrameDecoder()
         transport = writer.transport
         metrics = _metrics()
         try:

@@ -63,6 +63,10 @@ __all__ = [
 # recover_under_load, 2 vCPUs, native kernels).
 _PUBLISH_LOG_LIMIT = 4096
 
+# Superseded generations a publisher keeps mapped: a reader that just
+# read the control block can still attach the segment it names.
+_RETIRE_LAG = 2
+
 
 def unique_name(prefix: str = "repro-serve") -> str:
     """A collision-resistant shared-memory name prefix for one engine."""
@@ -343,10 +347,10 @@ class GenerationPublisher:
 
     Satisfies :class:`repro.core.recovery.ModelPublisher`.  Generations
     are numbered from 1, and each is written as one segment per shard of
-    ``shard_plan``; ``retire_lag`` controls how many superseded
-    generations stay mapped so a reader that just fetched the control
-    block can still attach the segment it names (readers also retry via
-    a fresh control read if they lose that race).
+    ``shard_plan``.  The two newest generations stay mapped, so a reader
+    that just fetched the control block can still attach the segment it
+    names (readers also retry via a fresh control read if they lose that
+    race).
 
     :attr:`publish_log` is the one record of the last 4,096 publishes:
     each one's generation, model version, publish time and trace id.
@@ -364,14 +368,10 @@ class GenerationPublisher:
         prefix: str,
         control: ControlBlock,
         shard_plan: ShardPlan,
-        retire_lag: int = 2,
         trace_source: "callable | None" = None,
     ) -> None:
-        if retire_lag < 1:
-            raise ValueError(f"retire_lag must be >= 1, got {retire_lag}")
         self.prefix = prefix
         self.control = control
-        self.retire_lag = retire_lag
         self.generation = 0
         self.trace_source = trace_source
         self.shard_plan = shard_plan
@@ -421,7 +421,7 @@ class GenerationPublisher:
             ),
             "publish_ns": now,
         })
-        retired = generation - self.retire_lag
+        retired = generation - _RETIRE_LAG
         for old in self._segments.pop(retired, ()):
             old.unlink()
         metrics = _metrics()

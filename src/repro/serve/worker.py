@@ -39,14 +39,14 @@ loops:
    expired, one array holding every reply row in frame order, and one
    :class:`~repro.obs.trace.ServeBatchEvent`-shaped record.
 
-When the engine runs with telemetry (the default), each worker is also
-the single writer of its shared-memory *telemetry slab*
-(:mod:`repro.obs.telemetry`): one seqlock-stamped stats update per
-coalesced batch (counters + log2-bucketed latency bins the engine-side
-aggregator scrapes), plus flight-recorder events (batch start/end,
-generation adoption, deadline miss, stale serve) in a bounded in-slab
-ring.  The slab is engine-owned, so the ring survives this process
-being SIGKILLed — that is what makes crashes diagnosable post-mortem.
+That message is the batch's one record: the engine turns it into the
+trace event and the ``serve.*`` metrics.  When the engine runs with
+telemetry (the default), each worker is also the single writer of its
+shared-memory *telemetry slab* (:mod:`repro.obs.telemetry`), a bounded
+ring of flight-recorder events (batch start/end, generation adoption,
+deadline miss, stale serve).  The slab is engine-owned, so the ring
+survives this process being SIGKILLed — that is what makes crashes
+diagnosable post-mortem.
 
 Each worker owns a private request queue (the engine round-robins
 frames and re-routes a dead worker's unserved frames to survivors): a
@@ -59,7 +59,6 @@ first — shutdown never drops accepted work.
 
 from __future__ import annotations
 
-import os
 import queue
 import time
 import traceback
@@ -73,6 +72,7 @@ from repro.obs.telemetry import (
     EV_BATCH_START,
     EV_DEADLINE_MISS,
     EV_STALE_SERVE,
+    FLIGHT_SLOTS,
     TelemetryWriter,
     slab_words,
 )
@@ -239,15 +239,11 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
         # writable and is the slab's single writer.
         telemetry_segment = ShmArray.attach(
             f"{cfg.telemetry_prefix}-w{worker_id}",
-            (slab_words(cfg.flight_slots),),
+            (slab_words(FLIGHT_SLOTS),),
             np.uint64,
             readonly=False,
         )
-        telemetry = TelemetryWriter(
-            telemetry_segment.array, worker_id,
-            pid=os.getpid(), started_ns=time.monotonic_ns(),
-        )
-        telemetry.set_shard(shard)
+        telemetry = TelemetryWriter(telemetry_segment.array, worker_id)
     batch_index = 0
     try:
         while True:
@@ -386,20 +382,9 @@ def worker_main(worker_id: int, cfg, request_q, result_q) -> None:
                 "tenants": max(1, len(parts)),
             }
             if telemetry is not None:
-                end_ns = time.monotonic_ns()
                 telemetry.record_event(
-                    EV_BATCH_END, end_ns,
+                    EV_BATCH_END, time.monotonic_ns(),
                     batch_index, total_queries, int(duration_s * 1e9),
-                )
-                telemetry.record_batch(
-                    requests=len(requests),
-                    queries=total_queries,
-                    expired=len(misses),
-                    duration_ns=int(duration_s * 1e9),
-                    adopted=adopted,
-                    degraded=degraded,
-                    now_ns=end_ns,
-                    wait_ns=int(wait_s * 1e9),
                 )
             result_q.put(("batch", worker_id, frame_replies, rows, event))
             batch_index += 1

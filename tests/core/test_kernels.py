@@ -1,7 +1,8 @@
 """Kernel-backend contract tests.
 
 Every registered backend must produce chunk distance tables, distance
-tables, encodings and recovery repairs bit-identical to
+tables, encodings and recovery walks (and, on the Python walk's
+backends, each ``repair_row`` write) bit-identical to
 :class:`ReferenceBackend` — the unpacked uint8 oracle — over random
 shapes, including operands with zeroed pad bits, chunks that start and
 end inside a word, word-column slices (non-contiguous operands) and
@@ -32,6 +33,10 @@ def padded_words(rows: int, dim: int) -> np.ndarray:
 
 
 CPU_BACKENDS = ["numpy", "native"]
+# The backends whose recovery walk is the base class's Python loop and
+# so implement ``repair_row``; the native walk repairs inside its C
+# call, pinned by ``TestRecoverWalk``.
+REPAIR_BACKENDS = ["numpy", "reference"]
 SHAPES = [(1, 1, 1), (4, 26, 157), (33, 7, 3), (256, 2, 16), (3, 64, 32)]
 
 
@@ -342,9 +347,9 @@ def similarity_tables(ahead, model, num_chunks, chunk_bits):
 
 
 class TestRepairRow:
-    """``repair_row`` on every backend against the reference: the row
-    takes the query's bits where the draw is below the rate, and the
-    patched table columns equal tables computed from scratch."""
+    """``repair_row``, the Python walk's write, against the reference:
+    the row takes the query's bits where the draw is below the rate, and
+    the patched table columns equal tables computed from scratch."""
 
     K, CLASS = 5, 3
 
@@ -401,7 +406,7 @@ class TestRepairRow:
             assert got.dtype == ref.dtype and (got == ref).all()
         return changed
 
-    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("name", REPAIR_BACKENDS)
     @pytest.mark.parametrize("chunk_bits", [64, 100, 250, 500])
     @pytest.mark.parametrize("rows", [0, 1, 9])
     def test_matches_fresh_tables(self, name, chunk_bits, rows):
@@ -411,13 +416,13 @@ class TestRepairRow:
                              seed=chunk_bits + rows)
         assert changed.all()
 
-    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("name", REPAIR_BACKENDS)
     @pytest.mark.parametrize("chunk_bits", [64, 100, 250, 500])
     def test_every_chunk_flagged(self, name, chunk_bits):
         draws = np.random.default_rng(1).random((5, chunk_bits))
         self.check(name, chunk_bits, 5, np.arange(5), draws, 0.5, 7)
 
-    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("name", REPAIR_BACKENDS)
     def test_draws_that_flip_nothing(self, name):
         """Draws at or above the rate leave row and tables untouched."""
         draws = np.full((3, 100), 0.25)
@@ -425,13 +430,13 @@ class TestRepairRow:
                              0.25, 6)
         assert changed.tolist() == [0, 0, 0]
 
-    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("name", REPAIR_BACKENDS)
     def test_no_chunks_flagged(self, name):
         changed = self.check(name, 100, 4, np.zeros(0, np.int64),
                              np.zeros((0, 100)), 1.0, 3)
         assert changed.shape == (0,)
 
-    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("name", REPAIR_BACKENDS)
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_strided_columns_and_unchunked_tail(self, name, layout):
         """Table columns of either memory layout, and row bits past
@@ -441,7 +446,7 @@ class TestRepairRow:
         self.check(name, 100, 3, np.array([0, 2]), draws, 0.6, 8,
                    layout=layout, extra_bits=37)
 
-    @pytest.mark.parametrize("name", CPU_BACKENDS + ["reference"])
+    @pytest.mark.parametrize("name", REPAIR_BACKENDS)
     def test_strided_row(self, name):
         """A class row that is not contiguous is written in place."""
         backend = get_or_skip(name)
@@ -458,7 +463,7 @@ class TestRepairRow:
 
 
 class TestRepairValidation:
-    @pytest.fixture(params=CPU_BACKENDS + ["reference"])
+    @pytest.fixture(params=REPAIR_BACKENDS)
     def backend(self, request):
         return get_or_skip(request.param)
 

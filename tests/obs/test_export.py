@@ -16,9 +16,9 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 
 def make_registry():
     registry = MetricsRegistry()
-    registry.inc("serve.fleet.batches", 12)
+    registry.inc("serve.batches", 12)
     registry.inc("serve.requests", 30)
-    registry.gauge("serve.fleet.batch_duration_p95", 0.004)
+    registry.gauge("serve.queue_depth", 4)
     for value in (0.001, 0.002, 0.004):
         registry.observe("serve.adoption_lag_s", value)
     return registry
@@ -26,8 +26,8 @@ def make_registry():
 
 class TestPrometheusNames:
     def test_dots_become_underscores(self):
-        assert prometheus_name("serve.fleet.batches") == (
-            "repro_serve_fleet_batches"
+        assert prometheus_name("serve.batch_duration_s") == (
+            "repro_serve_batch_duration_s"
         )
 
     def test_invalid_chars_sanitised(self):
@@ -40,9 +40,9 @@ class TestPrometheusNames:
 class TestRenderPrometheus:
     def test_counters_gauges_histograms(self):
         text = render_prometheus(make_registry())
-        assert "# TYPE repro_serve_fleet_batches counter" in text
-        assert "repro_serve_fleet_batches 12.0" in text
-        assert "# TYPE repro_serve_fleet_batch_duration_p95 gauge" in text
+        assert "# TYPE repro_serve_batches counter" in text
+        assert "repro_serve_batches 12.0" in text
+        assert "# TYPE repro_serve_queue_depth gauge" in text
         assert "# TYPE repro_serve_adoption_lag_s summary" in text
         assert 'repro_serve_adoption_lag_s{quantile="0.5"}' in text
         assert "repro_serve_adoption_lag_s_count 3" in text
@@ -65,7 +65,7 @@ class TestRenderPrometheus:
 class TestJsonlSnapshots:
     def test_line_is_strict_json(self):
         record = json.loads(snapshot_line(make_registry()))
-        assert record["counters"]["serve.fleet.batches"] == 12
+        assert record["counters"]["serve.batches"] == 12
         assert record["histograms"]["serve.adoption_lag_s"]["count"] == 3
 
     def test_empty_histogram_serialises_null_extremes(self):

@@ -316,9 +316,8 @@ def test_stop_serves_requests_submitted_before_it(fitted):
     [
         ("coalesce_requests", 0, "coalesce_requests"),
         ("stall_timeout", -1.0, "stall_ns"),
-        ("flight_slots", -1, "flight_slots"),
     ],
-    ids=["coalesce_requests", "stall_timeout", "flight_slots"],
+    ids=["coalesce_requests", "stall_timeout"],
 )
 def test_config_error_leaves_no_shared_memory(fitted, argument, value, field):
     """A config the engine refuses is refused before any segment exists."""

@@ -321,7 +321,7 @@ class TestShardedPublisher:
             ]
             assert len(gen_segments) == 2
             model = HDCModel(class_hv=clf.model.class_hv.copy())
-            for _ in range(4):  # publish past retire_lag
+            for _ in range(4):  # publish past the retire lag
                 with model.writable() as hv:
                     hv[0, 0] ^= 1
                 engine.publisher_for(engine.tenants[0]).publish(model)

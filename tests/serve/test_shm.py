@@ -172,8 +172,7 @@ class TestGenerationPublisher:
         prefix = unique_name("repro-test")
         control = ControlBlock.create(f"{prefix}-control")
         publisher = GenerationPublisher(
-            prefix, control, ShardPlan.by_class(trained_model.num_classes, 1),
-            retire_lag=2,
+            prefix, control, ShardPlan.by_class(trained_model.num_classes, 1)
         )
         try:
             for expected in (1, 2, 3, 4):
