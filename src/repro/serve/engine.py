@@ -974,13 +974,14 @@ class ServingEngine:
         A message is one worker batch: per frame, the requests served (in
         reply-row order) and those found expired, plus one reply array
         holding every served row.  The batch is resolved and traced in
-        one lock hold.
+        one lock hold, and metered into the registry installed when its
+        message arrives.
         """
-        metrics = _metrics()
         while True:
             message = self._result_qs[worker_idx].get()
             if message is None:
                 return
+            metrics = _metrics()
             if message[0] == "error":
                 _, worker_id, tb = message
                 self._worker_errors.append((worker_id, tb))

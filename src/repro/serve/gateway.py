@@ -836,7 +836,6 @@ class GatewayServer:
         )
         decoder = FrameDecoder()
         transport = writer.transport
-        metrics = _metrics()
         try:
             while True:
                 if conn.cooperative and not conn.resume.is_set():
@@ -848,6 +847,7 @@ class GatewayServer:
                         transport.pause_reading()
                     except (AttributeError, RuntimeError):
                         pass
+                    metrics = _metrics()
                     if metrics.enabled:
                         metrics.inc("gateway.paused")
                     await conn.resume.wait()

@@ -165,11 +165,14 @@ def encoder_and_batch(draw):
     """Random encoder geometry + feature batch, biased toward edge cases.
 
     Dims straddle the 64-bit word boundary (including non-multiples of
-    64) and num_features includes the degenerate single-feature encoder
+    64) and the 512-bit boundary of an 8-word vector, the widest the
+    native kernel uses, with one multi-vector dim that ends in a partial
+    vector; num_features includes the degenerate single-feature encoder
     and counts on both sides of the native kernel's 8-feature group.
     """
     num_features = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 16, 33, 64]))
-    dim = draw(st.sampled_from([2, 63, 64, 65, 127, 128, 130, 200, 256]))
+    dim = draw(st.sampled_from([2, 63, 64, 65, 127, 128, 130, 200, 256,
+                                511, 512, 513, 1089]))
     levels = draw(st.sampled_from([2, 3, 8, 32]))
     if dim < levels:
         levels = 2

@@ -9,6 +9,8 @@ end inside a word, word-column slices (non-contiguous operands) and
 strided table columns.
 """
 
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -193,7 +195,8 @@ def random_codebook(n: int, levels: int, words: int) -> np.ndarray:
 
 # Feature counts cross the 8-operand carry-save group, the count-plane
 # boundaries (8, 16, 64, 256 need one more plane than one less) and
-# even-n majority ties; word counts straddle the 8-word block.
+# even-n majority ties; word counts straddle the native encoder's
+# vectors (2, 4 or 8 words, by compile target).
 ENCODE_FEATURES = [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 561]
 ENCODE_WORDS = [1, 7, 8, 9, 157]
 
@@ -277,6 +280,33 @@ class TestEncodeEquivalence:
             got = encode_words_from_codebook(codebook, idx, rows_per_block=4)
         assert calls == [(4, 9), (4, 9), (2, 9)]
         assert (got == expected).all()
+
+
+def test_fallback_build_encodes_like_the_reference(tmp_path, monkeypatch):
+    """The library the build's fallback command (no ``-march=native``)
+    makes, whose vectors are narrower than the host build's, encodes
+    the feature and word grids bit-identically too."""
+    compiler = kernels._c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler in this environment")
+    src, so = tmp_path / "kernels.c", tmp_path / "kernels.so"
+    src.write_text(kernels._NATIVE_SOURCE)
+    _, fallback = kernels._compile_commands(compiler, src, so)
+    subprocess.run(fallback, check=True, capture_output=True, timeout=120)
+    monkeypatch.setattr(kernels.NativeCpuBackend, "_lib",
+                        kernels._load_library(so))
+    backend = kernels.NativeCpuBackend()
+    oracle = kernels.get_backend("reference")
+    for n in ENCODE_FEATURES:
+        codebook = random_codebook(n, 4, 9)
+        idx = RNG.integers(0, 4, (6, n))
+        assert (backend.encode_words(codebook, idx)
+                == oracle.encode_words(codebook, idx)).all(), n
+    for words in ENCODE_WORDS:
+        codebook = random_codebook(17, 5, words)
+        idx = RNG.integers(0, 5, (3, 17))
+        assert (backend.encode_words(codebook, idx)
+                == oracle.encode_words(codebook, idx)).all(), words
 
 
 class TestEncodeValidation:

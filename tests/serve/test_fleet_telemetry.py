@@ -46,7 +46,7 @@ def fitted():
 class TestFleetScrape:
     """The fleet's counters are the engine's ``serve.*`` metrics: each
     worker batch message is recorded once, engine-side, into the
-    registry installed when the engine starts."""
+    registry installed when the message arrives."""
 
     def test_fleet_counters_match_trace_totals(self, fitted):
         task, clf = fitted
@@ -70,6 +70,24 @@ class TestFleetScrape:
         assert duration.total == pytest.approx(
             sum(event.duration_s for event in trace)
         )
+
+    def test_registry_installed_after_start_counts_every_batch(self, fitted):
+        """Collectors read the installed registry per batch message, so
+        a registry installed while the engine runs meters every batch
+        traced from then on."""
+        task, clf = fitted
+        words = clf.encoder.encode_packed(task.test_x).words
+        with ServingEngine(clf, num_workers=2) as engine:
+            engine.submit(ServeRequest(words)).result()
+            before = len(engine.trace)
+            with use_metrics(MetricsRegistry()) as registry:
+                for _ in range(2):
+                    engine.submit(ServeRequest(words[:24])).result()
+                    engine.submit(ServeRequest(words[24:])).result()
+                traced = len(engine.trace) - before
+        assert traced >= 4
+        assert registry.counter("serve.batches") == traced
+        assert registry.histograms["serve.batch_duration_s"].count == traced
 
     def test_scrape_into_registry_and_prometheus(self, fitted):
         task, clf = fitted
